@@ -91,7 +91,6 @@ from .schatten import (
     Qlt1,
     SymMatrix,
     eigen_sym,
-    jacobi_eigh,
     khinchine_report,
     psd_counterexample,
     psd_xp_report,

@@ -83,7 +83,7 @@ from .schatten import (
     OpConvex,
     Qlt1,
     SymMatrix,
-    jacobi_eigh,
+    eigen_sym,
     khinchine_report,
     psd_counterexample,
     psd_xp_report,
@@ -452,12 +452,15 @@ def _emit(document: dict, cfg: ExperimentConfig) -> None:
         with open(cfg.out, "w", encoding="utf-8") as fh:
             fh.write(text)
     else:
-        click.echo(text, nl=False)
+        # Every echo here names its stream: without file=, click caches the
+        # resolved stream in a WeakKeyDictionary whose value is the stream
+        # itself, so each swapped-in sys.stdout would be kept for good.
+        click.echo(text, nl=False, file=sys.stdout)
 
 
 def _error_exit(exc: Exception) -> None:
     payload = {"error": type(exc).__name__, "message": str(exc)}
-    click.echo(json.dumps(payload, sort_keys=True), err=True)
+    click.echo(json.dumps(payload, sort_keys=True), file=sys.stderr)
     sys.exit(1)
 
 
@@ -602,7 +605,7 @@ def scan(report: str, sweep_name: str, values_csv: str,
             with open(cfg.out, "w", encoding="utf-8") as fh:
                 fh.write(text)
         else:
-            click.echo(text, nl=False)
+            click.echo(text, nl=False, file=sys.stdout)
     except Exception as exc:  # noqa: BLE001
         _error_exit(exc)
 
@@ -726,7 +729,7 @@ def _suite_trace() -> list[tuple[str, bool, float, float]]:
     res_worst = 0.0
     for seed in range(20):
         arr = random_psd(6, seed, purpose="verify:jacobi").entries
-        lam, vec = jacobi_eigh(arr)
+        lam, vec = eigen_sym(arr)
         res = np.linalg.norm(arr @ vec - vec * lam) / max(np.linalg.norm(arr), 1e-30)
         res_worst = max(res_worst, float(res))
     return [
@@ -800,15 +803,16 @@ def verify(suite: str) -> None:
     """Run a named invariant suite and print a check table."""
     names = sorted(SUITES) if suite == "all" else [suite]
     failed = 0
-    click.echo(f"{'check':<48} {'status':<6} {'observed':>14} {'threshold':>12}")
+    click.echo(f"{'check':<48} {'status':<6} {'observed':>14} {'threshold':>12}",
+               file=sys.stdout)
     for name in names:
         for check, ok, observed, threshold in SUITES[name]():
             status = "pass" if ok else "FAIL"
             failed += not ok
             click.echo(f"{name + ': ' + check:<48} {status:<6} "
-                       f"{observed:>14.6g} {threshold:>12.6g}")
+                       f"{observed:>14.6g} {threshold:>12.6g}", file=sys.stdout)
     if failed:
-        click.echo(f"{failed} check(s) failed", err=True)
+        click.echo(f"{failed} check(s) failed", file=sys.stderr)
         sys.exit(1)
 
 

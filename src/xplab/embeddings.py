@@ -16,7 +16,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .schatten import jacobi_eigh
+from .schatten import eigen_sym
 
 __all__ = [
     "EmbeddingResult",
@@ -234,7 +234,7 @@ def schoenberg_embed(points: np.ndarray, q: float) -> np.ndarray:
     dist2 = _pairwise_lp(points, 2.0) ** (4.0 / q)
     j = np.eye(npts) - np.full((npts, npts), 1.0 / npts)
     gram = -0.5 * (j @ dist2 @ j)
-    vals, vecs = jacobi_eigh(gram)
+    vals, vecs = eigen_sym(gram)
     lam_max = float(np.max(vals)) if npts else 0.0
     if lam_max > 0 and float(np.min(vals)) < -_SCHOENBERG_CLIP * lam_max:
         raise ArithmeticError(

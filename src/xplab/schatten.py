@@ -1,10 +1,12 @@
 """Symmetric-matrix spectral calculus, Schatten norms, trace inequalities.
 
-The eigensolver is a self-contained cyclic Jacobi iteration (deterministic,
-accurate at desk scale d <= 64); fractional matrix powers clip tiny negative
-eigenvalues attributable to roundoff.  The PSD-subadditivity counterexample
-is evaluated in exact rational arithmetic for integer exponents, because the
-quadratic form of interest is a ~1e-12 cancellation of O(1) entries.
+Eigensolves use LAPACK through ``numpy.linalg``: ``eigh`` for spectral
+decompositions (reordered to descending eigenvalues) and ``eigvalsh`` where
+only eigenvalues are needed, batched over whole sign-pattern stacks.
+Fractional matrix powers clip tiny negative eigenvalues attributable to
+roundoff.  The PSD-subadditivity counterexample is evaluated in exact
+rational arithmetic for integer exponents, because the quadratic form of
+interest is a ~1e-12 cancellation of O(1) entries.
 """
 
 from __future__ import annotations
@@ -22,7 +24,6 @@ from .rng import stream
 
 __all__ = [
     "SymMatrix",
-    "jacobi_eigh",
     "eigen_sym",
     "schatten_norm",
     "trace_power",
@@ -42,69 +43,7 @@ __all__ = [
     "khinchine_report",
 ]
 
-_JACOBI_SWEEP_CAP = 100
-_JACOBI_TOL = 1e-13
 _PSD_CLIP = 1e-12
-
-
-# ---------------------------------------------------------------------------
-# eigensolver
-# ---------------------------------------------------------------------------
-
-
-def jacobi_eigh(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Cyclic Jacobi diagonalization of a real symmetric matrix.
-
-    Returns (eigenvalues descending, orthonormal eigenvectors as columns).
-    Convergence: off-diagonal Frobenius norm <= 1e-13 * ||A||_F, at most 100
-    sweeps; non-convergence raises ArithmeticError.
-    """
-    a = np.asarray(a, dtype=float)
-    if a.ndim != 2 or a.shape[0] != a.shape[1]:
-        raise ValueError("matrix must be square")
-    if not np.allclose(a, a.T, atol=0.0, rtol=0.0):
-        a = 0.5 * (a + a.T)
-    d = a.shape[0]
-    work = a.copy()
-    vecs = np.eye(d)
-    norm = float(np.linalg.norm(a))
-    if d == 1 or norm == 0.0:
-        order = np.argsort(-np.diag(work), kind="stable")
-        return np.diag(work)[order], vecs[:, order]
-    threshold = _JACOBI_TOL * norm
-    for _ in range(_JACOBI_SWEEP_CAP):
-        offdiag = work.copy()
-        np.fill_diagonal(offdiag, 0.0)
-        off = float(np.linalg.norm(offdiag))
-        if off <= threshold:
-            break
-        for p in range(d - 1):
-            for q in range(p + 1, d):
-                apq = work[p, q]
-                if apq == 0.0:
-                    continue
-                app, aqq = work[p, p], work[q, q]
-                tau = (aqq - app) / (2.0 * apq)
-                t = math.copysign(1.0, tau) / (
-                    abs(tau) + math.sqrt(1.0 + tau * tau)
-                )
-                c = 1.0 / math.sqrt(1.0 + t * t)
-                s = t * c
-                rot_p = c * work[:, p] - s * work[:, q]
-                rot_q = s * work[:, p] + c * work[:, q]
-                work[:, p], work[:, q] = rot_p, rot_q
-                rot_p = c * work[p, :] - s * work[q, :]
-                rot_q = s * work[p, :] + c * work[q, :]
-                work[p, :], work[q, :] = rot_p, rot_q
-                work[p, q] = work[q, p] = 0.0
-                vec_p = c * vecs[:, p] - s * vecs[:, q]
-                vec_q = s * vecs[:, p] + c * vecs[:, q]
-                vecs[:, p], vecs[:, q] = vec_p, vec_q
-    else:
-        raise ArithmeticError("Jacobi iteration did not converge in 100 sweeps")
-    eigvals = np.diag(work).copy()
-    order = np.argsort(-eigvals, kind="stable")
-    return eigvals[order], vecs[:, order]
 
 
 @dataclass(frozen=True)
@@ -120,10 +59,10 @@ class SymMatrix:
     def from_array(a: np.ndarray) -> "SymMatrix":
         a = np.asarray(a, dtype=float)
         sym = 0.5 * (a + a.T)
-        vals, vecs = jacobi_eigh(sym)
+        vals, vecs = np.linalg.eigh(sym)
+        vals, vecs = vals[::-1], vecs[:, ::-1]
         lam_max = float(np.max(np.abs(vals))) if vals.size else 0.0
         psd = bool(np.min(vals) >= -_PSD_CLIP * max(lam_max, 1.0))
-        sym = sym.copy()
         sym.setflags(write=False)
         vals.setflags(write=False)
         vecs.setflags(write=False)
@@ -175,11 +114,9 @@ def schatten_norm(a: "SymMatrix | np.ndarray", p: float) -> float:
     else:
         arr = np.asarray(a, dtype=float)
         if arr.shape[0] == arr.shape[1] and np.array_equal(arr, arr.T):
-            sv = np.abs(jacobi_eigh(arr)[0])
+            sv = np.abs(np.linalg.eigvalsh(arr))
         else:
-            gram = arr.T @ arr
-            vals, _ = jacobi_eigh(gram)
-            sv = np.sqrt(np.clip(vals, 0.0, None))
+            sv = np.sqrt(np.clip(np.linalg.eigvalsh(arr.T @ arr), 0.0, None))
     return float(np.sum(sv**p)) ** (1.0 / p)
 
 
@@ -366,8 +303,7 @@ def trace_inequality_report(
             + mb.power(theta) / (1.0 - s) ** (theta - 1.0)
             - msum.power(theta)
         )
-        vals, _ = jacobi_eigh(gap)
-        min_eig = float(np.min(vals))
+        min_eig = float(np.linalg.eigvalsh(0.5 * (gap + gap.T))[0])
         return _finalize(
             "trace_op_convex", params, min_eig, {"lower_bound": 0.0}, None,
             extra={"min_eigenvalue": min_eig},
@@ -439,8 +375,8 @@ def psd_counterexample(s: float, q: float, big_k: float) -> PsdCounterexample:
         ps = _as_sym(a + b).power(q)
         gap_f = big_k * (pa + pb) - ps
         form = float(w @ gap_f @ w)
-    vals, _ = jacobi_eigh(gap_f)
-    return PsdCounterexample(a, b, w, form, float(np.min(vals)))
+    min_eig = float(np.linalg.eigvalsh(0.5 * (gap_f + gap_f.T))[0])
+    return PsdCounterexample(a, b, w, form, min_eig)
 
 
 # ---------------------------------------------------------------------------
@@ -462,7 +398,7 @@ def random_psd(
         profile = np.asarray(profile, dtype=float)
         if profile.shape != (d,) or np.any(profile < 0):
             raise ValueError("profile must be d nonnegative eigenvalues")
-        _, vecs = jacobi_eigh(a)
+        _, vecs = eigen_sym(a)
         a = (vecs * profile) @ vecs.T
     return SymMatrix.from_array(a)
 
@@ -473,21 +409,16 @@ def random_psd(
 
 
 def _schatten_power(p: float, symmetric: bool):
-    """Batched ||.||_{S_p}^p for stacks of matrices."""
+    """Batched ||.||_{S_p}^p for stacks of matrices, one eigvalsh per stack."""
 
     def fn(batch: np.ndarray) -> np.ndarray:
         if batch.ndim == 2:  # d == 1 flattened vectors
             return np.sum(np.abs(batch) ** p, axis=-1)
-        out = np.empty(batch.shape[0])
-        for i in range(batch.shape[0]):
-            m = batch[i]
-            if symmetric:
-                vals, _ = jacobi_eigh(m)
-                out[i] = float(np.sum(np.abs(vals) ** p))
-            else:
-                vals, _ = jacobi_eigh(m.T @ m)
-                out[i] = float(np.sum(np.clip(vals, 0.0, None) ** (p / 2.0)))
-        return out
+        if symmetric:
+            return np.sum(np.abs(np.linalg.eigvalsh(batch)) ** p, axis=-1)
+        gram = np.swapaxes(batch, -1, -2) @ batch
+        vals = np.clip(np.linalg.eigvalsh(gram), 0.0, None)
+        return np.sum(vals ** (p / 2.0), axis=-1)
 
     return fn
 

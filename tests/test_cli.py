@@ -1,6 +1,10 @@
 """CLI: run/verify/scan, config round trips, exit codes, determinism."""
 
+import contextlib
+import gc
+import io
 import json
+import weakref
 
 import pytest
 from click.testing import CliRunner
@@ -137,6 +141,33 @@ class TestVerify:
     def test_unknown_suite_rejected(self, runner):
         res = runner.invoke(main, ["verify", "bogus"])
         assert res.exit_code != 0
+
+
+class TestOutputStreams:
+    """A report written to a swapped-in stream must not keep that stream alive.
+
+    click caches the stream it resolves for ``echo`` without ``file=`` in a
+    WeakKeyDictionary whose value is the stream itself, so an in-process
+    caller that captures each report in a fresh buffer would leak every one.
+    """
+
+    @pytest.mark.parametrize("args,redirect", [
+        (["run", "linear-xp", "--n", "2", "--k", "1", "--p", "4", "--a", "1,1",
+          "--seed", "7", "--deterministic"], contextlib.redirect_stdout),
+        (["scan", "rosenthal-distortion", "--sweep", "n", "--values", "4,8",
+          "--q", "3", "--p", "6"], contextlib.redirect_stdout),
+        (["verify", "geodesic"], contextlib.redirect_stdout),
+        (["run", "linear-xp", "--k", "9"], contextlib.redirect_stderr),
+    ])
+    def test_captured_buffer_is_released(self, args, redirect):
+        buf = io.StringIO()
+        with redirect(buf), contextlib.suppress(SystemExit):
+            main.main(args=args, standalone_mode=False)
+        assert buf.getvalue()
+        ref = weakref.ref(buf)
+        del buf
+        gc.collect()
+        assert ref() is None
 
 
 def test_every_report_has_builder():

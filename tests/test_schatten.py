@@ -16,7 +16,8 @@ from xplab.schatten import (
     OpConvex,
     Qlt1,
     SymMatrix,
-    jacobi_eigh,
+    _schatten_power,
+    eigen_sym,
     khinchine_report,
     psd_counterexample,
     psd_xp_report,
@@ -29,25 +30,44 @@ from xplab.schatten import (
 )
 
 
-class TestJacobi:
+class TestEigensolve:
     @settings(max_examples=30, deadline=None)
     @given(seed=st.integers(0, 10**6), d=st.integers(1, 8))
-    def test_matches_numpy_eigh(self, seed, d):
-        gen = np.random.default_rng(seed)
-        g = gen.standard_normal((d, d))
+    def test_spectral_decomposition(self, seed, d):
+        g = np.random.default_rng(seed).standard_normal((d, d))
         a = (g + g.T) / 2
-        lam, vec = jacobi_eigh(a)
-        ref = np.sort(np.linalg.eigvalsh(a))[::-1]
-        assert np.allclose(lam, ref, atol=1e-10 * max(1.0, np.abs(ref).max()))
-        # residual and orthonormality
-        assert np.linalg.norm(a @ vec - vec * lam) <= 1e-10 * max(
-            1.0, np.linalg.norm(a)
-        )
+        m = SymMatrix.from_array(a)
+        lam, vec = eigen_sym(a)
+        assert np.array_equal(lam, m.eigenvalues)
+        assert np.array_equal(vec, m.eigenvectors)
+        # residual, orthonormality, descending order
+        assert np.linalg.norm(a @ vec - vec * lam) <= 1e-10 * np.linalg.norm(a)
         assert np.allclose(vec.T @ vec, np.eye(d), atol=1e-12)
+        assert np.all(np.diff(lam) <= 0)
 
     def test_descending_order(self):
-        lam, _ = jacobi_eigh(np.diag([1.0, 3.0, -2.0]))
+        lam, _ = eigen_sym(np.diag([1.0, 3.0, -2.0]))
         assert lam.tolist() == [3.0, 1.0, -2.0]
+
+    @settings(max_examples=30, deadline=None)
+    @given(
+        seed=st.integers(0, 10**6),
+        d=st.integers(1, 8),
+        p=st.sampled_from([2.0, 3.0, 4.5, 6.0]),
+        symmetric=st.booleans(),
+    )
+    def test_batched_power_matches_per_matrix(self, seed, d, p, symmetric):
+        batch = np.random.default_rng(seed).standard_normal((5, d, d))
+        if symmetric:
+            batch = (batch + np.swapaxes(batch, 1, 2)) / 2
+            ref = [np.sum(np.abs(eigen_sym(m)[0]) ** p) for m in batch]
+        else:
+            ref = [
+                np.sum(np.clip(eigen_sym(m.T @ m)[0], 0.0, None) ** (p / 2))
+                for m in batch
+            ]
+        got = _schatten_power(p, symmetric)(batch)
+        np.testing.assert_allclose(got, ref, rtol=1e-12, atol=0.0)
 
 
 class TestSymMatrix:
