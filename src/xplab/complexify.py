@@ -4,12 +4,18 @@ A pair (u, v) of real d-vectors carries the norm
 ``(∫_0^{2π} ||cos(t) u - sin(t) v||_p^p dt)^{1/p}``, evaluated by the
 periodic trapezoid rule (spectrally accurate for these smooth integrands).
 Complex scalars act by ``(a+bi)(u, v) = (au - bv, av + bu)``, under which
-the norm is rotation invariant.
+the norm is rotation invariant.  One helper, ``_pair_powers``, evaluates the
+rule for a whole array of pairs ``w = u + iv`` in blocks of bounded size.
 
 The bridge instantiates the family ``f_delta(x) = sum_j delta_j
 exp(i pi x_j / m) (z_j, 0)`` on ``Z_{2m}^n`` and checks, with explicit
 constants, each intermediate inequality linking the torus functional of the
-family to the sign-sum (linear) functional of the coefficients.
+family to the sign-sum (linear) functional of the coefficients.  The family
+is evaluated as array code: the pairs of a block of lattice points are one
+matrix product of phase coefficients with ``(z_j)``, and their norms one
+batched quadrature.  Since ``-e^{i pi x/m} = e^{i pi (x+m)/m}``, a sign
+delta_j = -1 is the shift x_j -> x_j + m, so every term is evaluated at
+delta = +1 only and the sign sums become sums over shifted lattice points.
 """
 
 from __future__ import annotations
@@ -33,12 +39,36 @@ __all__ = [
 ]
 
 DEFAULT_NODES = 512
+_BLOCK = 1 << 15  # float64 elements per quadrature or coefficient block
 
 
 def _theta_nodes(nodes: int) -> np.ndarray:
     if nodes < 64:
         raise ValueError("need at least 64 quadrature nodes")
     return 2.0 * math.pi * np.arange(nodes) / nodes
+
+
+def _pair_powers(w: np.ndarray, p: float, nodes: int = DEFAULT_NODES) -> np.ndarray:
+    """||(Re w, Im w)||^p for each complex d-vector on the last axis of ``w``.
+
+    2π · mean_θ sum_i |cos θ Re w_i - sin θ Im w_i|^p over the periodic
+    trapezoid nodes, in blocks of at most ``_BLOCK`` float64 elements.
+    """
+    w = np.asarray(w, dtype=complex)
+    d = w.shape[-1]
+    flat = w.reshape(math.prod(w.shape[:-1]), d)
+    theta = _theta_nodes(nodes)
+    cos, sin = np.cos(theta)[:, None], np.sin(theta)[:, None]
+    out = np.empty(len(flat))
+    rows = max(1, _BLOCK // (nodes * max(d, 1)))
+    for lo in range(0, len(flat), rows):
+        block = flat[lo:lo + rows, None, :]
+        vals = cos * block.real
+        vals -= sin * block.imag
+        np.abs(vals, out=vals)
+        np.power(vals, p, out=vals)
+        out[lo:lo + rows] = vals.reshape(len(vals), -1).sum(axis=1)
+    return (2.0 * math.pi / nodes) * out.reshape(w.shape[:-1])
 
 
 def complexification_norm(
@@ -50,12 +80,8 @@ def complexification_norm(
     """(∫_0^{2π} ||cos(t)u - sin(t)v||_p^p dt)^{1/p}, periodic trapezoid."""
     if p < 1:
         raise ValueError("p must be >= 1")
-    u = np.asarray(u, dtype=float)
-    v = np.asarray(v, dtype=float)
-    theta = _theta_nodes(nodes)
-    integrand = np.cos(theta)[:, None] * u[None, :] - np.sin(theta)[:, None] * v[None, :]
-    vals = np.sum(np.abs(integrand) ** p, axis=1)
-    return float(2.0 * math.pi * np.mean(vals)) ** (1.0 / p)
+    w = np.asarray(u, dtype=float) + 1j * np.asarray(v, dtype=float)
+    return float(_pair_powers(w, p, nodes)) ** (1.0 / p)
 
 
 def complex_scale(
@@ -141,8 +167,13 @@ def contraction_check(
 # ---------------------------------------------------------------------------
 
 
-def _pair_norm_p(u: np.ndarray, v: np.ndarray, p: float, nodes: int) -> float:
-    return complexification_norm(u, v, p, nodes) ** p
+def _lattice_blocks(M: int, r: int, row_size: int):
+    """Z_M^r in itertools.product order, in blocks of about _BLOCK / row_size points."""
+    rows = max(1, _BLOCK // row_size)
+    place = M ** np.arange(r - 1, -1, -1)
+    for lo in range(0, M**r, rows):
+        index = np.arange(lo, min(lo + rows, M**r))
+        yield index[:, None] // place % M
 
 
 def bridge_report(
@@ -171,7 +202,18 @@ def bridge_report(
 
     and reports the final bookkeeping: a metric implied constant gamma on
     this family entails the linear inequality with constant (2/pi)^{2p} gamma.
+
+    Each pair norm is one batched quadrature over the family, x in blocks.
+    A sign delta_j = -1 is the shift x_j -> x_j + m, so the diagonal is one
+    norm array g over (y, eps) with delta = +1: the worst (x, eps) row sum
+    over delta is the worst sum of g over the 2^n points x + m s, s in
+    {0,1}^n, and metric.diag is the mean of g.  The half-period terms depend
+    on (delta_S, x_S) only and come from one sum over x_S; the metric
+    half-period moment is the same sum, since the shift multiplies every
+    term by -2.  The plan budget bounds the number of pair quadratures.
     """
+    if p < 1:
+        raise ValueError("p must be >= 1")
     zmat = np.asarray(zs, dtype=float)
     if zmat.ndim == 1:
         zmat = zmat[:, None]
@@ -179,23 +221,14 @@ def bridge_report(
     if not 1 <= k <= n:
         raise ValueError(f"k={k} out of range for n={n}")
     M = 2 * m
-    if M**n * 2**n > plan.budget:
+    subsets = plan.subset_count if plan.subset_mode == "sampled" else math.comb(n, k)
+    if M**n * 2**n + subsets * M**k + n * (M + 1) > plan.budget:
         raise ValueError("bridge enumeration exceeds the plan budget")
 
-    def phase(xj: int) -> complex:
-        return complex(math.cos(math.pi * xj / m), math.sin(math.pi * xj / m))
+    def phase(x: np.ndarray) -> np.ndarray:
+        return np.exp(1j * math.pi * x / m)
 
-    def family_pair(delta: tuple[int, ...], x: tuple[int, ...]) -> tuple[np.ndarray, np.ndarray]:
-        u = np.zeros(d)
-        v = np.zeros(d)
-        for j in range(n):
-            du, dv = complex_scale(delta[j] * phase(x[j]), zmat[j], np.zeros(d))
-            u += du
-            v += dv
-        return u, v
-
-    deltas = list(itertools.product((-1, 1), repeat=n))
-    xs = list(itertools.product(range(M), repeat=n))
+    signs = np.array(list(itertools.product((-1, 1), repeat=n)))
 
     # linear side: sign moments of the raw coefficients in l_p^d
     def lp_power(batch: np.ndarray) -> np.ndarray:
@@ -212,105 +245,47 @@ def bridge_report(
 
     # intermediate 1: half-period lower bound, averaged over subsets
     def half_period_lhs(S: tuple[int, ...]) -> float:
-        total = []
-        for delta in deltas:
-            for x in xs:
-                u = np.zeros(d)
-                v = np.zeros(d)
-                for j in (idx - 1 for idx in S):
-                    du, dv = complex_scale(delta[j] * phase(x[j]), zmat[j], np.zeros(d))
-                    u += du
-                    v += dv
-                total.append(_pair_norm_p(u, v, p, nodes))
-        return math.fsum(total)
+        cols = [j - 1 for j in S]
+        total = [
+            _pair_powers(phase(x) @ zmat[cols], p, nodes)
+            for x in _lattice_blocks(M, len(cols), 2 * (len(cols) + d))
+        ]
+        # with delta_S = +1: 2^|S| signs and (2M)^{n-|S|} free coordinates
+        # give the same term
+        return 2**n * M ** (n - len(cols)) * math.fsum(np.concatenate(total))
 
     def half_period_rhs(S: tuple[int, ...]) -> float:
-        total = []
-        for delta in deltas:
-            zsum = np.zeros(d)
-            for j in (idx - 1 for idx in S):
-                zsum = zsum + delta[j] * zmat[j]
-            total.append(float(np.sum(np.abs(zsum) ** p)))
+        cols = [j - 1 for j in S]
+        total = lp_power(signs[:, cols] @ zmat[cols])
         return (2.0 ** (p + 1.0) * M**n / math.pi ** (p - 1.0)) * math.fsum(total)
 
     hp_lhs = subset_average(half_period_lhs, n, k, plan)
     hp_rhs = subset_average(half_period_rhs, n, k, plan)
 
     # intermediate 2: single-coordinate (edge) upper bound
-    step = abs(phase(1) - 1.0)
-    z0_norm_p = [
-        _pair_norm_p(zmat[j], np.zeros(d), p, nodes) for j in range(n)
-    ]
-    edge_lhs = step**p * math.fsum(z0_norm_p)
+    step = float(abs(phase(1) - 1.0))
+    edge_lhs = step**p * math.fsum(_pair_powers(zmat + 0j, p, nodes))
     edge_rhs = (math.pi ** (p + 1.0) / m**p) * linear_lp
 
     # intermediate 3: diagonal (contraction) upper bound, worst (x, eps)
-    diag_rhs_base = []
-    for delta in deltas:
-        zsum = np.zeros(d)
-        for j in range(n):
-            zsum = zsum + delta[j] * zmat[j]
-        diag_rhs_base.append(float(np.sum(np.abs(zsum) ** p)))
-    diag_rhs = (2.0 * math.pi ** (p + 1.0) / m**p) * math.fsum(diag_rhs_base)
-    diag_lhs = 0.0
-    for x in xs:
-        for eps in itertools.product((-1, 1), repeat=n):
-            total = []
-            for delta in deltas:
-                u = np.zeros(d)
-                v = np.zeros(d)
-                for j in range(n):
-                    coeff = delta[j] * (phase(x[j] + eps[j]) - phase(x[j]))
-                    du, dv = complex_scale(coeff, zmat[j], np.zeros(d))
-                    u += du
-                    v += dv
-                total.append(_pair_norm_p(u, v, p, nodes))
-            diag_lhs = max(diag_lhs, math.fsum(total))
+    diag_rhs = (2.0 * math.pi ** (p + 1.0) / m**p) * math.fsum(lp_power(signs @ zmat))
+    g = np.concatenate([
+        _pair_powers((phase(y[:, None, :] + signs) - phase(y)[:, None, :]) @ zmat, p, nodes)
+        for y in _lattice_blocks(M, n, 2 * (n + d) * len(signs))
+    ])
+    rows = g.reshape((M,) * n + (len(signs),))
+    for axis in range(n):
+        rows = rows + np.roll(rows, m, axis=axis)
+    diag_lhs = float(rows.max())
 
-    # metric side of the family (plan-free exhaustive moments)
-    def metric_subset(S: tuple[int, ...]) -> float:
-        # half-period shift: f_delta(x + m eps_S) - f_delta(x) flips the
-        # phases on S, giving -2 e^{i pi x_j/m} per coordinate in S
-        total = []
-        for delta in deltas:
-            for x in xs:
-                u = np.zeros(d)
-                v = np.zeros(d)
-                for j in (idx - 1 for idx in S):
-                    du, dv = complex_scale(
-                        -2.0 * delta[j] * phase(x[j]), zmat[j], np.zeros(d)
-                    )
-                    u += du
-                    v += dv
-                total.append(_pair_norm_p(u, v, p, nodes))
-        return math.fsum(total) / (len(deltas) * len(xs))
-
-    metric_lhs = subset_average(metric_subset, n, k, plan) / m**p
-
-    def metric_edge(j: int) -> float:
-        total = []
-        for delta in deltas:
-            for x in xs:
-                coeff = delta[j - 1] * (phase(x[j - 1] + 1) - phase(x[j - 1]))
-                u, v = complex_scale(coeff, zmat[j - 1], np.zeros(d))
-                total.append(_pair_norm_p(u, v, p, nodes))
-        return math.fsum(total) / (len(deltas) * len(xs))
-
-    metric_edges = math.fsum(metric_edge(j) for j in range(1, n + 1))
-
-    metric_diag_total = []
-    for delta in deltas:
-        for x in xs:
-            for eps in itertools.product((-1, 1), repeat=n):
-                u = np.zeros(d)
-                v = np.zeros(d)
-                for j in range(n):
-                    coeff = delta[j] * (phase(x[j] + eps[j]) - phase(x[j]))
-                    du, dv = complex_scale(coeff, zmat[j], np.zeros(d))
-                    u += du
-                    v += dv
-                metric_diag_total.append(_pair_norm_p(u, v, p, nodes))
-    metric_diag = math.fsum(metric_diag_total) / (len(deltas) * len(xs) * 2**n)
+    # metric side of the family: the half-period shift f_delta(x + m eps_S) -
+    # f_delta(x) is -2 times the half-period family term on S
+    metric_lhs = 2.0**p * hp_lhs / (2**n * M**n * m**p)
+    # the edge term of coordinate j depends on x_j only (delta_j flips its sign)
+    x = np.arange(M)
+    edges = _pair_powers((phase(x + 1) - phase(x))[:, None, None] * zmat, p, nodes)
+    metric_edges = math.fsum(edges.sum(axis=0) / M)
+    metric_diag = math.fsum(g.ravel()) / g.size
 
     metric_rhs = (k / n) * metric_edges + (k / n) ** (p / 2.0) * metric_diag
     gamma = None if metric_rhs == 0.0 else metric_lhs / metric_rhs

@@ -1,13 +1,17 @@
 """Circular-average pair norm, circular moments, contraction, bridge."""
 
+import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from xplab import complexify
 from xplab.complexify import (
+    _BLOCK,
     bridge_report,
     circular_moment,
     circular_moment_report,
@@ -119,3 +123,150 @@ class TestBridge:
                 np.eye(2).tolist(), m=2, k=1, p=4.0,
                 plan=make_sample_plan(4, 2, 1, budget=10, seed=0),
             )
+
+    def test_budget_counts_every_quadrature(self, monkeypatch):
+        # the guard once counted M^n 2^n only, below the pair quadratures the
+        # half-period and edge terms add; count what the report evaluates
+        zs = [[0.3, -1.0], [0.5, 0.2], [1.0, 0.1]]
+        plan = make_sample_plan(4, 3, 2, budget=10**7, seed=0)
+        pairs = []
+        quadrature = complexify._pair_powers
+
+        def counting(w, *args):
+            pairs.append(math.prod(np.shape(w)[:-1]))
+            return quadrature(w, *args)
+
+        monkeypatch.setattr(complexify, "_pair_powers", counting)
+        bridge_report(zs, m=2, k=2, p=4.0, plan=plan)
+        used = sum(pairs)
+        assert used > 4**3 * 2**3
+        bridge_report(zs, m=2, k=2, p=4.0,
+                      plan=make_sample_plan(4, 3, 2, budget=used, seed=0))
+        with pytest.raises(ValueError, match="budget"):
+            bridge_report(zs, m=2, k=2, p=4.0,
+                          plan=make_sample_plan(4, 3, 2, budget=used - 1, seed=0))
+
+    def test_memory_is_bounded_by_the_block(self):
+        # 3 MiB is 12 blocks; at n=5 the diagonal's coefficient arrays for
+        # the whole lattice at once take about 6 MiB
+        zs = [[0.7], [-0.4], [1.1], [0.2], [-0.9]]
+        plan = make_sample_plan(4, 5, 2, budget=10**6, seed=0)
+        tracemalloc.start()
+        try:
+            bridge_report(zs, m=2, k=2, p=4.7, plan=plan)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 12 * _BLOCK * 8
+
+
+def reference_bridge(zs, m, k, p):
+    """Every numeric bridge field with one quadrature per family member."""
+    z = np.asarray(zs, dtype=float)
+    n, d = z.shape
+    M = 2 * m
+    deltas = list(itertools.product((-1, 1), repeat=n))
+    xs = list(itertools.product(range(M), repeat=n))
+    subsets = list(itertools.combinations(range(n), k))
+
+    def phase(t):
+        return complex(math.cos(math.pi * t / m), math.sin(math.pi * t / m))
+
+    def norm_p(coeffs):  # ||sum_j c_j (z_j, 0)||^p
+        w = sum(c * z[j] for j, c in coeffs)
+        return complexification_norm(w.real, w.imag, p) ** p
+
+    def lp(vec):
+        return float(np.sum(np.abs(vec) ** p))
+
+    def sign_mean(S):
+        return math.fsum(lp(sum(dl[j] * z[j] for j in S)) for dl in deltas) / len(deltas)
+
+    def half_period(S, scale):
+        return math.fsum(
+            norm_p([(j, scale * dl[j] * phase(x[j])) for j in S])
+            for dl in deltas for x in xs
+        )
+
+    hp_lhs = math.fsum(half_period(S, 1.0) for S in subsets) / len(subsets)
+    hp_rhs = math.fsum(
+        2.0 ** (p + 1) * M**n / math.pi ** (p - 1) * math.fsum(
+            lp(sum(dl[j] * z[j] for j in S)) for dl in deltas)
+        for S in subsets
+    ) / len(subsets)
+    ell_p = math.fsum(lp(z[j]) for j in range(n))
+    step = abs(phase(1) - 1.0)
+    rows = [
+        [norm_p([(j, dl[j] * (phase(x[j] + e[j]) - phase(x[j]))) for j in range(n)])
+         for dl in deltas]
+        for x in xs for e in deltas
+    ]
+    diag_rhs = 2 * math.pi ** (p + 1) / m**p * math.fsum(
+        lp(sum(dl[j] * z[j] for j in range(n))) for dl in deltas)
+    family = len(deltas) * len(xs)
+    metric_lhs = math.fsum(
+        half_period(S, -2.0) / family for S in subsets) / len(subsets) / m**p
+    metric_edge = math.fsum(
+        math.fsum(norm_p([(j, dl[j] * (phase(x[j] + 1) - phase(x[j])))])
+                  for dl in deltas for x in xs) / family
+        for j in range(n)
+    )
+    metric_diag = math.fsum(itertools.chain(*rows)) / (family * 2**n)
+    edge_term = k / n * metric_edge
+    diag_term = (k / n) ** (p / 2) * metric_diag
+    gamma = metric_lhs / (edge_term + diag_term)
+    edge_lhs = step**p * math.fsum(norm_p([(j, 1.0)]) for j in range(n))
+    edge_rhs = math.pi ** (p + 1) / m**p * ell_p
+    diag_lhs = max(math.fsum(r) for r in rows)
+    return {
+        "lhs": metric_lhs,
+        "implied_constant": gamma,
+        "rhs_terms": {"edge": edge_term, "diag": diag_term},
+        "extra": {
+            "intermediates": {
+                "half_period_lower": {
+                    "lhs": hp_lhs, "rhs": hp_rhs,
+                    "holds": hp_lhs >= hp_rhs * (1 - 1e-9),
+                },
+                "edge_upper": {
+                    "lhs": edge_lhs, "rhs": edge_rhs,
+                    "holds": edge_lhs <= edge_rhs * (1 + 1e-9),
+                },
+                "diagonal_upper": {
+                    "lhs": diag_lhs, "rhs": diag_rhs,
+                    "holds": diag_lhs <= diag_rhs * (1 + 1e-9),
+                },
+            },
+            "linear": {
+                "subset": math.fsum(sign_mean(S) for S in subsets) / len(subsets),
+                "full_rademacher": sign_mean(range(n)),
+                "ell_p": ell_p,
+            },
+            "metric": {
+                "lhs": metric_lhs, "edge": metric_edge, "diag": metric_diag, "gamma": gamma,
+            },
+            "linear_constant_from_gamma": (2 / math.pi) ** (2 * p) * gamma,
+        },
+    }
+
+
+@pytest.mark.parametrize("m", [2, 3])
+@pytest.mark.parametrize("d", [1, 3])
+@pytest.mark.parametrize("k", [1, 2])
+def test_bridge_matches_per_pair_reference(m, d, k):
+    zs = np.random.default_rng(10 * m + d + k).uniform(-1, 1, (2, d)).tolist()
+    p = 4.7
+    got = bridge_report(zs, m, k, p, plan_for(2 * m, 2, k)).to_json_dict()
+    want = reference_bridge(zs, m, k, p)
+
+    def compare(g, w, path):
+        for key, val in w.items():
+            if isinstance(val, dict):
+                compare(g[key], val, f"{path}.{key}")
+            elif isinstance(val, bool):
+                assert g[key] is val, f"{path}.{key}"
+            else:
+                assert type(g[key]) is float, f"{path}.{key}"
+                assert g[key] == pytest.approx(val, rel=1e-12), f"{path}.{key}"
+
+    compare(got, want, "report")
