@@ -14,7 +14,6 @@ from .complexify import (
 )
 from .embeddings import (
     EmbeddingResult,
-    SnowflakeMetric,
     composite_grid_distortion,
     distortion,
     distortion_from_matrices,
@@ -54,7 +53,6 @@ from .lattice import (
     LatticePoint,
     SamplePlan,
     ShiftedSet,
-    SignVector,
     SymmetricDiagonal,
     ThreeLetterDiagonal,
     gap_moment,

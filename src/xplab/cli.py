@@ -135,26 +135,56 @@ class ExperimentConfig:
     out: str = ""
     format: str = "json"
     deterministic: bool = False
-    threads: int = 0
 
     @staticmethod
     def from_dict(obj: dict) -> "ExperimentConfig":
-        known = {f.name for f in fields(ExperimentConfig)}
-        unknown = sorted(set(obj) - known)
+        """A config from JSON values, each checked against its field's type."""
+        unknown = sorted(set(obj) - set(_FIELDS))
         if unknown:
             raise ValueError(f"unknown config fields: {', '.join(unknown)}")
-        return ExperimentConfig(**obj)
+        return ExperimentConfig(
+            **{name: _checked(name, _FIELDS[name], value) for name, value in obj.items()}
+        )
 
     def to_dict(self) -> dict:
         return dataclasses.asdict(self)
 
 
-def _load_config(path: str | None, overrides: dict) -> ExperimentConfig:
+# The one parameter table: field name -> declared type, a string such as
+# "int" under postponed annotations.  The run/scan options, the config-file
+# check and the scan cast all derive from it.
+_FIELDS = {f.name: f.type for f in fields(ExperimentConfig)}
+_JSON_TYPES = {"bool": bool, "str": str, "list | None": (list, type(None)),
+               "dict | None": (dict, type(None))}
+
+
+def _checked(name: str, kind: str, value):
+    """The stored form of ``value`` for config field ``name`` of type ``kind``.
+
+    int fields take integral numbers, float fields any number, and the other
+    fields only their own JSON type (so ``"false"`` is not a bool).
+    """
+    number = isinstance(value, (int, float)) and not isinstance(value, bool)
+    if kind == "int" and number and (isinstance(value, int) or value.is_integer()):
+        return int(value)
+    if kind == "float" and number:
+        return float(value)
+    if kind in _JSON_TYPES and isinstance(value, _JSON_TYPES[kind]):
+        return value
+    raise ValueError(f"config field {name!r} must be {kind}, got {value!r}")
+
+
+def _load_config(options: dict) -> ExperimentConfig:
+    """The ``--config`` file overlaid with the flags that were given."""
     base: dict = {}
-    if path:
-        with open(path, encoding="utf-8") as fh:
+    if options["config_path"]:
+        with open(options["config_path"], encoding="utf-8") as fh:
             base = json.load(fh)
-    base.update({k: v for k, v in overrides.items() if v is not None})
+    base.update((k, v) for k, v in options.items() if k in _FIELDS and v is not None)
+    if options["a_csv"] is not None:
+        base["a"] = [float(v) for v in options["a_csv"].split(",")]
+    if options["family"] is not None:
+        base["function"] = {"family": options["family"]}
     return ExperimentConfig.from_dict(base)
 
 
@@ -436,26 +466,85 @@ def _flatten(obj, prefix: str = "") -> dict:
     return out
 
 
-def _emit(document: dict, cfg: ExperimentConfig) -> None:
+def _csv_text(rows: list[dict]) -> str:
+    buf = io.StringIO()
+    header = list(dict.fromkeys(k for row in rows for k in row))
+    writer = csv.DictWriter(buf, fieldnames=header)
+    writer.writeheader()
+    writer.writerows(rows)
+    return buf.getvalue()
+
+
+def _document_text(cfg: ExperimentConfig) -> tuple[str, int]:
+    """The xp-report/1 document of one report, and its exit code."""
+    start = time.monotonic()
+    payload = REPORTS[cfg.subcommand](cfg)
+    wall = time.monotonic() - start
+    document = {
+        "schema": SCHEMA,
+        "version": __version__,
+        "config": cfg.to_dict(),
+        "report": payload,
+    }
+    if not cfg.deterministic:
+        document["wall_clock_s"] = wall
     if cfg.format == "json":
         text = json.dumps(document, sort_keys=True, indent=2) + "\n"
     elif cfg.format == "csv":
-        row = _flatten(document)
-        buf = io.StringIO()
-        writer = csv.DictWriter(buf, fieldnames=list(row))
-        writer.writeheader()
-        writer.writerow(row)
-        text = buf.getvalue()
+        text = _csv_text([_flatten(document)])
     else:
         raise ValueError(f"unknown format {cfg.format!r}")
-    if cfg.out:
-        with open(cfg.out, "w", encoding="utf-8") as fh:
-            fh.write(text)
+    return text, 2 if payload.get("warnings") else 0
+
+
+def _scan_text(cfg: ExperimentConfig, name: str, values_csv: str) -> tuple[str, int]:
+    """One CSV row of numeric report fields per value of the swept field."""
+    kind = _FIELDS.get(name)
+    if kind is None:
+        raise ValueError(f"unknown sweep parameter {name!r}")
+    if kind not in ("int", "float"):
+        raise ValueError(f"cannot sweep the {kind} field {name!r}")
+    if ";" in values_csv:
+        raise ValueError("exactly one swept parameter is allowed")
+    if values_csv.startswith("geom:"):
+        _, lo, hi, count = values_csv.split(":")
+        values = list(np.geomspace(float(lo), float(hi), int(count)))
     else:
-        # Every echo here names its stream: without file=, click caches the
-        # resolved stream in a WeakKeyDictionary whose value is the stream
-        # itself, so each swapped-in sys.stdout would be kept for good.
-        click.echo(text, nl=False, file=sys.stdout)
+        values = [float(v) for v in values_csv.split(",")]
+    rows = []
+    for value in values:
+        cast = int(round(value)) if kind == "int" else value
+        setattr(cfg, name, cast)
+        row = {"sweep": name, "value": cast}
+        row.update(
+            (k, v) for k, v in _flatten(REPORTS[cfg.subcommand](cfg)).items()
+            if isinstance(v, (int, float, bool))
+        )
+        rows.append(row)
+    return _csv_text(rows), 0
+
+
+def _execute(report: str | None, options: dict, render, *args) -> None:
+    """Load the config, render the report with ``render(cfg, *args)``, write
+    the text to ``cfg.out`` or stdout, and exit with the rendered exit code
+    (1 with a JSON error on stderr when anything fails)."""
+    try:
+        cfg = _load_config(options)
+        cfg.subcommand = report or cfg.subcommand
+        if cfg.subcommand not in REPORTS:
+            raise ValueError(f"unknown report {cfg.subcommand!r}")
+        text, code = render(cfg, *args)
+        if cfg.out:
+            with open(cfg.out, "w", encoding="utf-8") as fh:
+                fh.write(text)
+        else:
+            # Every echo here names its stream: without file=, click caches the
+            # resolved stream in a WeakKeyDictionary whose value is the stream
+            # itself, so each swapped-in sys.stdout would be kept for good.
+            click.echo(text, nl=False, file=sys.stdout)
+    except Exception as exc:  # noqa: BLE001 - single process boundary
+        _error_exit(exc)
+    sys.exit(code)
 
 
 def _error_exit(exc: Exception) -> None:
@@ -464,63 +553,33 @@ def _error_exit(exc: Exception) -> None:
     sys.exit(1)
 
 
-_CONFIG_OPTIONS = [
-    click.option("--config", "config_path", type=click.Path(exists=True), default=None),
-    click.option("--p", type=float, default=None),
-    click.option("--q", type=float, default=None),
-    click.option("--m", type=int, default=None),
-    click.option("--n", type=int, default=None),
-    click.option("--k", type=int, default=None),
-    click.option("--d", type=int, default=None),
-    click.option("--R", "R", type=int, default=None),
-    click.option("--s", type=float, default=None),
-    click.option("--theta", type=float, default=None),
-    click.option("--big-k", "big_k", type=float, default=None),
-    click.option("--r", type=float, default=None),
-    click.option("--trials", type=int, default=None),
-    click.option("--seed", type=int, default=None),
-    click.option("--budget", type=float, default=None),
-    click.option("--a", "a_csv", type=str, default=None,
-                 help="comma-separated scalar coefficients"),
-    click.option("--kind", type=str, default=None),
-    click.option("--variant", type=str, default=None),
-    click.option("--which", type=str, default=None),
-    click.option("--family", type=str, default=None,
-                 help="builtin function family (random/character/indicator/cosine)"),
-    click.option("--function-path", type=str, default=None),
-    click.option("--square-function", is_flag=True, flag_value=True, default=None),
-    click.option("--out", type=str, default=None),
-    click.option("--format", "format_", type=click.Choice(["json", "csv"]), default=None),
-    click.option("--deterministic", is_flag=True, flag_value=True, default=None),
-    click.option("--threads", type=int, default=None),
-]
+_FLAG_TYPES = {"int": int, "float": float, "str": str}
 
 
 def _with_config_options(fn):
-    for opt in reversed(_CONFIG_OPTIONS):
+    """One ``--<field>`` option per scalar config field, plus the flags that
+    do not map one to one onto a field."""
+    opts = [
+        click.option("--config", "config_path", type=click.Path(exists=True), default=None),
+        click.option("--a", "a_csv", type=str, default=None,
+                     help="comma-separated scalar coefficients"),
+        click.option("--family", type=str, default=None,
+                     help="builtin function family (random/character/indicator/cosine)"),
+        click.option("--format", type=click.Choice(["json", "csv"]), default=None),
+        # float, so that --budget 1e6 works; the config check makes it an int
+        click.option("--budget", type=float, default=None),
+    ]
+    for name, kind in _FIELDS.items():
+        if name in ("subcommand", "format", "budget"):
+            continue
+        flag = "--" + name.replace("_", "-")
+        if kind == "bool":
+            opts.append(click.option(flag, name, is_flag=True, flag_value=True, default=None))
+        elif kind in _FLAG_TYPES:
+            opts.append(click.option(flag, name, type=_FLAG_TYPES[kind], default=None))
+    for opt in reversed(opts):
         fn = opt(fn)
     return fn
-
-
-def _collect_overrides(kwargs: dict) -> dict:
-    over = {
-        key: kwargs[key]
-        for key in (
-            "p", "q", "m", "n", "k", "d", "R", "s", "theta", "big_k", "r",
-            "trials", "seed", "kind", "variant", "which", "function_path",
-            "square_function", "out", "deterministic", "threads",
-        )
-        if kwargs.get(key) is not None
-    }
-    if kwargs.get("budget") is not None:
-        over["budget"] = int(kwargs["budget"])
-    if kwargs.get("a_csv") is not None:
-        over["a"] = [float(v) for v in kwargs["a_csv"].split(",")]
-    if kwargs.get("family") is not None:
-        over["function"] = {"family": kwargs["family"]}
-    if kwargs.get("format_") is not None:
-        over["format"] = kwargs["format_"]
-    return over
 
 
 @click.group()
@@ -532,30 +591,9 @@ def main() -> None:
 @main.command()
 @click.argument("report", type=click.Choice(sorted(REPORTS)), required=False)
 @_with_config_options
-def run(report: str | None, config_path: str | None, **kwargs) -> None:
+def run(report: str | None, **options) -> None:
     """Execute one report and write an xp-report/1 JSON document."""
-    try:
-        cfg = _load_config(config_path, _collect_overrides(kwargs))
-        if report:
-            cfg.subcommand = report
-        if cfg.subcommand not in REPORTS:
-            raise ValueError(f"unknown report {cfg.subcommand!r}")
-        start = time.monotonic()
-        payload = REPORTS[cfg.subcommand](cfg)
-        wall = time.monotonic() - start
-        document = {
-            "schema": SCHEMA,
-            "version": __version__,
-            "config": cfg.to_dict(),
-            "report": payload,
-        }
-        if not cfg.deterministic:
-            document["wall_clock_s"] = wall
-        _emit(document, cfg)
-    except Exception as exc:  # noqa: BLE001 - single process boundary
-        _error_exit(exc)
-    warnings = payload.get("warnings") or []
-    sys.exit(2 if warnings else 0)
+    _execute(report, options, _document_text)
 
 
 @main.command()
@@ -565,49 +603,9 @@ def run(report: str | None, config_path: str | None, **kwargs) -> None:
 @click.option("--values", "values_csv", type=str, required=True,
               help="comma-separated sweep values, or geom:start:stop:count")
 @_with_config_options
-def scan(report: str, sweep_name: str, values_csv: str,
-         config_path: str | None, **kwargs) -> None:
+def scan(report: str, sweep_name: str, values_csv: str, **options) -> None:
     """Sweep exactly one parameter and write one CSV row per value."""
-    try:
-        cfg = _load_config(config_path, _collect_overrides(kwargs))
-        cfg.subcommand = report
-        field_names = {f.name for f in fields(ExperimentConfig)}
-        if sweep_name not in field_names:
-            raise ValueError(f"unknown sweep parameter {sweep_name!r}")
-        if "," in sweep_name or ";" in values_csv:
-            raise ValueError("exactly one swept parameter is allowed")
-        if values_csv.startswith("geom:"):
-            _, lo, hi, count = values_csv.split(":")
-            values = list(np.geomspace(float(lo), float(hi), int(count)))
-        else:
-            values = [float(v) for v in values_csv.split(",")]
-        int_fields = {"m", "n", "k", "d", "R", "trials", "budget", "seed"}
-        rows = []
-        for value in values:
-            cast = int(round(value)) if sweep_name in int_fields else value
-            setattr(cfg, sweep_name, cast)
-            payload = REPORTS[report](cfg)
-            row = {"sweep": sweep_name, "value": cast}
-            row.update(
-                (k, v) for k, v in _flatten(payload).items()
-                if isinstance(v, (int, float, bool))
-            )
-            rows.append(row)
-        header: list[str] = []
-        for row in rows:
-            header.extend(k for k in row if k not in header)
-        buf = io.StringIO()
-        writer = csv.DictWriter(buf, fieldnames=header)
-        writer.writeheader()
-        writer.writerows(rows)
-        text = buf.getvalue()
-        if cfg.out:
-            with open(cfg.out, "w", encoding="utf-8") as fh:
-                fh.write(text)
-        else:
-            click.echo(text, nl=False, file=sys.stdout)
-    except Exception as exc:  # noqa: BLE001
-        _error_exit(exc)
+    _execute(report, options, _scan_text, sweep_name, values_csv)
 
 
 # ---------------------------------------------------------------------------

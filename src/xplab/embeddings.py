@@ -20,7 +20,6 @@ from .schatten import eigen_sym
 
 __all__ = [
     "EmbeddingResult",
-    "SnowflakeMetric",
     "rosenthal_embed",
     "rosenthal_target_norm",
     "rosenthal_distortion",
@@ -58,18 +57,6 @@ class EmbeddingResult:
             "distortion": self.distortion,
             "scale_witness": self.scale_witness,
         }
-
-
-@dataclass(frozen=True)
-class SnowflakeMetric:
-    """Distances of a base metric raised to the power theta in (0, 1]."""
-
-    base: str
-    theta: float
-
-    def __post_init__(self) -> None:
-        if not 0.0 < self.theta <= 1.0:
-            raise ValueError("theta must lie in (0, 1]")
 
 
 # ---------------------------------------------------------------------------

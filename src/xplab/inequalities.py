@@ -93,17 +93,6 @@ class InequalityReport:
             "extra": self.extra,
         }
 
-    def csv_row(self) -> dict:
-        row = {"functional": self.functional}
-        row.update({f"param_{k}": v for k, v in sorted(self.params.items())})
-        row["lhs"] = self.lhs
-        if self.lhs_terms:
-            row.update({f"lhs_{k}": v for k, v in self.lhs_terms.items()})
-        row.update({f"rhs_{k}": v for k, v in self.rhs_terms.items()})
-        row["implied_constant"] = self.implied_constant
-        row["degenerate"] = self.degenerate
-        return row
-
 
 def _finalize(
     functional: str,

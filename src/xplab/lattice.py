@@ -1,4 +1,4 @@
-"""Discrete torus Z_M^n: points, sign vectors, grid functions, gap moments.
+"""Discrete torus Z_M^n: points, grid functions, gap moments.
 
 The torus is stored canonically with coordinates in ``[0, M)``; the symmetric
 representation (coordinates in ``(-M/2, M/2]``-style windows) is available as
@@ -24,7 +24,6 @@ from .rng import stream
 
 __all__ = [
     "LatticePoint",
-    "SignVector",
     "GridFunction",
     "SamplePlan",
     "GapEstimate",
@@ -77,27 +76,6 @@ class LatticePoint:
             raise ValueError("dimension mismatch")
         return LatticePoint(
             tuple(a + b for a, b in zip(self.coords, ov)), self.modulus
-        )
-
-
-@dataclass(frozen=True)
-class SignVector:
-    """A sign pattern in {-1,+1}^n (or {-1,0,+1}^n when three_letter)."""
-
-    signs: tuple[int, ...]
-    three_letter: bool = False
-
-    def __post_init__(self) -> None:
-        alphabet = {-1, 0, 1} if self.three_letter else {-1, 1}
-        if any(s not in alphabet for s in self.signs):
-            raise ValueError(f"signs must lie in {sorted(alphabet)}")
-
-    def restrict(self, subset: Sequence[int]) -> tuple[int, ...]:
-        """eps_S: the restriction to a 1-based subset, zero outside."""
-        keep = set(subset)
-        _check_subset(keep, len(self.signs))
-        return tuple(
-            s if (j + 1) in keep else 0 for j, s in enumerate(self.signs)
         )
 
 

@@ -1,15 +1,17 @@
 """CLI: run/verify/scan, config round trips, exit codes, determinism."""
 
 import contextlib
+import csv
 import gc
 import io
 import json
 import weakref
+from dataclasses import fields
 
 import pytest
 from click.testing import CliRunner
 
-from xplab.cli import REPORTS, ExperimentConfig, main
+from xplab.cli import REPORTS, ExperimentConfig, _flatten, main
 
 
 @pytest.fixture()
@@ -26,6 +28,132 @@ class TestConfig:
     def test_unknown_field_rejected(self):
         with pytest.raises(ValueError, match="unknown config fields"):
             ExperimentConfig.from_dict({"not_a_field": 1})
+
+
+class TestConfigTypes:
+    """Config-file values are checked against the field types, as flags are."""
+
+    def test_bool_field_takes_json_booleans_only(self, runner, tmp_path):
+        with pytest.raises(ValueError, match="'deterministic'"):
+            ExperimentConfig.from_dict({"deterministic": "false"})
+        assert ExperimentConfig.from_dict({"deterministic": False}).deterministic is False
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps({"subcommand": "linear-xp", "deterministic": "false"}))
+        res = runner.invoke(main, ["run", "--config", str(path)])
+        assert res.exit_code == 1
+        assert json.loads(res.output.splitlines()[-1])["error"] == "ValueError"
+
+    def test_fractional_seed_rejected(self):
+        with pytest.raises(ValueError, match="'seed'"):
+            ExperimentConfig.from_dict({"seed": 1.5})
+        with pytest.raises(ValueError, match="'seed'"):
+            ExperimentConfig.from_dict({"seed": True})
+
+    def test_fractional_int_field_fails_like_its_flag(self, runner, tmp_path):
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps({"subcommand": "rosenthal-distortion", "n": 8.7}))
+        res = runner.invoke(main, ["run", "--config", str(path)])
+        assert res.exit_code == 1
+        err = json.loads(res.output.splitlines()[-1])
+        assert err["error"] == "ValueError" and "'n'" in err["message"]
+        flag = runner.invoke(main, ["run", "rosenthal-distortion", "--n", "8.7"])
+        assert flag.exit_code != 0
+
+    def test_integral_budget_stored_as_int(self, runner, tmp_path):
+        cfg = ExperimentConfig.from_dict({"budget": 1e6, "n": 8.0})
+        assert cfg.budget == 1_000_000 and type(cfg.budget) is int
+        assert cfg.n == 8 and type(cfg.n) is int
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps({"subcommand": "linear-xp", "budget": 1e6}))
+        from_file = runner.invoke(main, ["run", "--config", str(path), "--deterministic"])
+        from_flag = runner.invoke(main, ["run", "linear-xp", "--budget", "1e6",
+                                         "--deterministic"])
+        assert from_file.exit_code == from_flag.exit_code == 0
+        assert from_file.output == from_flag.output
+        assert '"budget": 1000000,' in from_file.output
+
+    def test_float_field_takes_any_number(self):
+        cfg = ExperimentConfig.from_dict({"p": 4})
+        assert cfg.p == 4.0 and type(cfg.p) is float
+        with pytest.raises(ValueError, match="'p'"):
+            ExperimentConfig.from_dict({"p": "4"})
+
+
+# One flag and value per scalar config field, with the value the config echo
+# must then hold.  A new scalar field fails the parity test until it has one.
+FLAG_SAMPLES = {
+    "p": (["--p", "3.5"], 3.5),
+    "q": (["--q", "2.5"], 2.5),
+    "m": (["--m", "3"], 3),
+    "n": (["--n", "3"], 3),
+    "k": (["--k", "2"], 2),
+    "d": (["--d", "2"], 2),
+    "R": (["--R", "2"], 2),
+    "s": (["--s", "0.25"], 0.25),
+    "theta": (["--theta", "1.25"], 1.25),
+    "big_k": (["--big-k", "3"], 3.0),
+    "r": (["--r", "2"], 2.0),
+    "trials": (["--trials", "5"], 5),
+    "budget": (["--budget", "1e5"], 100_000),
+    "seed": (["--seed", "11"], 11),
+    "kind": (["--kind", "main"], "main"),
+    "variant": (["--variant", "rademacher"], "rademacher"),
+    "which": (["--which", "two-level"], "two-level"),
+    "square_function": (["--square-function"], True),
+    "function_path": (["--function-path", "f.json"], "f.json"),
+    "out": (["--out", "doc.json"], "doc.json"),
+    "format": (["--format", "csv"], "csv"),
+    "deterministic": (["--deterministic"], True),
+}
+SCALAR_FIELDS = [f for f in fields(ExperimentConfig)
+                 if f.type in ("int", "float", "str", "bool") and f.name != "subcommand"]
+
+
+def _numeric_cells(row: dict) -> dict:
+    """CSV cells parsed back to the numbers and bools they were written from."""
+    out = {}
+    for key, text in row.items():
+        if text in ("True", "False"):
+            out[key] = text == "True"
+        else:
+            try:
+                out[key] = int(text)
+            except ValueError:
+                out[key] = float(text)
+    return out
+
+
+class TestFlagFieldParity:
+    @pytest.mark.parametrize("field", SCALAR_FIELDS, ids=lambda f: f.name)
+    def test_flag_sets_its_field(self, runner, tmp_path, monkeypatch, field):
+        flag, expected = FLAG_SAMPLES[field.name]
+        monkeypatch.chdir(tmp_path)
+        res = runner.invoke(main, ["run", "linear-xp", *flag])
+        assert res.exit_code == 0, res.output
+        text = (tmp_path / "doc.json").read_text() if field.name == "out" else res.output
+        if field.name == "format":
+            echo = next(csv.DictReader(io.StringIO(text)))["config.format"]
+        else:
+            echo = json.loads(text)["config"][field.name]
+        assert echo == expected
+        assert type(echo).__name__ == field.type
+
+    def test_every_scalar_field_has_a_flag_sample(self):
+        assert {f.name for f in SCALAR_FIELDS} == set(FLAG_SAMPLES)
+
+    def test_scan_writes_int_cells_for_int_fields(self, runner):
+        res = runner.invoke(main, ["scan", "linear-xp", "--sweep", "budget",
+                                   "--values", "1e3,2e3"])
+        assert res.exit_code == 0, res.output
+        rows = list(csv.DictReader(io.StringIO(res.output)))
+        assert [row["value"] for row in rows] == ["1000", "2000"]
+        assert [row["plan.budget"] for row in rows] == ["1000", "2000"]
+
+    def test_scan_rejects_a_non_numeric_field(self, runner):
+        res = runner.invoke(main, ["scan", "linear-xp", "--sweep", "square_function",
+                                   "--values", "0,1"])
+        assert res.exit_code == 1
+        assert "bool field 'square_function'" in res.output
 
 
 class TestRun:
@@ -122,6 +250,24 @@ class TestScan:
             "scan", "rosenthal-distortion", "--sweep", "bogus", "--values", "1,2",
         ])
         assert res.exit_code == 1
+
+    def test_rows_equal_run_reports(self, runner):
+        # the shape of the benchmark's metric-xp scan; these reports warn
+        base = ["metric-xp", "--m", "2", "--n", "2", "--k", "1", "--d", "1",
+                "--budget", "1e7"]
+        res = runner.invoke(main, ["scan", *base, "--sweep", "p", "--values", "2,3,4"])
+        assert res.exit_code == 0, res.output
+        rows = list(csv.DictReader(io.StringIO(res.output)))
+        assert len(rows) == 3
+        for value, row in zip(("2", "3", "4"), rows):
+            single = runner.invoke(main, ["run", *base, "--p", value, "--deterministic"])
+            doc = json.loads(single.output)
+            assert doc["report"]["warnings"] and single.exit_code == 2
+            assert row.pop("sweep") == "p"
+            cells = _numeric_cells(row)
+            assert cells.pop("value") == float(value)
+            assert cells == {k: v for k, v in _flatten(doc["report"]).items()
+                             if isinstance(v, (int, float, bool))}
 
     def test_geometric_values(self, runner):
         res = runner.invoke(main, [

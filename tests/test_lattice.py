@@ -15,7 +15,6 @@ from xplab.lattice import (
     LatticePoint,
     SamplePlan,
     ShiftedSet,
-    SignVector,
     SymmetricDiagonal,
     ThreeLetterDiagonal,
     gap_moment,
@@ -46,17 +45,6 @@ class TestLatticePoint:
 
     def test_addition_wraps(self):
         assert (LatticePoint((7, 0), 8) + (2, -1)).coords == (1, 7)
-
-
-class TestSignVector:
-    def test_restrict_zeroes_complement(self):
-        sv = SignVector((1, -1, 1))
-        assert sv.restrict((1, 3)) == (1, 0, 1)
-
-    def test_three_letter_allows_zero(self):
-        assert SignVector((1, 0, -1), three_letter=True).signs == (1, 0, -1)
-        with pytest.raises(ValueError):
-            SignVector((1, 0, -1))
 
 
 class TestGapMoment:
