@@ -57,9 +57,12 @@ from .inequalities import (
 from .lattice import (
     Diagonal,
     Edge,
+    FixedShift,
     GridFunction,
     LatticePoint,
     ShiftedSet,
+    SymmetricDiagonal,
+    ThreeLetterDiagonal,
     gap_moment,
     geodesic,
     make_sample_plan,
@@ -498,7 +501,8 @@ def _document_text(cfg: ExperimentConfig) -> tuple[str, int]:
 
 
 def _scan_text(cfg: ExperimentConfig, name: str, values_csv: str) -> tuple[str, int]:
-    """One CSV row of numeric report fields per value of the swept field."""
+    """One CSV row per value of the swept field: the numeric report fields,
+    then the report's warnings joined by "; "."""
     kind = _FIELDS.get(name)
     if kind is None:
         raise ValueError(f"unknown sweep parameter {name!r}")
@@ -515,12 +519,11 @@ def _scan_text(cfg: ExperimentConfig, name: str, values_csv: str) -> tuple[str, 
     for value in values:
         cast = int(round(value)) if kind == "int" else value
         setattr(cfg, name, cast)
+        payload = REPORTS[cfg.subcommand](cfg)
         row = {"sweep": name, "value": cast}
-        row.update(
-            (k, v) for k, v in _flatten(REPORTS[cfg.subcommand](cfg)).items()
-            if isinstance(v, (int, float, bool))
-        )
-        rows.append(row)
+        row.update((k, v) for k, v in _flatten(payload).items()
+                   if isinstance(v, (int, float, bool)))
+        rows.append(dict(row, warnings="; ".join(payload.get("warnings") or [])))
     return _csv_text(rows), 0
 
 
@@ -605,6 +608,8 @@ def run(report: str | None, **options) -> None:
 @_with_config_options
 def scan(report: str, sweep_name: str, values_csv: str, **options) -> None:
     """Sweep exactly one parameter and write one CSV row per value."""
+    if options["format"] == "json":
+        _error_exit(ValueError("scan writes CSV only; --format json is not supported"))
     _execute(report, options, _scan_text, sweep_name, values_csv)
 
 
@@ -643,7 +648,8 @@ def _suite_lattice() -> list[tuple[str, bool, float, float]]:
     f = random_grid_function(8, 2, 2, 4.0, seed=3)
     shifted = f.shift((3, 5))
     worst = 0.0
-    for spec in (Edge(1), Diagonal(), ShiftedSet((1, 2), 1)):
+    for spec in (Edge(1), Diagonal(), SymmetricDiagonal(), ThreeLetterDiagonal(),
+                 ShiftedSet((1, 2), 1), FixedShift((4, 0))):
         worst = max(worst, abs(gap_moment(f, spec, plan) - gap_moment(shifted, spec, plan)))
     rt = GridFunction.from_json_dict(f.to_json_dict())
     rt_exact = bool((rt.values == f.values).all())

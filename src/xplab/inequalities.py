@@ -26,6 +26,7 @@ from .lattice import (
     SymmetricDiagonal,
     ThreeLetterDiagonal,
     _norm_power,
+    _pattern_rows,
     gap_moment,
     random_grid_function,
     subset_stream,
@@ -141,21 +142,15 @@ def signed_power_mean(
     """Mean over signs eps of ``power_fn(sum_{j in S} eps_j items[j-1])``.
 
     ``power_fn`` is applied to a batch whose leading axis indexes the sign
-    patterns and must return one float per pattern.  Exhaustive plans
-    enumerate the 2^{|S|} patterns in a fixed order; Monte Carlo plans draw
-    ``plan.budget`` patterns from the (seed, purpose) stream.  The scalar,
-    vector, and matrix inequality reports all share this code path.
+    patterns and must return one float per pattern.  The patterns are the
+    rows of {-1, 1}^{|S|} that the gap moments use: all 2^{|S|} in a fixed
+    order for exhaustive plans, ``plan.budget`` draws from the (seed,
+    purpose) stream for Monte Carlo plans.  The scalar, vector, and matrix
+    inequality reports all share this code path.
     """
-    sub = [items[j - 1] for j in subset]
-    stackdim = np.stack(sub, axis=0)  # (s, ...)
-    s = len(sub)
-    if plan.mode == "exhaustive":
-        patterns = np.array(
-            list(itertools.product((-1.0, 1.0), repeat=s)), dtype=float
-        )
-    else:
-        gen = stream(plan.seed, purpose)
-        patterns = gen.integers(0, 2, size=(plan.budget, s)) * 2.0 - 1.0
+    stackdim = np.stack([items[j - 1] for j in subset], axis=0)  # (s, ...)
+    gen = None if plan.mode == "exhaustive" else stream(plan.seed, purpose)
+    patterns = _pattern_rows((-1.0, 1.0), len(subset), plan, gen)
     sums = np.tensordot(patterns, stackdim, axes=(1, 0))  # (batch, ...)
     vals = np.asarray(power_fn(sums), dtype=float)
     return math.fsum(float(v) for v in vals) / len(vals)

@@ -6,9 +6,12 @@ a view.  A :class:`GridFunction` is a total table of real ``d``-vectors over
 the torus together with the exponent of the ``l_p`` norm used on values.
 
 ``gap_moment`` evaluates the mean of ``||f(x + delta) - f(x')||^power`` over
-the uniform law of ``(x, eps)`` for the displacement specs used throughout
-the inequality reports, either exhaustively (fixed summation order: row-major
-over x, then eps, with compensated accumulation) or by seeded Monte Carlo.
+x uniform on the torus and the displacement law of a spec: delta = v * eps
+with eps_j uniform on a letter set for j in the support of v, and
+delta' = -delta or 0 (``_law``).  An exhaustive plan takes every sign
+pattern in ``itertools.product`` order, sums each over all x with one numpy
+sum and combines the pattern sums with ``math.fsum``; a Monte Carlo plan
+draws ``budget`` pairs (x, eps) from a seeded stream.
 """
 
 from __future__ import annotations
@@ -321,76 +324,41 @@ def _spec_tag(spec: DisplacementSpec) -> str:
     )
 
 
-def _validate_spec(spec: DisplacementSpec, n: int) -> None:
+def _law(spec: DisplacementSpec, n: int) -> tuple[np.ndarray, tuple[int, ...], bool]:
+    """The displacement law of ``spec`` on Z_M^n as ``(v, letters, mirror)``.
+
+    delta = v * eps with eps_j uniform on ``letters`` for j in the support of
+    v, and delta' = -delta if ``mirror`` else 0.  Rejects specs that do not
+    fit dimension n.
+    """
     if isinstance(spec, Edge):
         if not 1 <= spec.j <= n:
             raise ValueError(f"edge index {spec.j} not in 1..{n}")
-    elif isinstance(spec, ShiftedSet):
-        _check_subset(spec.S, n)
-    elif isinstance(spec, FixedShift):
+        return np.eye(n, dtype=np.int64)[spec.j - 1], (1,), False
+    if isinstance(spec, FixedShift):
         if len(spec.v) != n:
             raise ValueError("fixed shift dimension mismatch")
-
-
-def _exhaustive_pairs(
-    f: GridFunction, spec: DisplacementSpec
-) -> Iterator[tuple[np.ndarray, np.ndarray]]:
-    """Yield (table of f(x+delta), table of f(x')) per sign pattern.
-
-    The iteration order over sign patterns is fixed (itertools.product over
-    (-1, 1) per coordinate, row-major) to honor the reproducibility contract.
-    """
-    n = f.dimension
-    if isinstance(spec, Edge):
-        v = tuple(1 if j == spec.j - 1 else 0 for j in range(n))
-        yield f.shift(v).values, f.values
-    elif isinstance(spec, FixedShift):
-        yield f.shift(spec.v).values, f.values
-    elif isinstance(spec, Diagonal):
-        for eps in itertools.product((-1, 1), repeat=n):
-            yield f.shift(eps).values, f.values
-    elif isinstance(spec, SymmetricDiagonal):
-        for eps in itertools.product((-1, 1), repeat=n):
-            neg = tuple(-e for e in eps)
-            yield f.shift(eps).values, f.shift(neg).values
-    elif isinstance(spec, ThreeLetterDiagonal):
-        for eps in itertools.product((-1, 0, 1), repeat=n):
-            yield f.shift(eps).values, f.values
-    elif isinstance(spec, ShiftedSet):
-        S = _check_subset(spec.S, n)
-        for signs in itertools.product((-1, 1), repeat=len(S)):
-            v = [0] * n
-            for j, s in zip(S, signs):
-                v[j - 1] = s * spec.t
-            yield f.shift(v).values, f.values
-    else:  # pragma: no cover
-        raise TypeError(f"unknown displacement spec {spec!r}")
-
-
-def _mc_displacements(
-    spec: DisplacementSpec, n: int, gen: np.random.Generator, count: int
-) -> tuple[np.ndarray, np.ndarray]:
-    """Random (delta, delta') displacement arrays of shape (count, n)."""
-    zero = np.zeros((count, n), dtype=np.int64)
-    if isinstance(spec, Edge):
-        d = zero.copy()
-        d[:, spec.j - 1] = 1
-        return d, zero
-    if isinstance(spec, FixedShift):
-        return np.tile(np.asarray(spec.v, dtype=np.int64), (count, 1)), zero
-    eps = gen.integers(0, 2, size=(count, n)) * 2 - 1
-    if isinstance(spec, Diagonal):
-        return eps, zero
-    if isinstance(spec, SymmetricDiagonal):
-        return eps, -eps
-    if isinstance(spec, ThreeLetterDiagonal):
-        return gen.integers(-1, 2, size=(count, n)), zero
+        return np.asarray(spec.v, dtype=np.int64), (1,), False
     if isinstance(spec, ShiftedSet):
-        mask = np.zeros(n, dtype=np.int64)
-        for j in spec.S:
-            mask[j - 1] = 1
-        return eps * mask * spec.t, zero
-    raise TypeError(f"unknown displacement spec {spec!r}")  # pragma: no cover
+        v = np.zeros(n, dtype=np.int64)
+        v[[j - 1 for j in _check_subset(spec.S, n)]] = spec.t
+        return v, (-1, 1), False
+    if isinstance(spec, (Diagonal, SymmetricDiagonal, ThreeLetterDiagonal)):
+        letters = (-1, 0, 1) if isinstance(spec, ThreeLetterDiagonal) else (-1, 1)
+        return np.ones(n, dtype=np.int64), letters, isinstance(spec, SymmetricDiagonal)
+    raise TypeError(f"unknown displacement spec {spec!r}")
+
+
+def _pattern_rows(
+    letters: Sequence[float], r: int, plan: SamplePlan, gen: np.random.Generator | None
+) -> np.ndarray:
+    """Rows of letters^r: all of them in ``itertools.product`` order for an
+    exhaustive plan, ``plan.budget`` uniform draws from ``gen`` otherwise."""
+    if plan.mode == "exhaustive":
+        index = np.indices((len(letters),) * r).reshape(r, len(letters) ** r).T
+    else:
+        index = gen.integers(0, len(letters), size=(plan.budget, r))
+    return np.asarray(letters)[index]
 
 
 def gap_moment_estimate(
@@ -400,25 +368,29 @@ def gap_moment_estimate(
     power: float | None = None,
 ) -> GapEstimate:
     """Plan-evaluated mean of ||f(x+delta) - f(x')||^power with metadata."""
-    _validate_spec(spec, f.dimension)
+    n, M, values = f.dimension, f.modulus, f.values
+    v, letters, mirror = _law(spec, n)
     if power is None:
         power = f.value_p
     if plan.mode == "exhaustive":
+        support = np.flatnonzero(v)
+        deltas = np.zeros((len(letters) ** len(support), n), dtype=np.int64)
+        deltas[:, support] = _pattern_rows(letters, len(support), plan, None) * v[support]
+        axes = tuple(range(n))
         partials = []
-        count = 0
-        for left, right in _exhaustive_pairs(f, spec):
-            partials.append(
-                float(np.sum(_norm_power(left - right, f.value_p, power)))
-            )
-            count += f.modulus**f.dimension
+        for delta in deltas:
+            left = np.roll(values, tuple(-delta), axis=axes)
+            right = np.roll(values, tuple(delta), axis=axes) if mirror else values
+            partials.append(float(np.sum(_norm_power(left - right, f.value_p, power))))
+        count = len(deltas) * M**n
         return GapEstimate(math.fsum(partials) / count, 0.0, count, "exhaustive")
 
     gen = stream(plan.seed, "gap:" + _spec_tag(spec))
     count = plan.budget
-    x = gen.integers(0, f.modulus, size=(count, f.dimension))
-    delta, delta2 = _mc_displacements(spec, f.dimension, gen, count)
-    left = f.values[tuple(((x + delta) % f.modulus).T)]
-    right = f.values[tuple(((x + delta2) % f.modulus).T)]
+    x = gen.integers(0, M, size=(count, n))
+    delta = v * _pattern_rows(letters, n, plan, gen)
+    left = values[tuple(((x + delta) % M).T)]
+    right = values[tuple(((x - delta) % M).T)] if mirror else values[tuple(x.T)]
     samples = _norm_power(left - right, f.value_p, power)
     mean = float(np.mean(samples))
     stderr = float(np.std(samples, ddof=1) / math.sqrt(count)) if count > 1 else 0.0

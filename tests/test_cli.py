@@ -264,10 +264,24 @@ class TestScan:
             doc = json.loads(single.output)
             assert doc["report"]["warnings"] and single.exit_code == 2
             assert row.pop("sweep") == "p"
+            assert row.pop("warnings") == "; ".join(doc["report"]["warnings"])
             cells = _numeric_cells(row)
             assert cells.pop("value") == float(value)
             assert cells == {k: v for k, v in _flatten(doc["report"]).items()
                              if isinstance(v, (int, float, bool))}
+
+    def test_format_json_rejected(self, runner):
+        base = ["scan", "rosenthal-distortion", "--sweep", "n", "--values", "4,8",
+                "--q", "3", "--p", "6"]
+        res = runner.invoke(main, [*base, "--format", "json"])
+        assert res.exit_code == 1
+        assert json.loads(res.stderr)["error"] == "ValueError"
+        assert res.stdout == ""
+        csv_res = runner.invoke(main, [*base, "--format", "csv"])
+        assert csv_res.exit_code == 0, csv_res.output
+        assert csv_res.stdout == runner.invoke(main, base).stdout
+        rows = list(csv.DictReader(io.StringIO(csv_res.stdout)))
+        assert [row["warnings"] for row in rows] == ["", ""]
 
     def test_geometric_values(self, runner):
         res = runner.invoke(main, [
@@ -283,6 +297,12 @@ class TestVerify:
         res = runner.invoke(main, ["verify", "geodesic"])
         assert res.exit_code == 0, res.output
         assert "pass" in res.output and "FAIL" not in res.output
+
+    def test_all_suites_pass(self, runner):
+        res = runner.invoke(main, ["verify", "all"])
+        assert res.exit_code == 0, res.output
+        assert "FAIL" not in res.output
+        assert "lattice: gap moment translation invariance" in res.output
 
     def test_unknown_suite_rejected(self, runner):
         res = runner.invoke(main, ["verify", "bogus"])

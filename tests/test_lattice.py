@@ -24,6 +24,18 @@ from xplab.lattice import (
     random_grid_function,
     subset_stream,
 )
+from xplab.lattice import _spec_tag
+from xplab.rng import stream
+
+
+ALL_SPECS = (
+    Edge(1),
+    Diagonal(),
+    SymmetricDiagonal(),
+    ThreeLetterDiagonal(),
+    ShiftedSet((1, 2), 1),
+    FixedShift((4, 0)),
+)
 
 
 def indicator(modulus: int, n: int, p: float) -> GridFunction:
@@ -78,26 +90,44 @@ class TestGapMoment:
         f = random_grid_function(8, 2, 1, 4.0, seed=seed)
         g = f.shift(shift)
         plan = exhaustive_plan(8, 2)
-        for spec in (
-            Edge(1),
-            Diagonal(),
-            SymmetricDiagonal(),
-            ThreeLetterDiagonal(),
-            ShiftedSet((1, 2), 1),
-            FixedShift((4, 0)),
-        ):
+        for spec in ALL_SPECS:
             assert gap_moment(f, spec, plan) == pytest.approx(
                 gap_moment(g, spec, plan), abs=1e-12
             )
 
-    def test_monte_carlo_has_stderr(self):
+    @pytest.mark.parametrize("spec", ALL_SPECS, ids=lambda s: type(s).__name__)
+    def test_monte_carlo_has_stderr(self, spec):
         f = random_grid_function(8, 2, 1, 4.0, seed=5)
         plan = SamplePlan("monte-carlo", 5000, seed=5)
-        est = gap_moment_estimate(f, Diagonal(), plan)
+        est = gap_moment_estimate(f, spec, plan)
         assert est.mode == "monte-carlo"
+        assert est.count == 5000
         assert est.stderr > 0
-        exact = gap_moment(f, Diagonal(), exhaustive_plan(8, 2))
+        exact = gap_moment(f, spec, exhaustive_plan(8, 2))
         assert abs(est.value - exact) < 6 * est.stderr
+
+    @pytest.mark.parametrize("spec,delta", [
+        (Edge(2), lambda eps: np.array([0, 1, 0])),
+        (Diagonal(), lambda eps: eps),
+        (SymmetricDiagonal(), lambda eps: eps),
+        (ShiftedSet((1, 3), 2), lambda eps: eps * np.array([2, 0, 2])),
+        (FixedShift((3, 0, -1)), lambda eps: np.array([3, 0, -1])),
+    ], ids=["Edge", "Diagonal", "SymmetricDiagonal", "ShiftedSet", "FixedShift"])
+    def test_monte_carlo_stream_is_pinned(self, spec, delta):
+        # the draws of the spec's stream: x first, then +-1 over all n
+        # coordinates, which a spec without random signs leaves unused
+        f = random_grid_function(6, 3, 2, 3.0, seed=4)
+        plan = SamplePlan("monte-carlo", 999, seed=8)
+        gen = stream(8, "gap:" + _spec_tag(spec))
+        x = gen.integers(0, 6, size=(999, 3))
+        eps = gen.integers(0, 2, size=(999, 3)) * 2 - 1
+        d = delta(eps)
+        right = -d if isinstance(spec, SymmetricDiagonal) else 0 * d
+        diff = f.values[tuple(((x + d) % 6).T)] - f.values[tuple(((x + right) % 6).T)]
+        samples = np.sum(np.abs(diff) ** 3.0, axis=-1)
+        est = gap_moment_estimate(f, spec, plan)
+        assert est.value == float(np.mean(samples))
+        assert est.stderr == float(np.std(samples, ddof=1) / np.sqrt(999))
 
 
 class TestGridFunction:
