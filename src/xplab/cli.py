@@ -177,12 +177,12 @@ def _checked(name: str, kind: str, value):
     raise ValueError(f"config field {name!r} must be {kind}, got {value!r}")
 
 
-def _load_config(options: dict) -> ExperimentConfig:
-    """The ``--config`` file overlaid with the flags that were given."""
-    base: dict = {}
+def _load_config(options: dict, defaults: dict) -> ExperimentConfig:
+    """``defaults``, overlaid with the ``--config`` file, then the given flags."""
+    base = dict(defaults)
     if options["config_path"]:
         with open(options["config_path"], encoding="utf-8") as fh:
-            base = json.load(fh)
+            base.update(json.load(fh))
     base.update((k, v) for k, v in options.items() if k in _FIELDS and v is not None)
     if options["a_csv"] is not None:
         base["a"] = [float(v) for v in options["a_csv"].split(",")]
@@ -246,8 +246,8 @@ def _coeffs(cfg: ExperimentConfig) -> list:
     return list(cfg.a) if cfg.a is not None else [1.0] * cfg.n
 
 
-def _sign_plan(cfg: ExperimentConfig):
-    return make_sample_plan(1, cfg.n, cfg.k, budget=cfg.budget, seed=cfg.seed)
+def _sign_plan(cfg: ExperimentConfig, items: list):
+    return make_sample_plan(1, len(items), cfg.k, budget=cfg.budget, seed=cfg.seed)
 
 
 def _grid_plan(cfg: ExperimentConfig, modulus: int):
@@ -290,14 +290,15 @@ def _smoothness_kind(cfg: ExperimentConfig):
 
 
 def _run_linear_xp(cfg: ExperimentConfig) -> dict:
-    rep = linear_xp_report(
-        _coeffs(cfg), cfg.k, cfg.p, _sign_plan(cfg), square_function=cfg.square_function
-    )
+    a = _coeffs(cfg)
+    rep = linear_xp_report(a, cfg.k, cfg.p, _sign_plan(cfg, a),
+                           square_function=cfg.square_function)
     return rep.to_json_dict()
 
 
 def _run_reverse_linear_xp(cfg: ExperimentConfig) -> dict:
-    return reverse_linear_xp_report(_coeffs(cfg), cfg.k, cfg.p, _sign_plan(cfg)).to_json_dict()
+    a = _coeffs(cfg)
+    return reverse_linear_xp_report(a, cfg.k, cfg.p, _sign_plan(cfg, a)).to_json_dict()
 
 
 def _run_metric_xp(cfg: ExperimentConfig) -> dict:
@@ -314,17 +315,17 @@ def _run_reverse_metric_xp(cfg: ExperimentConfig) -> dict:
 
 def _run_schatten_xp(cfg: ExperimentConfig) -> dict:
     mats = _matrices(cfg, cfg.n, "schatten-xp")
-    return schatten_xp_report(mats, cfg.k, cfg.p, _sign_plan(cfg)).to_json_dict()
+    return schatten_xp_report(mats, cfg.k, cfg.p, _sign_plan(cfg, mats)).to_json_dict()
 
 
 def _run_psd_xp(cfg: ExperimentConfig) -> dict:
     mats = _matrices(cfg, cfg.n, "psd-xp")
-    return psd_xp_report(mats, cfg.k, cfg.q, _sign_plan(cfg)).to_json_dict()
+    return psd_xp_report(mats, cfg.k, cfg.q, _sign_plan(cfg, mats)).to_json_dict()
 
 
 def _run_khinchine(cfg: ExperimentConfig) -> dict:
     mats = _matrices(cfg, cfg.n, "khinchine")
-    return khinchine_report(mats, cfg.p, _sign_plan(cfg)).to_json_dict()
+    return khinchine_report(mats, cfg.p, _sign_plan(cfg, mats)).to_json_dict()
 
 
 def _run_trace(cfg: ExperimentConfig) -> dict:
@@ -416,7 +417,8 @@ def _run_bridge(cfg: ExperimentConfig) -> dict:
 
 def _run_contraction(cfg: ExperimentConfig) -> dict:
     zs = cfg.zs if cfg.zs is not None else np.eye(cfg.n).tolist()
-    return contraction_check(_coeffs(cfg), zs, cfg.p, _sign_plan(cfg)).to_json_dict()
+    a = _coeffs(cfg)
+    return contraction_check(a, zs, cfg.p, _sign_plan(cfg, a)).to_json_dict()
 
 
 def _run_circular_moment(cfg: ExperimentConfig) -> dict:
@@ -503,6 +505,8 @@ def _document_text(cfg: ExperimentConfig) -> tuple[str, int]:
 def _scan_text(cfg: ExperimentConfig, name: str, values_csv: str) -> tuple[str, int]:
     """One CSV row per value of the swept field: the numeric report fields,
     then the report's warnings joined by "; "."""
+    if cfg.format != "csv":
+        raise ValueError(f"scan writes CSV only; format {cfg.format!r} is not supported")
     kind = _FIELDS.get(name)
     if kind is None:
         raise ValueError(f"unknown sweep parameter {name!r}")
@@ -527,12 +531,12 @@ def _scan_text(cfg: ExperimentConfig, name: str, values_csv: str) -> tuple[str, 
     return _csv_text(rows), 0
 
 
-def _execute(report: str | None, options: dict, render, *args) -> None:
-    """Load the config, render the report with ``render(cfg, *args)``, write
-    the text to ``cfg.out`` or stdout, and exit with the rendered exit code
-    (1 with a JSON error on stderr when anything fails)."""
+def _execute(report: str | None, options: dict, render, *args, **defaults) -> None:
+    """Load the config over ``defaults``, render it with ``render(cfg, *args)``,
+    write the text to ``cfg.out`` or stdout, and exit with the rendered exit
+    code (1 with a JSON error on stderr when anything fails)."""
     try:
-        cfg = _load_config(options)
+        cfg = _load_config(options, defaults)
         cfg.subcommand = report or cfg.subcommand
         if cfg.subcommand not in REPORTS:
             raise ValueError(f"unknown report {cfg.subcommand!r}")
@@ -608,9 +612,7 @@ def run(report: str | None, **options) -> None:
 @_with_config_options
 def scan(report: str, sweep_name: str, values_csv: str, **options) -> None:
     """Sweep exactly one parameter and write one CSV row per value."""
-    if options["format"] == "json":
-        _error_exit(ValueError("scan writes CSV only; --format json is not supported"))
-    _execute(report, options, _scan_text, sweep_name, values_csv)
+    _execute(report, options, _scan_text, sweep_name, values_csv, format="csv")
 
 
 # ---------------------------------------------------------------------------

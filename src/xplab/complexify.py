@@ -20,14 +20,22 @@ delta = +1 only and the sign sums become sums over shifted lattice points.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from typing import Sequence
 
 import numpy as np
 
-from .inequalities import InequalityReport, _finalize, signed_power_mean, subset_average
-from .lattice import SamplePlan
+from .inequalities import (
+    InequalityReport,
+    _as_vectors,
+    _finalize,
+    _xp_moments,
+    signed_power_mean,
+    subset_average,
+)
+from .lattice import SamplePlan, _norm_power
 
 __all__ = [
     "complexification_norm",
@@ -141,25 +149,16 @@ def contraction_check(
     if p < 1:
         raise ValueError("p must be >= 1")
     a = np.asarray(a, dtype=float)
-    zmat = np.asarray(zs, dtype=float)
-    if zmat.ndim == 1:
-        zmat = zmat[:, None]
-    n = zmat.shape[0]
+    zmat = _as_vectors(zs)
+    n, d = zmat.shape
     if a.shape != (n,):
         raise ValueError("coefficient/vector count mismatch")
-    scaled = [a[j] * zmat[j] for j in range(n)]
-    plain = [zmat[j] for j in range(n)]
-
-    def power(batch: np.ndarray) -> np.ndarray:
-        return np.sum(np.abs(batch) ** p, axis=-1)
-
+    power = functools.partial(_norm_power, value_p=p, power=p)
     full = tuple(range(1, n + 1))
-    lhs = signed_power_mean(scaled, full, power, plan, purpose="signs:contraction")
-    base = signed_power_mean(plain, full, power, plan, purpose="signs:contraction")
+    lhs = signed_power_mean(a[:, None] * zmat, full, power, plan, purpose="signs:contraction")
+    base = signed_power_mean(zmat, full, power, plan, purpose="signs:contraction")
     rhs = float(np.max(np.abs(a)) ** p) * base
-    return _finalize(
-        "contraction", {"p": p, "n": n, "d": zmat.shape[1]}, lhs, {"scaled_base": rhs}, plan
-    )
+    return _finalize("contraction", {"p": p, "n": n, "d": d}, lhs, {"scaled_base": rhs}, plan)
 
 
 # ---------------------------------------------------------------------------
@@ -214,9 +213,7 @@ def bridge_report(
     """
     if p < 1:
         raise ValueError("p must be >= 1")
-    zmat = np.asarray(zs, dtype=float)
-    if zmat.ndim == 1:
-        zmat = zmat[:, None]
+    zmat = _as_vectors(zs)
     n, d = zmat.shape
     if not 1 <= k <= n:
         raise ValueError(f"k={k} out of range for n={n}")
@@ -231,17 +228,10 @@ def bridge_report(
     signs = np.array(list(itertools.product((-1, 1), repeat=n)))
 
     # linear side: sign moments of the raw coefficients in l_p^d
-    def lp_power(batch: np.ndarray) -> np.ndarray:
-        return np.sum(np.abs(batch) ** p, axis=-1)
-
-    vec_list = [zmat[j] for j in range(n)]
-
-    def sign_sum_p(S: tuple[int, ...]) -> float:
-        return signed_power_mean(vec_list, S, lp_power, plan, purpose="signs:bridge")
-
-    linear_subset = subset_average(sign_sum_p, n, k, plan)
-    linear_full = sign_sum_p(tuple(range(1, n + 1)))
-    linear_lp = math.fsum(float(np.sum(np.abs(zmat[j]) ** p)) for j in range(n))
+    lp_power = functools.partial(_norm_power, value_p=p, power=p)
+    linear_subset, linear_lp, linear_full = _xp_moments(
+        zmat, k, lp_power, plan, purpose="signs:bridge"
+    )
 
     # intermediate 1: half-period lower bound, averaged over subsets
     def half_period_lhs(S: tuple[int, ...]) -> float:

@@ -145,15 +145,17 @@ def signed_power_mean(
     patterns and must return one float per pattern.  The patterns are the
     rows of {-1, 1}^{|S|} that the gap moments use: all 2^{|S|} in a fixed
     order for exhaustive plans, ``plan.budget`` draws from the (seed,
-    purpose) stream for Monte Carlo plans.  The scalar, vector, and matrix
-    inequality reports all share this code path.
+    purpose) stream for Monte Carlo plans.  The scalar, l_p^d and Schatten
+    reports reach it through one helper, ``_xp_moments``; a 1x1 matrix has
+    ``eigvalsh`` equal to its entry, so the Schatten report at d = 1 performs
+    the float operations of the scalar one.
     """
     stackdim = np.stack([items[j - 1] for j in subset], axis=0)  # (s, ...)
     gen = None if plan.mode == "exhaustive" else stream(plan.seed, purpose)
     patterns = _pattern_rows((-1.0, 1.0), len(subset), plan, gen)
     sums = np.tensordot(patterns, stackdim, axes=(1, 0))  # (batch, ...)
     vals = np.asarray(power_fn(sums), dtype=float)
-    return math.fsum(float(v) for v in vals) / len(vals)
+    return math.fsum(vals.tolist()) / len(vals)
 
 
 def subset_average(
@@ -164,22 +166,35 @@ def subset_average(
     return math.fsum(vals) / len(vals)
 
 
-def _lp_power(p: float) -> Callable[[np.ndarray], np.ndarray]:
-    """Batched ||v||_p^p along the last axis."""
+def _xp_moments(
+    items: Sequence[np.ndarray], k: int, power_fn: Callable[[np.ndarray], np.ndarray],
+    plan: SamplePlan, purpose: str = "signs:xp", *, full: bool = True,
+) -> tuple[float, float, float | None]:
+    """The moments of the linear X_p inequality for coefficients x_j:
 
-    def fn(batch: np.ndarray) -> np.ndarray:
-        return np.sum(np.abs(batch) ** p, axis=-1)
+    avg_{|S|=k} E power_fn(sum_{j in S} eps_j x_j), sum_j power_fn(x_j) and
+    E power_fn(sum_j eps_j x_j) (None unless ``full``).
+    """
+    n = len(items)
+    if not 1 <= k <= n:
+        raise ValueError(f"k={k} out of range for n={n}")
 
-    return fn
+    def moment(S: tuple[int, ...]) -> float:
+        return signed_power_mean(items, S, power_fn, plan, purpose)
+
+    subset = subset_average(moment, n, k, plan)
+    ell = math.fsum(power_fn(np.stack(items)).tolist())
+    return subset, ell, (moment(tuple(range(1, n + 1))) if full else None)
 
 
-def _as_vectors(a: Sequence[float] | np.ndarray) -> list[np.ndarray]:
+def _as_vectors(a: Sequence[float] | np.ndarray) -> np.ndarray:
+    """Coefficients as the rows of an (n, d) array; scalars are 1-vectors."""
     arr = np.asarray(a, dtype=float)
     if arr.ndim == 1:
         arr = arr[:, None]
     if arr.ndim != 2 or arr.shape[0] == 0:
         raise ValueError("coefficients must be a nonempty vector or list of vectors")
-    return [arr[j] for j in range(arr.shape[0])]
+    return arr
 
 
 # ---------------------------------------------------------------------------
@@ -292,31 +307,22 @@ def linear_xp_report(
     (scalar coefficients only).
     """
     vecs = _as_vectors(a)
-    n = len(vecs)
-    if not 1 <= k <= n:
-        raise ValueError(f"k={k} out of range for n={n}")
+    n, d = vecs.shape
     if p < 2:
         raise ValueError("p must be >= 2")
-    power = _lp_power(p)
-    lhs = subset_average(
-        lambda S: signed_power_mean(vecs, S, power, plan), n, k, plan
+    if square_function and d != 1:
+        raise ValueError("square-function mode requires scalar coefficients")
+    lhs, ell, rad = _xp_moments(
+        vecs, k, lambda v: _norm_power(v, p, p), plan, full=not square_function
     )
-    ell_p = (k / n) * math.fsum(float(np.sum(np.abs(v) ** p)) for v in vecs)
-    rhs_terms = {"ell_p": ell_p}
+    mode = "square_function" if square_function else "rademacher"
     if square_function:
-        if any(v.size != 1 for v in vecs):
-            raise ValueError("square-function mode requires scalar coefficients")
-        sq = math.fsum(float(v[0]) ** 2 for v in vecs) ** (p / 2)
-        rhs_terms["square_function"] = (k / n) ** (p / 2) * sq
-    else:
-        rad = signed_power_mean(vecs, tuple(range(1, n + 1)), power, plan)
-        rhs_terms["rademacher"] = (k / n) ** (p / 2) * rad
+        rad = math.fsum(float(v[0]) ** 2 for v in vecs) ** (p / 2)
     return _finalize(
         "linear_xp",
-        {"p": p, "n": n, "k": k, "d": vecs[0].size,
-         "mode": "square_function" if square_function else "rademacher"},
+        {"p": p, "n": n, "k": k, "d": d, "mode": mode},
         lhs,
-        rhs_terms,
+        {"ell_p": (k / n) * ell, mode: (k / n) ** (p / 2) * rad},
         plan,
     )
 
@@ -326,24 +332,16 @@ def reverse_linear_xp_report(
 ) -> InequalityReport:
     """Converse direction: implied K(p)^p = lhs / subset-averaged sign sums."""
     vecs = _as_vectors(a)
-    n = len(vecs)
-    if not 1 <= k <= n:
-        raise ValueError(f"k={k} out of range for n={n}")
+    n, d = vecs.shape
     if p < 2:
         raise ValueError("p must be >= 2")
-    power = _lp_power(p)
-    ell_p = (k / n) * math.fsum(float(np.sum(np.abs(v) ** p)) for v in vecs)
-    rad = (k / n) ** (p / 2) * signed_power_mean(
-        vecs, tuple(range(1, n + 1)), power, plan
-    )
-    rhs = subset_average(
-        lambda S: signed_power_mean(vecs, S, power, plan), n, k, plan
-    )
+    subset, ell, rad = _xp_moments(vecs, k, lambda v: _norm_power(v, p, p), plan)
+    ell_p, rad = (k / n) * ell, (k / n) ** (p / 2) * rad
     return _finalize(
         "reverse_linear_xp",
-        {"p": p, "n": n, "k": k, "d": vecs[0].size},
+        {"p": p, "n": n, "k": k, "d": d},
         ell_p + rad,
-        {"subset": rhs},
+        {"subset": subset},
         plan,
         lhs_terms={"ell_p": ell_p, "rademacher": rad},
     )
@@ -372,7 +370,7 @@ class Pisier:
 
 def _cube_mean_power(diff: np.ndarray, power: float, norm_p: float) -> float:
     vals = _norm_power(diff, norm_p, power)
-    return math.fsum(float(v) for v in vals.ravel(order="C")) / vals.size
+    return math.fsum(vals.ravel().tolist()) / vals.size
 
 
 def smoothness_report(
@@ -602,10 +600,7 @@ def displacement_report(
     S = tuple(int(j) for j in S)
     avg = box_average(f, DS(S, R))
     diff = f.values - avg.values
-    lhs = math.fsum(
-        float(v)
-        for v in _norm_power(diff, f.value_p, p).ravel(order="C")
-    )
+    lhs = math.fsum(_norm_power(diff, f.value_p, p).ravel().tolist())
     plan = SamplePlan("exhaustive", max(npoints * 2**n, 1), 0)
     diag = R**p * npoints * gap_moment(f, Diagonal(), plan, power=p)
     set_term = npoints * gap_moment(f, ShiftedSet(S, 1), plan, power=p)

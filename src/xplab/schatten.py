@@ -18,8 +18,14 @@ from typing import Sequence
 
 import numpy as np
 
-from .inequalities import InequalityReport, _finalize, signed_power_mean, subset_average
-from .lattice import SamplePlan
+from .inequalities import (
+    InequalityReport,
+    _finalize,
+    _xp_moments,
+    signed_power_mean,
+    subset_average,
+)
+from .lattice import SamplePlan, _norm_power
 from .rng import stream
 
 __all__ = [
@@ -412,10 +418,8 @@ def _schatten_power(p: float, symmetric: bool):
     """Batched ||.||_{S_p}^p for stacks of matrices, one eigvalsh per stack."""
 
     def fn(batch: np.ndarray) -> np.ndarray:
-        if batch.ndim == 2:  # d == 1 flattened vectors
-            return np.sum(np.abs(batch) ** p, axis=-1)
         if symmetric:
-            return np.sum(np.abs(np.linalg.eigvalsh(batch)) ** p, axis=-1)
+            return _norm_power(np.linalg.eigvalsh(batch), p, p)
         gram = np.swapaxes(batch, -1, -2) @ batch
         vals = np.clip(np.linalg.eigvalsh(gram), 0.0, None)
         return np.sum(vals ** (p / 2.0), axis=-1)
@@ -439,41 +443,22 @@ def schatten_xp_report(
 ) -> InequalityReport:
     """The coefficient inequality with absolute values replaced by S_p norms.
 
-    For d = 1 this reduces bit-for-bit to linear_xp_report on the same plan:
-    both go through the shared signed_power_mean with the same sign stream.
+    The moments come from the helper of linear_xp_report with the batched
+    S_p power in place of the l_p one.  A 1x1 matrix has ``eigvalsh`` equal
+    to its entry, so for d = 1 the report equals linear_xp_report on the
+    same plan bit for bit.
     """
     arrs = _matrix_stack(mats)
-    n = len(arrs)
-    if not 1 <= k <= n:
-        raise ValueError(f"k={k} out of range for n={n}")
+    n, d = len(arrs), arrs[0].shape[0]
     if p < 2:
         raise ValueError("p must be >= 2")
-    d = arrs[0].shape[0]
     symmetric = all(np.array_equal(m, m.T) for m in arrs)
-    if d == 1:
-        items = [m.reshape(1) for m in arrs]
-        power = _schatten_power(p, True)
-    else:
-        items = arrs
-        power = _schatten_power(p, symmetric)
-    lhs = subset_average(
-        lambda S: signed_power_mean(items, S, power, plan), n, k, plan
-    )
-    if d == 1:
-        # same float operations as the scalar report, for exact agreement
-        ell = (k / n) * math.fsum(
-            float(np.sum(np.abs(m.reshape(1)) ** p)) for m in arrs
-        )
-    else:
-        ell = (k / n) * math.fsum(schatten_norm(m, p) ** p for m in arrs)
-    rad = (k / n) ** (p / 2) * signed_power_mean(
-        items, tuple(range(1, n + 1)), power, plan
-    )
+    lhs, ell, rad = _xp_moments(arrs, k, _schatten_power(p, symmetric), plan)
     return _finalize(
         "schatten_xp",
         {"p": p, "n": n, "k": k, "d": d},
         lhs,
-        {"ell_p": ell, "rademacher": rad},
+        {"ell_p": (k / n) * ell, "rademacher": (k / n) ** (p / 2) * rad},
         plan,
     )
 

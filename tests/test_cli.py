@@ -233,6 +233,18 @@ class TestRun:
         ).to_json_dict()
         assert doc["report"] == json.loads(json.dumps(lib))
 
+    def test_sign_plan_sized_from_the_coefficients(self, runner):
+        # 14 coefficients and no --n: the budget must see 2^14 sign patterns
+        a = ",".join(str(0.1 * j + 0.3) for j in range(14))
+        base = ["run", "linear-xp", "--a", a, "--k", "2", "--budget", "100",
+                "--deterministic"]
+        res = runner.invoke(main, base)
+        assert res.exit_code == 0, res.output
+        report = json.loads(res.output)["report"]
+        assert report["plan"]["mode"] == "monte-carlo"
+        with_n = runner.invoke(main, [*base, "--n", "14"])
+        assert report == json.loads(with_n.output)["report"]
+
 
 class TestScan:
     def test_sweep_produces_rows(self, runner):
@@ -282,6 +294,22 @@ class TestScan:
         assert csv_res.stdout == runner.invoke(main, base).stdout
         rows = list(csv.DictReader(io.StringIO(csv_res.stdout)))
         assert [row["warnings"] for row in rows] == ["", ""]
+
+    @pytest.mark.parametrize("fmt", ["json", "csv"])
+    def test_config_file_format(self, runner, tmp_path, fmt):
+        path = tmp_path / "fmt.json"
+        path.write_text(json.dumps({"format": fmt}))
+        base = ["scan", "rosenthal-distortion", "--sweep", "n", "--values", "4",
+                "--q", "3", "--p", "6"]
+        res = runner.invoke(main, [*base, "--config", str(path)])
+        if fmt == "json":
+            assert res.exit_code == 1
+            assert json.loads(res.stderr)["error"] == "ValueError"
+            assert res.stdout == ""
+        else:
+            assert res.exit_code == 0, res.output
+            assert res.stdout == runner.invoke(main, base).stdout
+            assert res.stdout.startswith("sweep,value")
 
     def test_geometric_values(self, runner):
         res = runner.invoke(main, [

@@ -19,6 +19,7 @@ from xplab.complexify import (
     complexification_norm,
     contraction_check,
 )
+from xplab.inequalities import linear_xp_report
 from xplab.lattice import make_sample_plan
 
 
@@ -108,6 +109,18 @@ class TestBridge:
         assert rep.extra["linear_constant_from_gamma"] == pytest.approx(
             (2 / math.pi) ** 8 * rep.extra["metric"]["gamma"]
         )
+
+    @pytest.mark.parametrize("d", [1, 2])
+    def test_linear_side_is_the_linear_report(self, d):
+        zs = np.random.default_rng(11).standard_normal((3, d)).tolist()
+        n, k, p = 3, 2, 3.5
+        plan = plan_for(4, n, k)
+        assert plan.mode == "exhaustive"
+        linear = bridge_report(zs, m=2, k=k, p=p, plan=plan).extra["linear"]
+        rep = linear_xp_report(zs, k, p, plan)
+        assert linear["subset"] == rep.lhs
+        assert (k / n) * linear["ell_p"] == rep.rhs_terms["ell_p"]
+        assert (k / n) ** (p / 2) * linear["full_rademacher"] == rep.rhs_terms["rademacher"]
 
     def test_shift_identity(self):
         # e^{i pi (x+m)/m} - e^{i pi x/m} = -2 e^{i pi x/m}

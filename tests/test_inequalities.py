@@ -23,7 +23,7 @@ from xplab.inequalities import (
     scaling_witness_report,
     smoothness_report,
 )
-from xplab.lattice import GridFunction, make_sample_plan, random_grid_function
+from xplab.lattice import GridFunction, SamplePlan, make_sample_plan, random_grid_function
 from xplab.operators import HypercubeFunction
 
 
@@ -90,6 +90,30 @@ class TestReverseLinearXp:
         assert rep.lhs_terms == {"ell_p": 1.0, "rademacher": 1.0}
 
 
+class TestSharedMoments:
+    """The linear and reverse-linear reports read one set of moments."""
+
+    PLANS = {
+        "exhaustive": SamplePlan("exhaustive", 10**6, 3),
+        "monte-carlo": SamplePlan("monte-carlo", 300, 3, subset_mode="sampled",
+                                  subset_count=40),
+    }
+    COEFFS = {
+        "scalar": [0.7, -1.3, 0.2, 2.1, -0.4, 1.1],
+        "l_p^3": np.random.default_rng(5).standard_normal((6, 3)).tolist(),
+    }
+
+    @pytest.mark.parametrize("plan_name", sorted(PLANS))
+    @pytest.mark.parametrize("coeff_name", sorted(COEFFS))
+    def test_reverse_reads_the_linear_moments(self, plan_name, coeff_name):
+        plan, a = self.PLANS[plan_name], self.COEFFS[coeff_name]
+        lin = linear_xp_report(a, 3, 3.5, plan)
+        rev = reverse_linear_xp_report(a, 3, 3.5, plan)
+        assert rev.lhs_terms == lin.rhs_terms
+        assert rev.rhs_terms["subset"] == lin.lhs
+        assert rev.params == {k: v for k, v in lin.params.items() if k != "mode"}
+
+
 class TestMetricXp:
     def test_indicator_oracle(self):
         # [DERIVED] Z_4^1, m=1, k=n=1, p=4: every term is 0.5
@@ -147,6 +171,24 @@ class TestSmoothness:
         rep = smoothness_report(h, Pisier(3.0))
         assert rep.lhs > 0 and sum(rep.rhs_terms.values()) > 0
 
+    @pytest.mark.parametrize("p", [2.0, 3.0, 4.5])
+    def test_pisier_brute_force(self, p):
+        # E_{eps,delta} ||sum_j delta_j (h(s^j eps) - h(eps))||_2^p
+        n = 3
+        gen = np.random.default_rng(7)
+        h = HypercubeFunction(n, 2, gen.standard_normal((2,) * n + (2,)))
+        terms = []
+        for eps in itertools.product((-1, 1), repeat=n):
+            for delta in itertools.product((-1, 1), repeat=n):
+                v = np.zeros(2)
+                for j in range(n):
+                    flipped = tuple(-e if a == j else e for a, e in enumerate(eps))
+                    v = v + delta[j] * (h(flipped) - h(eps))
+                terms.append(math.sqrt(float(v @ v)) ** p)
+        rad_diff = math.fsum(terms) / len(terms)
+        rep = smoothness_report(h, Pisier(p))
+        assert rep.rhs_terms["rad_diff"] == pytest.approx(rad_diff, rel=1e-12)
+
     @settings(max_examples=30, deadline=None)
     @given(seed=st.integers(0, 10**6), n=st.integers(1, 4))
     def test_scalar_enflo_two_constant_at_most_one(self, seed, n):
@@ -200,6 +242,24 @@ class TestConvolutionProbe:
                 y = tuple((c + (1 if a == j else 0)) % M for a, c in enumerate(x))
                 edge += abs(float((f(y) - f(x))[0])) ** p
         assert rep.rhs_terms["edge"] == pytest.approx(edge)
+        # independent rad term: E_j' averages f over x +- e_i for i != j
+        def off_average(j, x):
+            i = 1 - j
+            up = tuple((c + (1 if a == i else 0)) % M for a, c in enumerate(x))
+            down = tuple((c - (1 if a == i else 0)) % M for a, c in enumerate(x))
+            return (float(f(up)[0]) + float(f(down)[0])) / 2
+
+        def g(j, x):
+            up = tuple((c + (1 if a == j else 0)) % M for a, c in enumerate(x))
+            down = tuple((c - (1 if a == j else 0)) % M for a, c in enumerate(x))
+            return off_average(j, up) - off_average(j, down)
+
+        rad = math.fsum(
+            abs(eps[0] * g(0, x) + eps[1] * g(1, x)) ** p
+            for eps in itertools.product((-1, 1), repeat=n)
+            for x in itertools.product(range(M), repeat=n)
+        ) / 2**n
+        assert rep.rhs_terms["rad"] == pytest.approx(rad, rel=1e-12)
         assert rep.lhs >= 0
         assert rep.extra["beta_lower_bound"] == pytest.approx(
             (rep.rhs_terms["rad"] + rep.rhs_terms["edge"]) / rep.lhs

@@ -1,0 +1,144 @@
+"""Dump the output of every benchmark command, to check that a change keeps it.
+
+Usage, from the repository root::
+
+    python3 tools/dump_outputs.py OUT.json [--src DIR]
+    python3 tools/dump_outputs.py --compare BEFORE.json AFTER.json
+
+The first form runs, in this process, every command the benchmark can issue:
+the ``POOL`` instances of each pooled template and three seeded draws of each
+closed-form template of ``benchmarks/workloads.py`` (read, never written).
+xplab is imported from ``DIR`` (default: ``src/`` of this checkout), config
+files go to a temporary directory, and ``OUT.json`` maps each command's key
+to ``[exit code, stdout, stderr]``.
+
+The second form prints every key whose entry differs and, for JSON reports,
+each field that moved, with its relative difference for numbers.  It exits 1
+if any entry differs.
+"""
+
+from __future__ import annotations
+
+import argparse
+import contextlib
+import io
+import json
+import random
+import sys
+import tempfile
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+DRAWS = 3
+
+
+def commands(directory: Path) -> dict[str, list[str]]:
+    """Key -> argv of every benchmark command, config files in ``directory``."""
+    sys.path.insert(0, str(ROOT / "benchmarks"))
+    import workloads as wl
+
+    templates = {t.key: t for w in wl.WORKLOADS.values()
+                 for t in (w.warmup, *(t for t, _ in w.slots))}
+    jobs = []
+    for key, tpl in sorted(templates.items()):
+        for i in range(DRAWS if tpl.closed_form else wl.POOL):
+            if tpl.closed_form:
+                job = wl._closed_form_job(tpl, random.Random(f"{key}/draw{i}"))
+            else:
+                args, config = wl.instance(tpl, i)
+                job = {"key": key, "args": args, "config": config}
+            job["id"] = i
+            wl.materialize(job, directory)
+            jobs.append((f"{key}/{i}", job["argv"]))
+    return dict(jobs)
+
+
+def invoke(main, argv: list[str]) -> list:
+    out, err = io.StringIO(), io.StringIO()
+    code: object = 0
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            main.main(args=argv, prog_name="xplab", standalone_mode=False)
+        except SystemExit as exc:
+            code = exc.code
+        except Exception as exc:  # noqa: BLE001 - recorded as the outcome
+            code = f"raised {type(exc).__name__}: {exc}"
+    return [code, out.getvalue(), err.getvalue()]
+
+
+def dump(out: Path, src: Path) -> None:
+    sys.path.insert(0, str(src.resolve()))
+    from xplab.cli import main
+
+    with tempfile.TemporaryDirectory() as tmp:
+        result = {key: invoke(main, argv) for key, argv in commands(Path(tmp)).items()}
+    out.write_text(json.dumps(result, indent=1, sort_keys=True), encoding="utf-8")
+    print(f"{len(result)} commands written to {out}")
+
+
+def _leaves(obj, prefix: str = "") -> dict:
+    if isinstance(obj, dict):
+        return {k: v for key, val in obj.items() for k, v in _leaves(val, f"{prefix}{key}.").items()}
+    if isinstance(obj, list):
+        return {k: v for i, val in enumerate(obj) for k, v in _leaves(val, f"{prefix}{i}.").items()}
+    return {prefix[:-1]: obj}
+
+
+def _field_changes(before: str, after: str) -> list[str]:
+    try:
+        a, b = _leaves(json.loads(before)), _leaves(json.loads(after))
+    except json.JSONDecodeError:
+        return ["stdout differs (not JSON)"]
+    changes = []
+    for name in sorted(set(a) | set(b)):
+        x, y = a.get(name), b.get(name)
+        if x == y:
+            continue
+        if all(isinstance(v, float) for v in (x, y)):
+            rel = abs(x - y) / max(abs(x), abs(y))
+            changes.append(f"{name}: {x!r} -> {y!r} (relative {rel:.2e})")
+        else:
+            changes.append(f"{name}: {x!r} -> {y!r}")
+    return changes
+
+
+def compare(before_path: Path, after_path: Path) -> int:
+    before = json.loads(before_path.read_text(encoding="utf-8"))
+    after = json.loads(after_path.read_text(encoding="utf-8"))
+    differing = 0
+    for key in sorted(set(before) | set(after)):
+        x, y = before.get(key), after.get(key)
+        if x == y:
+            continue
+        differing += 1
+        if x is None or y is None:
+            print(f"{key}: only in {'after' if x is None else 'before'}")
+            continue
+        print(f"{key}:")
+        if x[0] != y[0]:
+            print(f"  exit {x[0]!r} -> {y[0]!r}")
+        if x[2] != y[2]:
+            print("  stderr differs")
+        if x[1] != y[1]:
+            for change in _field_changes(x[1], y[1]):
+                print(f"  {change}")
+    total = len(set(before) | set(after))
+    print(f"{total - differing} of {total} commands identical")
+    return 1 if differing else 0
+
+
+def main() -> None:
+    ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    ap.add_argument("out", nargs="?", type=Path)
+    ap.add_argument("--src", type=Path, default=ROOT / "src")
+    ap.add_argument("--compare", nargs=2, type=Path, metavar=("BEFORE", "AFTER"))
+    args = ap.parse_args()
+    if args.compare:
+        sys.exit(compare(*args.compare))
+    if args.out is None:
+        ap.error("give OUT.json or --compare BEFORE AFTER")
+    dump(args.out, args.src)
+
+
+if __name__ == "__main__":
+    main()
