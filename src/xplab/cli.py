@@ -250,8 +250,8 @@ def _sign_plan(cfg: ExperimentConfig, items: list):
     return make_sample_plan(1, len(items), cfg.k, budget=cfg.budget, seed=cfg.seed)
 
 
-def _grid_plan(cfg: ExperimentConfig, modulus: int):
-    return make_sample_plan(modulus, cfg.n, cfg.k, budget=cfg.budget, seed=cfg.seed)
+def _grid_plan(cfg: ExperimentConfig, modulus: int, letters: int = 2):
+    return make_sample_plan(modulus, cfg.n, cfg.k, cfg.budget, cfg.seed, letters)
 
 
 def _trace_kind(cfg: ExperimentConfig):
@@ -355,9 +355,10 @@ def _run_smoothness(cfg: ExperimentConfig) -> dict:
 
 
 def _run_cotype(cfg: ExperimentConfig) -> dict:
-    M = 2 * cfg.m if cfg.variant == "three-letter" else 8 * cfg.m
-    f = _grid_function(cfg, M)
-    return cotype_report(f, cfg.s, cfg.variant, _grid_plan(cfg, M)).to_json_dict()
+    three = cfg.variant == "three-letter"
+    M = 2 * cfg.m if three else 8 * cfg.m
+    plan = _grid_plan(cfg, M, letters=3 if three else 2)
+    return cotype_report(_grid_function(cfg, M), cfg.s, cfg.variant, plan).to_json_dict()
 
 
 def _run_convolution_probe(cfg: ExperimentConfig) -> dict:
@@ -416,8 +417,8 @@ def _run_bridge(cfg: ExperimentConfig) -> dict:
 
 
 def _run_contraction(cfg: ExperimentConfig) -> dict:
-    zs = cfg.zs if cfg.zs is not None else np.eye(cfg.n).tolist()
     a = _coeffs(cfg)
+    zs = cfg.zs if cfg.zs is not None else np.eye(len(a)).tolist()
     return contraction_check(a, zs, cfg.p, _sign_plan(cfg, a)).to_json_dict()
 
 

@@ -16,6 +16,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
+from .lattice import _norm_power
 from .schatten import eigen_sym
 
 __all__ = [
@@ -145,10 +146,7 @@ def rosenthal_distortion_two_level(
 
 
 def _pairwise_lp(points: np.ndarray, p: float) -> np.ndarray:
-    diff = points[:, None, :] - points[None, :, :]
-    if p == 2.0:
-        return np.sqrt(np.sum(diff**2, axis=-1))
-    return np.sum(np.abs(diff) ** p, axis=-1) ** (1.0 / p)
+    return _norm_power(points[:, None, :] - points[None, :, :], p, 1.0)
 
 
 def distortion_from_matrices(

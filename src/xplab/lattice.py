@@ -9,9 +9,12 @@ the torus together with the exponent of the ``l_p`` norm used on values.
 x uniform on the torus and the displacement law of a spec: delta = v * eps
 with eps_j uniform on a letter set for j in the support of v, and
 delta' = -delta or 0 (``_law``).  An exhaustive plan takes every sign
-pattern in ``itertools.product`` order, sums each over all x with one numpy
-sum and combines the pattern sums with ``math.fsum``; a Monte Carlo plan
-draws ``budget`` pairs (x, eps) from a seeded stream.
+pattern in ``itertools.product`` order.  It sums each distinct displacement
+mod M (delta and -delta are one under a mirror law) once over all x, on
+rolled copies of the table with the value axis first, repeats that partial
+for every pattern that maps to it and combines the pattern partials with
+``math.fsum``; a Monte Carlo plan draws ``budget`` pairs (x, eps) from a
+seeded stream.
 """
 
 from __future__ import annotations
@@ -272,18 +275,20 @@ class SamplePlan:
 
 
 def make_sample_plan(
-    modulus: int, dimension: int, k: int, budget: int, seed: int
+    modulus: int, dimension: int, k: int, budget: int, seed: int, letters: int = 2
 ) -> SamplePlan:
-    """Exhaustive iff M^n * 2^n <= budget and C(n, k) <= budget.
+    """Exhaustive iff M^n * letters^n <= budget and C(n, k) <= budget.
 
-    Counts are formed in arbitrary-precision integers, so overflow cannot
-    occur; astronomically large state spaces simply select Monte Carlo.
+    ``letters`` is the size of the sign alphabet the report enumerates: 2 for
+    {-1, 1}, 3 for the {-1, 0, 1} of ``ThreeLetterDiagonal``.  Counts are
+    formed in arbitrary-precision integers, so overflow cannot occur;
+    astronomically large state spaces simply select Monte Carlo.
     """
     if modulus < 1 or dimension < 1:
         raise ValueError("modulus and dimension must be >= 1")
     if budget < 1:
         raise ValueError("budget must be >= 1")
-    total = (modulus**dimension) * (2**dimension)
+    total = (modulus**dimension) * (letters**dimension)
     subsets = math.comb(dimension, k) if 0 <= k <= dimension else None
     if subsets is None:
         raise ValueError(f"k={k} out of range for n={dimension}")
@@ -310,12 +315,18 @@ class GapEstimate:
     mode: str
 
 
-def _norm_power(diff: np.ndarray, value_p: float, power: float) -> np.ndarray:
-    """||diff||_{value_p}^{power} along the last axis."""
-    if power == value_p:
-        return np.sum(np.abs(diff) ** value_p, axis=-1)
-    norms = np.sum(np.abs(diff) ** value_p, axis=-1) ** (1.0 / value_p)
-    return norms**power
+def _norm_power(
+    diff: np.ndarray, value_p: float, power: float, axis: int = -1
+) -> np.ndarray:
+    """||diff||_{value_p}^{power} along ``axis``; overwrites ``diff``, so
+    callers pass a float array of their own, never a view of data they keep."""
+    np.abs(diff, out=diff)
+    diff **= value_p
+    norms = np.sum(diff, axis=axis)
+    if power != value_p:
+        norms **= 1.0 / value_p
+        norms **= power
+    return norms
 
 
 def _spec_tag(spec: DisplacementSpec) -> str:
@@ -376,14 +387,21 @@ def gap_moment_estimate(
         support = np.flatnonzero(v)
         deltas = np.zeros((len(letters) ** len(support), n), dtype=np.int64)
         deltas[:, support] = _pattern_rows(letters, len(support), plan, None) * v[support]
-        axes = tuple(range(n))
-        partials = []
-        for delta in deltas:
-            left = np.roll(values, tuple(-delta), axis=axes)
-            right = np.roll(values, tuple(delta), axis=axes) if mirror else values
-            partials.append(float(np.sum(_norm_power(left - right, f.value_p, power))))
-        count = len(deltas) * M**n
-        return GapEstimate(math.fsum(partials) / count, 0.0, count, "exhaustive")
+        # one key per distinct displacement mod M; under a mirror law delta
+        # and -delta only flip the sign of the difference
+        keys = [tuple(row) for row in (deltas % M).tolist()]
+        if mirror:
+            keys = [min(key, tuple(-c % M for c in key)) for key in keys]
+        table = np.ascontiguousarray(np.moveaxis(values, -1, 0))
+        axes = tuple(range(1, n + 1))
+        partial = {}
+        for key in set(keys):
+            diff = np.roll(table, tuple(-c for c in key), axis=axes)
+            diff -= np.roll(table, key, axis=axes) if mirror else table
+            partial[key] = float(np.sum(_norm_power(diff, f.value_p, power, axis=0)))
+        count = len(keys) * M**n
+        value = math.fsum(partial[key] for key in keys) / count
+        return GapEstimate(value, 0.0, count, "exhaustive")
 
     gen = stream(plan.seed, "gap:" + _spec_tag(spec))
     count = plan.budget

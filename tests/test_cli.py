@@ -245,6 +245,21 @@ class TestRun:
         with_n = runner.invoke(main, [*base, "--n", "14"])
         assert report == json.loads(with_n.output)["report"]
 
+    def test_contraction_default_vectors_from_the_coefficients(self, runner):
+        # no --n and no zs: one unit vector per coefficient
+        res = runner.invoke(main, ["run", "contraction", "--a", "1,2,3", "--deterministic"])
+        assert res.exit_code == 0, res.output
+        assert json.loads(res.output)["report"]["params"]["n"] == 3
+
+    def test_three_letter_cotype_budget_counts_three_letters(self, runner):
+        # 2^8 points and 3^8 patterns: 1,679,616 terms exceed the budget
+        res = runner.invoke(main, [
+            "run", "cotype", "--variant", "three-letter", "--m", "1", "--n", "8",
+            "--budget", "65536", "--deterministic",
+        ])
+        assert res.exit_code == 0, res.output
+        assert json.loads(res.output)["report"]["plan"]["mode"] == "monte-carlo"
+
 
 class TestScan:
     def test_sweep_produces_rows(self, runner):

@@ -1,6 +1,8 @@
 """Lattice primitives: points, displacement moments, plans, geodesics."""
 
 import itertools
+import math
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -24,7 +26,8 @@ from xplab.lattice import (
     random_grid_function,
     subset_stream,
 )
-from xplab.lattice import _spec_tag
+from xplab.inequalities import metric_xp_report
+from xplab.lattice import _law, _spec_tag
 from xplab.rng import stream
 
 
@@ -130,6 +133,82 @@ class TestGapMoment:
         assert est.stderr == float(np.std(samples, ddof=1) / np.sqrt(999))
 
 
+def per_pattern_reference(f: GridFunction, spec, power: float) -> tuple[float, int]:
+    """Exhaustive gap moment with one roll per sign pattern, value axis last."""
+    n, M, values = f.dimension, f.modulus, f.values
+    v, letters, mirror = _law(spec, n)
+    support = np.flatnonzero(v)
+    axes = tuple(range(n))
+    partials = []
+    for eps in itertools.product(letters, repeat=len(support)):
+        delta = np.zeros(n, dtype=np.int64)
+        delta[support] = np.asarray(eps) * v[support]
+        left = np.roll(values, tuple(-delta), axis=axes)
+        right = np.roll(values, tuple(delta), axis=axes) if mirror else values
+        terms = np.sum(np.abs(left - right) ** f.value_p, axis=-1)
+        if power != f.value_p:
+            terms = (terms ** (1.0 / f.value_p)) ** power
+        partials.append(float(np.sum(terms)))
+    count = len(partials) * M**n
+    return math.fsum(partials) / count, count
+
+
+def torus_specs(modulus: int, n: int) -> tuple:
+    return (Edge(1), Diagonal(), SymmetricDiagonal(), ThreeLetterDiagonal(),
+            ShiftedSet((1, 2), modulus // 2), ShiftedSet((2,), 1),
+            FixedShift((3, -1) + (0,) * (n - 2)))
+
+
+class TestExhaustiveDedup:
+    """Each distinct displacement is rolled once; the result is unchanged."""
+
+    @pytest.mark.parametrize("modulus", [2, 4, 8, 16])
+    @pytest.mark.parametrize("d", [1, 2, 4])
+    @pytest.mark.parametrize("power", [3.0, 2.0], ids=["power=value_p", "power=2"])
+    def test_equals_per_pattern_loop(self, modulus, d, power):
+        n = 3 if modulus <= 8 else 2
+        f = random_grid_function(modulus, n, d, 3.0, seed=modulus + d)
+        plan = exhaustive_plan(modulus, n)
+        for spec in torus_specs(modulus, n):
+            est = gap_moment_estimate(f, spec, plan, power=power)
+            assert (est.value, est.count) == per_pattern_reference(f, spec, power), spec
+
+    @pytest.mark.parametrize("d", [8, 9])
+    def test_long_value_axis_within_rounding(self, d):
+        # numpy sums an axis of 8 or more pairwise when it is last, and
+        # sequentially when it is first
+        f = random_grid_function(4, 2, d, 3.0, seed=d)
+        plan = exhaustive_plan(4, 2)
+        for spec in torus_specs(4, 2):
+            for power in (3.0, 2.0):
+                est = gap_moment_estimate(f, spec, plan, power=power)
+                value, count = per_pattern_reference(f, spec, power)
+                assert est.count == count
+                assert est.value == pytest.approx(value, rel=1e-14, abs=0.0)
+
+    @staticmethod
+    def count_rolls(monkeypatch) -> mock.Mock:
+        rolls = mock.Mock(wraps=np.roll)
+        monkeypatch.setattr(np, "roll", rolls)
+        return rolls
+
+    def test_metric_xp_rolls(self, monkeypatch):
+        # lhs: the 4 sign patterns of 8 eps_S coincide mod 16, so 6 subsets
+        # cost 6 rolls, not 24; edges 4; diagonal 16
+        f = random_grid_function(16, 4, 1, 3.0, seed=0)
+        rolls = self.count_rolls(monkeypatch)
+        metric_xp_report(f, 2, exhaustive_plan(16, 4, 2))
+        assert rolls.call_count == 26
+
+    def test_symmetric_diagonal_rolls(self, monkeypatch):
+        # eps and -eps give one displacement: 8 pairs, two rolls each
+        f = random_grid_function(4, 4, 2, 3.0, seed=0)
+        rolls = self.count_rolls(monkeypatch)
+        est = gap_moment_estimate(f, SymmetricDiagonal(), exhaustive_plan(4, 4))
+        assert rolls.call_count == 16
+        assert est.count == 2**4 * 4**4
+
+
 class TestGridFunction:
     def test_shift_semantics(self):
         f = random_grid_function(6, 2, 1, 2.0, seed=9)
@@ -157,6 +236,12 @@ class TestSamplePlan:
 
     def test_monte_carlo_when_large(self):
         plan = make_sample_plan(16, 8, 4, budget=10**5, seed=0)
+        assert plan.mode == "monte-carlo"
+
+    def test_three_letters_charged_three_to_the_n(self):
+        # 2^8 * 2^8 = 65536 fits the budget; the three-letter 2^8 * 3^8 does not
+        assert make_sample_plan(2, 8, 1, budget=65536, seed=0).mode == "exhaustive"
+        plan = make_sample_plan(2, 8, 1, budget=65536, seed=0, letters=3)
         assert plan.mode == "monte-carlo"
 
     def test_invalid_mode_rejected(self):
