@@ -132,6 +132,25 @@ def _finalize(
 # ---------------------------------------------------------------------------
 
 
+def _sign_rows(r: int, plan: SamplePlan, purpose: str) -> np.ndarray:
+    """The sign patterns of ``signed_power_mean`` for a subset of size r."""
+    gen = None if plan.mode == "exhaustive" else stream(plan.seed, purpose)
+    return _pattern_rows((-1.0, 1.0), r, plan, gen)
+
+
+def _signed_sum_mean(
+    items: Sequence[np.ndarray],
+    subset: Sequence[int],
+    patterns: np.ndarray,
+    power_fn: Callable[[np.ndarray], np.ndarray],
+) -> float:
+    """``signed_power_mean`` over the given sign rows."""
+    stackdim = np.stack([items[j - 1] for j in subset], axis=0)  # (s, ...)
+    sums = np.tensordot(patterns, stackdim, axes=(1, 0))  # (batch, ...)
+    vals = np.asarray(power_fn(sums), dtype=float)
+    return math.fsum(vals.tolist()) / len(vals)
+
+
 def signed_power_mean(
     items: Sequence[np.ndarray],
     subset: Sequence[int],
@@ -145,25 +164,28 @@ def signed_power_mean(
     patterns and must return one float per pattern.  The patterns are the
     rows of {-1, 1}^{|S|} that the gap moments use: all 2^{|S|} in a fixed
     order for exhaustive plans, ``plan.budget`` draws from the (seed,
-    purpose) stream for Monte Carlo plans.  The scalar, l_p^d and Schatten
-    reports reach it through one helper, ``_xp_moments``; a 1x1 matrix has
-    ``eigvalsh`` equal to its entry, so the Schatten report at d = 1 performs
-    the float operations of the scalar one.
+    purpose) stream for Monte Carlo plans.  The rows depend on |S| only, so
+    ``_xp_moments`` draws them once per report and sums every subset against
+    the same rows; a 1x1 matrix has ``eigvalsh`` equal to its entry, so the
+    Schatten report at d = 1 performs the float operations of the scalar one.
     """
-    stackdim = np.stack([items[j - 1] for j in subset], axis=0)  # (s, ...)
-    gen = None if plan.mode == "exhaustive" else stream(plan.seed, purpose)
-    patterns = _pattern_rows((-1.0, 1.0), len(subset), plan, gen)
-    sums = np.tensordot(patterns, stackdim, axes=(1, 0))  # (batch, ...)
-    vals = np.asarray(power_fn(sums), dtype=float)
-    return math.fsum(vals.tolist()) / len(vals)
+    patterns = _sign_rows(len(subset), plan, purpose)
+    return _signed_sum_mean(items, subset, patterns, power_fn)
 
 
 def subset_average(
     fn: Callable[[tuple[int, ...]], float], n: int, k: int, plan: SamplePlan
 ) -> float:
-    """Mean of ``fn(S)`` over the plan's stream of size-k subsets of 1..n."""
-    vals = [fn(S) for S in subset_stream(n, k, plan)]
-    return math.fsum(vals) / len(vals)
+    """Mean of ``fn(S)`` over the plan's stream of size-k subsets of 1..n.
+
+    ``fn`` must be a deterministic function of S (gap moments and sign means
+    reseed their own streams, the other callers are closed forms): it is
+    called once per distinct subset, and every draw adds its subset's value
+    to the ``math.fsum`` in draw order.
+    """
+    subsets = list(subset_stream(n, k, plan))
+    value = {S: fn(S) for S in dict.fromkeys(subsets)}
+    return math.fsum(value[S] for S in subsets) / len(subsets)
 
 
 def _xp_moments(
@@ -173,18 +195,21 @@ def _xp_moments(
     """The moments of the linear X_p inequality for coefficients x_j:
 
     avg_{|S|=k} E power_fn(sum_{j in S} eps_j x_j), sum_j power_fn(x_j) and
-    E power_fn(sum_j eps_j x_j) (None unless ``full``).
+    E power_fn(sum_j eps_j x_j) (None unless ``full``).  The k-column sign
+    rows are drawn once and shared by every subset; the full average draws
+    its own n-column rows.
     """
     n = len(items)
     if not 1 <= k <= n:
         raise ValueError(f"k={k} out of range for n={n}")
-
-    def moment(S: tuple[int, ...]) -> float:
-        return signed_power_mean(items, S, power_fn, plan, purpose)
-
-    subset = subset_average(moment, n, k, plan)
+    rows = _sign_rows(k, plan, purpose)
+    subset = subset_average(
+        lambda S: _signed_sum_mean(items, S, rows, power_fn), n, k, plan
+    )
     ell = math.fsum(power_fn(np.stack(items)).tolist())
-    return subset, ell, (moment(tuple(range(1, n + 1))) if full else None)
+    rad = (signed_power_mean(items, tuple(range(1, n + 1)), power_fn, plan, purpose)
+           if full else None)
+    return subset, ell, rad
 
 
 def _as_vectors(a: Sequence[float] | np.ndarray) -> np.ndarray:

@@ -14,7 +14,9 @@ mod M (delta and -delta are one under a mirror law) once over all x, on
 rolled copies of the table with the value axis first, repeats that partial
 for every pattern that maps to it and combines the pattern partials with
 ``math.fsum``; a Monte Carlo plan draws ``budget`` pairs (x, eps) from a
-seeded stream.
+seeded stream (a one-letter law draws x only) and gathers both values of
+each pair as rows of the table flattened to ``(M**n, d)``, one flat row
+index per sample.
 """
 
 from __future__ import annotations
@@ -406,9 +408,12 @@ def gap_moment_estimate(
     gen = stream(plan.seed, "gap:" + _spec_tag(spec))
     count = plan.budget
     x = gen.integers(0, M, size=(count, n))
-    delta = v * _pattern_rows(letters, n, plan, gen)
-    left = values[tuple(((x + delta) % M).T)]
-    right = values[tuple(((x - delta) % M).T)] if mirror else values[tuple(x.T)]
+    # a one-letter law has delta = v: no sign draw, the stream's last, is needed
+    delta = v * _pattern_rows(letters, n, plan, gen) if len(letters) > 1 else v
+    table = values.reshape(M**n, f.value_dim)
+    place = M ** np.arange(n - 1, -1, -1)
+    left = table.take(((x + delta) % M) @ place, axis=0)
+    right = table.take(((x - delta) % M if mirror else x) @ place, axis=0)
     samples = _norm_power(left - right, f.value_p, power)
     mean = float(np.mean(samples))
     stderr = float(np.std(samples, ddof=1) / math.sqrt(count)) if count > 1 else 0.0

@@ -2,12 +2,14 @@
 
 import itertools
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from xplab import inequalities
 from xplab.inequalities import (
     BMW,
     Enflo,
@@ -22,8 +24,17 @@ from xplab.inequalities import (
     reverse_metric_xp_report,
     scaling_witness_report,
     smoothness_report,
+    subset_average,
 )
-from xplab.lattice import GridFunction, SamplePlan, make_sample_plan, random_grid_function
+from xplab.lattice import (
+    GridFunction,
+    SamplePlan,
+    ShiftedSet,
+    gap_moment,
+    make_sample_plan,
+    random_grid_function,
+    subset_stream,
+)
 from xplab.operators import HypercubeFunction
 
 
@@ -112,6 +123,40 @@ class TestSharedMoments:
         assert rev.lhs_terms == lin.rhs_terms
         assert rev.rhs_terms["subset"] == lin.lhs
         assert rev.params == {k: v for k, v in lin.params.items() if k != "mode"}
+
+
+class TestMonteCarloReuse:
+    """Repeated subsets and sign streams are evaluated once per report."""
+
+    PLAN = SamplePlan("monte-carlo", 600, 11, subset_mode="sampled", subset_count=600)
+
+    def test_subset_average_calls_fn_once_per_distinct_subset(self):
+        # 600 draws of a 2-subset of 1..4 hit each of the C(4, 2) = 6 subsets
+        f = random_grid_function(8, 4, 2, 3.0, seed=2)
+        fn = mock.Mock(side_effect=lambda S: gap_moment(f, ShiftedSet(S, 2), self.PLAN))
+        value = subset_average(fn, 4, 2, self.PLAN)
+        assert fn.call_count == 6
+        draws = [gap_moment(f, ShiftedSet(S, 2), self.PLAN)
+                 for S in subset_stream(4, 2, self.PLAN)]
+        assert value == math.fsum(draws) / 600
+
+    @staticmethod
+    def count_streams(monkeypatch) -> mock.Mock:
+        opened = mock.Mock(wraps=inequalities.stream)
+        monkeypatch.setattr(inequalities, "stream", opened)
+        return opened
+
+    @pytest.mark.parametrize("square_function,opens", [(False, 2), (True, 1)],
+                             ids=["rademacher", "square_function"])
+    def test_linear_xp_draws_each_sign_stream_once(self, monkeypatch, square_function,
+                                                   opens):
+        # one draw of the k-column rows for every subset, one of the n-column
+        # rows for the full average, which square-function mode skips
+        plan = SamplePlan("monte-carlo", 300, 3, subset_mode="sampled", subset_count=40)
+        opened = self.count_streams(monkeypatch)
+        linear_xp_report([0.7, -1.3, 0.2, 2.1, -0.4, 1.1], 3, 4.0, plan,
+                         square_function=square_function)
+        assert [c.args for c in opened.call_args_list] == [(3, "signs:xp")] * opens
 
 
 class TestMetricXp:

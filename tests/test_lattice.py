@@ -109,24 +109,31 @@ class TestGapMoment:
         exact = gap_moment(f, spec, exhaustive_plan(8, 2))
         assert abs(est.value - exact) < 6 * est.stderr
 
-    @pytest.mark.parametrize("spec,delta", [
-        (Edge(2), lambda eps: np.array([0, 1, 0])),
-        (Diagonal(), lambda eps: eps),
-        (SymmetricDiagonal(), lambda eps: eps),
-        (ShiftedSet((1, 3), 2), lambda eps: eps * np.array([2, 0, 2])),
-        (FixedShift((3, 0, -1)), lambda eps: np.array([3, 0, -1])),
-    ], ids=["Edge", "Diagonal", "SymmetricDiagonal", "ShiftedSet", "FixedShift"])
-    def test_monte_carlo_stream_is_pinned(self, spec, delta):
+    @pytest.mark.parametrize("modulus,n,spec,delta", [
+        (6, 3, Edge(2), lambda eps: np.array([0, 1, 0])),
+        (6, 3, Diagonal(), lambda eps: eps),
+        (6, 3, SymmetricDiagonal(), lambda eps: eps),
+        (6, 3, ShiftedSet((1, 3), 2), lambda eps: eps * np.array([2, 0, 2])),
+        (6, 3, FixedShift((3, 0, -1)), lambda eps: np.array([3, 0, -1])),
+        (5, 1, Diagonal(), lambda eps: eps),
+        (7, 3, SymmetricDiagonal(), lambda eps: eps),
+        (4, 2, ShiftedSet((2,), 9), lambda eps: eps * np.array([0, 9])),
+        (4, 2, ShiftedSet((1, 2), -4), lambda eps: eps * -4),
+    ], ids=["Edge", "Diagonal", "SymmetricDiagonal", "ShiftedSet", "FixedShift",
+            "n=1", "odd-M", "ShiftedSet-t>M", "ShiftedSet-t=-M"])
+    def test_monte_carlo_stream_is_pinned(self, modulus, n, spec, delta):
         # the draws of the spec's stream: x first, then +-1 over all n
-        # coordinates, which a spec without random signs leaves unused
-        f = random_grid_function(6, 3, 2, 3.0, seed=4)
+        # coordinates, which a spec without random signs leaves unused; the
+        # reference gathers with a tuple of n index arrays
+        f = random_grid_function(modulus, n, 2, 3.0, seed=4)
         plan = SamplePlan("monte-carlo", 999, seed=8)
         gen = stream(8, "gap:" + _spec_tag(spec))
-        x = gen.integers(0, 6, size=(999, 3))
-        eps = gen.integers(0, 2, size=(999, 3)) * 2 - 1
+        x = gen.integers(0, modulus, size=(999, n))
+        eps = gen.integers(0, 2, size=(999, n)) * 2 - 1
         d = delta(eps)
         right = -d if isinstance(spec, SymmetricDiagonal) else 0 * d
-        diff = f.values[tuple(((x + d) % 6).T)] - f.values[tuple(((x + right) % 6).T)]
+        diff = (f.values[tuple(((x + d) % modulus).T)]
+                - f.values[tuple(((x + right) % modulus).T)])
         samples = np.sum(np.abs(diff) ** 3.0, axis=-1)
         est = gap_moment_estimate(f, spec, plan)
         assert est.value == float(np.mean(samples))
