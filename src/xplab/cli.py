@@ -11,7 +11,6 @@ suite and prints a check table.  ``xplab scan REPORT --sweep NAME --values
 from __future__ import annotations
 
 import csv
-import dataclasses
 import io
 import json
 import math
@@ -150,11 +149,11 @@ class ExperimentConfig:
         )
 
     def to_dict(self) -> dict:
-        return dataclasses.asdict(self)
+        return {name: getattr(self, name) for name in _FIELDS}
 
 
 # The one parameter table: field name -> declared type, a string such as
-# "int" under postponed annotations.  The run/scan options, the config-file
+# "int" under postponed annotations.  The run/scan flags, the config-file
 # check and the scan cast all derive from it.
 _FIELDS = {f.name: f.type for f in fields(ExperimentConfig)}
 _JSON_TYPES = {"bool": bool, "str": str, "list | None": (list, type(None)),
@@ -180,14 +179,10 @@ def _checked(name: str, kind: str, value):
 def _load_config(options: dict, defaults: dict) -> ExperimentConfig:
     """``defaults``, overlaid with the ``--config`` file, then the given flags."""
     base = dict(defaults)
-    if options["config_path"]:
+    if "config_path" in options:
         with open(options["config_path"], encoding="utf-8") as fh:
             base.update(json.load(fh))
-    base.update((k, v) for k, v in options.items() if k in _FIELDS and v is not None)
-    if options["a_csv"] is not None:
-        base["a"] = [float(v) for v in options["a_csv"].split(",")]
-    if options["family"] is not None:
-        base["function"] = {"family": options["family"]}
+    base.update((k, v) for k, v in options.items() if k in _FIELDS)
     return ExperimentConfig.from_dict(base)
 
 
@@ -483,6 +478,8 @@ def _csv_text(rows: list[dict]) -> str:
 
 def _document_text(cfg: ExperimentConfig) -> tuple[str, int]:
     """The xp-report/1 document of one report, and its exit code."""
+    if cfg.format not in ("json", "csv"):
+        raise ValueError(f"unknown format {cfg.format!r}")
     start = time.monotonic()
     payload = REPORTS[cfg.subcommand](cfg)
     wall = time.monotonic() - start
@@ -496,10 +493,8 @@ def _document_text(cfg: ExperimentConfig) -> tuple[str, int]:
         document["wall_clock_s"] = wall
     if cfg.format == "json":
         text = json.dumps(document, sort_keys=True, indent=2) + "\n"
-    elif cfg.format == "csv":
-        text = _csv_text([_flatten(document)])
     else:
-        raise ValueError(f"unknown format {cfg.format!r}")
+        text = _csv_text([_flatten(document)])
     return text, 2 if payload.get("warnings") else 0
 
 
@@ -532,16 +527,94 @@ def _scan_text(cfg: ExperimentConfig, name: str, values_csv: str) -> tuple[str, 
     return _csv_text(rows), 0
 
 
-def _execute(report: str | None, options: dict, render, *args, **defaults) -> None:
-    """Load the config over ``defaults``, render it with ``render(cfg, *args)``,
-    write the text to ``cfg.out`` or stdout, and exit with the rendered exit
-    code (1 with a JSON error on stderr when anything fails)."""
+# The run/scan flag table: --flag -> (key, cast), cast None for a bool flag
+# that takes no value.  One row per scalar config field (``_`` written as
+# ``-``), plus the flags that do not map one to one onto a field.
+_CASTS = {"int": int, "float": float, "str": str, "bool": None}
+_RUN_FLAGS = {
+    "--config": ("config_path", str),
+    "--a": ("a", lambda text: [float(v) for v in text.split(",")]),
+    "--family": ("function", lambda name: {"family": name}),
+    **{"--" + name.replace("_", "-"): (name, _CASTS[kind])
+       for name, kind in _FIELDS.items() if kind in _CASTS and name != "subcommand"},
+    # float, so that --budget 1e6 works; the config check makes it an int
+    "--budget": ("budget", float),
+}
+_SCAN_FLAGS = {"--sweep": ("sweep", str), "--values": ("values", str), **_RUN_FLAGS}
+_FLAG_HELP = {
+    "--a": "comma-separated scalar coefficients",
+    "--family": "builtin function family (random/character/indicator/cosine)",
+    "--sweep": "name of the single swept config field",
+    "--values": "comma-separated sweep values, or geom:start:stop:count",
+}
+
+
+def _flag_help(flags: dict) -> str:
+    """The report names and the flag list, one line per row of ``flags``,
+    that ``--help`` prints."""
+    lines = [f"Reports: {', '.join(sorted(REPORTS))}.", "", "\b",
+             "Flags (--flag VALUE or --flag=VALUE; a bool flag takes no value):"]
+    for flag, (_, cast) in flags.items():
+        metavar = {int: "INTEGER", float: "FLOAT"}.get(cast, "TEXT")
+        usage = flag if cast is None else f"{flag} {metavar}"
+        lines.append(f"  {usage:<22} {_FLAG_HELP.get(flag, '')}".rstrip())
+    return "\n".join(lines)
+
+
+def _parse(tokens: tuple, flags: dict) -> tuple[str | None, dict]:
+    """The report name and the ``key -> value`` of each flag in ``tokens``.
+
+    A flag is ``--flag value`` or ``--flag=value``, a bool flag takes no
+    value, a repeated flag keeps its last value, and the one bare token,
+    wherever it stands, is the report.
+    """
+    report, options = None, {}
+    rest = iter(tokens)
+    for token in rest:
+        if not token.startswith("--"):
+            if report is not None:
+                raise ValueError(f"unexpected argument {token!r}")
+            report = token
+            continue
+        flag, eq, value = token.partition("=")
+        if flag not in flags:
+            raise ValueError(f"no such flag {flag}")
+        key, cast = flags[flag]
+        if cast is None:
+            if eq:
+                raise ValueError(f"flag {flag} takes no value")
+            options[key] = True
+            continue
+        if not eq:
+            value = next(rest, None)
+            if value is None:
+                raise ValueError(f"flag {flag} needs a value")
+        try:
+            options[key] = cast(value)
+        except ValueError:
+            raise ValueError(f"invalid value {value!r} for {flag}") from None
+    return report, options
+
+
+def _execute(tokens: tuple, flags: dict, render, *required: str, **defaults) -> None:
+    """Parse ``tokens`` against ``flags``, load the config over ``defaults``,
+    render it with ``render(cfg, *values of the required flags)``, write the
+    text to ``cfg.out`` or stdout, and exit with the rendered exit code (1
+    with a JSON error on stderr when anything fails)."""
+    if "--help" in tokens:  # after the report name, where click stops looking
+        ctx = click.get_current_context()
+        click.echo(ctx.get_help(), file=sys.stdout)
+        ctx.exit()
     try:
+        report, options = _parse(tokens, flags)
+        missing = [f"--{key}" for key in required if key not in options]
+        if missing:
+            raise ValueError(f"missing flag {', '.join(missing)}")
         cfg = _load_config(options, defaults)
         cfg.subcommand = report or cfg.subcommand
         if cfg.subcommand not in REPORTS:
             raise ValueError(f"unknown report {cfg.subcommand!r}")
-        text, code = render(cfg, *args)
+        text, code = render(cfg, *(options[key] for key in required))
         if cfg.out:
             with open(cfg.out, "w", encoding="utf-8") as fh:
                 fh.write(text)
@@ -551,43 +624,10 @@ def _execute(report: str | None, options: dict, render, *args, **defaults) -> No
             # itself, so each swapped-in sys.stdout would be kept for good.
             click.echo(text, nl=False, file=sys.stdout)
     except Exception as exc:  # noqa: BLE001 - single process boundary
-        _error_exit(exc)
+        payload = {"error": type(exc).__name__, "message": str(exc)}
+        click.echo(json.dumps(payload, sort_keys=True), file=sys.stderr)
+        sys.exit(1)
     sys.exit(code)
-
-
-def _error_exit(exc: Exception) -> None:
-    payload = {"error": type(exc).__name__, "message": str(exc)}
-    click.echo(json.dumps(payload, sort_keys=True), file=sys.stderr)
-    sys.exit(1)
-
-
-_FLAG_TYPES = {"int": int, "float": float, "str": str}
-
-
-def _with_config_options(fn):
-    """One ``--<field>`` option per scalar config field, plus the flags that
-    do not map one to one onto a field."""
-    opts = [
-        click.option("--config", "config_path", type=click.Path(exists=True), default=None),
-        click.option("--a", "a_csv", type=str, default=None,
-                     help="comma-separated scalar coefficients"),
-        click.option("--family", type=str, default=None,
-                     help="builtin function family (random/character/indicator/cosine)"),
-        click.option("--format", type=click.Choice(["json", "csv"]), default=None),
-        # float, so that --budget 1e6 works; the config check makes it an int
-        click.option("--budget", type=float, default=None),
-    ]
-    for name, kind in _FIELDS.items():
-        if name in ("subcommand", "format", "budget"):
-            continue
-        flag = "--" + name.replace("_", "-")
-        if kind == "bool":
-            opts.append(click.option(flag, name, is_flag=True, flag_value=True, default=None))
-        elif kind in _FLAG_TYPES:
-            opts.append(click.option(flag, name, type=_FLAG_TYPES[kind], default=None))
-    for opt in reversed(opts):
-        fn = opt(fn)
-    return fn
 
 
 @click.group()
@@ -596,24 +636,24 @@ def main() -> None:
     """Numerical laboratory for torus, hypercube and Schatten inequalities."""
 
 
-@main.command()
-@click.argument("report", type=click.Choice(sorted(REPORTS)), required=False)
-@_with_config_options
-def run(report: str | None, **options) -> None:
+# run and scan hand their tokens to _parse.  Unknown options are kept as
+# tokens, and option matching stops at the first bare token (the report
+# name), so click does not look up each flag against an option table.
+_TOKENS = {"ignore_unknown_options": True, "allow_interspersed_args": False}
+
+
+@main.command(context_settings=_TOKENS, epilog=_flag_help(_RUN_FLAGS))
+@click.argument("tokens", nargs=-1, type=click.UNPROCESSED, metavar="REPORT [FLAGS]...")
+def run(tokens: tuple) -> None:
     """Execute one report and write an xp-report/1 JSON document."""
-    _execute(report, options, _document_text)
+    _execute(tokens, _RUN_FLAGS, _document_text)
 
 
-@main.command()
-@click.argument("report", type=click.Choice(sorted(REPORTS)))
-@click.option("--sweep", "sweep_name", type=str, required=True,
-              help="name of the single swept config field")
-@click.option("--values", "values_csv", type=str, required=True,
-              help="comma-separated sweep values, or geom:start:stop:count")
-@_with_config_options
-def scan(report: str, sweep_name: str, values_csv: str, **options) -> None:
+@main.command(context_settings=_TOKENS, epilog=_flag_help(_SCAN_FLAGS))
+@click.argument("tokens", nargs=-1, type=click.UNPROCESSED, metavar="REPORT [FLAGS]...")
+def scan(tokens: tuple) -> None:
     """Sweep exactly one parameter and write one CSV row per value."""
-    _execute(report, options, _scan_text, sweep_name, values_csv, format="csv")
+    _execute(tokens, _SCAN_FLAGS, _scan_text, "sweep", "values", format="csv")
 
 
 # ---------------------------------------------------------------------------

@@ -57,7 +57,9 @@ class TestConfigTypes:
         err = json.loads(res.output.splitlines()[-1])
         assert err["error"] == "ValueError" and "'n'" in err["message"]
         flag = runner.invoke(main, ["run", "rosenthal-distortion", "--n", "8.7"])
-        assert flag.exit_code != 0
+        assert flag.exit_code == 1
+        assert json.loads(flag.stderr)["error"] == "ValueError"
+        assert "--n" in json.loads(flag.stderr)["message"]
 
     def test_integral_budget_stored_as_int(self, runner, tmp_path):
         cfg = ExperimentConfig.from_dict({"budget": 1e6, "n": 8.0})
@@ -154,6 +156,78 @@ class TestFlagFieldParity:
                                    "--values", "0,1"])
         assert res.exit_code == 1
         assert "bool field 'square_function'" in res.output
+
+
+class TestFlagGrammar:
+    """--flag value and --flag=value, bool flags without a value, the last of
+    a repeated flag, and the report name wherever it stands."""
+
+    def _same(self, runner, left, right):
+        a, b = runner.invoke(main, left), runner.invoke(main, right)
+        assert a.exit_code == b.exit_code == 0, a.output + b.output
+        assert a.stdout == b.stdout
+        return a.stdout
+
+    def test_bool_flag_before_the_report(self, runner):
+        self._same(runner, ["run", "--deterministic", "linear-xp", "--a", "1,1"],
+                   ["run", "linear-xp", "--a", "1,1", "--deterministic"])
+
+    def test_equals_form_takes_a_negative_value(self, runner):
+        out = self._same(runner, ["run", "linear-xp", "--q=-1.5", "--deterministic"],
+                         ["run", "linear-xp", "--q", "-1.5", "--deterministic"])
+        assert json.loads(out)["config"]["q"] == -1.5
+
+    def test_negative_coefficients(self, runner):
+        out = self._same(runner, ["run", "linear-xp", "--a", "-1,2", "--deterministic"],
+                         ["run", "linear-xp", "--a=-1,2", "--deterministic"])
+        assert json.loads(out)["config"]["a"] == [-1.0, 2.0]
+
+    def test_repeated_flag_keeps_the_last_value(self, runner):
+        out = self._same(runner, ["run", "linear-xp", "--seed", "3", "--seed", "5",
+                                  "--deterministic"],
+                         ["run", "linear-xp", "--seed", "5", "--deterministic"])
+        assert json.loads(out)["config"]["seed"] == 5
+
+    def test_scan_flags_before_and_after_the_report(self, runner):
+        sweep = ["--sweep", "n", "--values", "4,8"]
+        rest = ["--q", "3", "--p", "6"]
+        out = self._same(runner, ["scan", *sweep, "rosenthal-distortion", *rest],
+                         ["scan", "rosenthal-distortion", *rest, *sweep])
+        assert len(out.strip().splitlines()) == 3
+
+    @pytest.mark.parametrize("command,extra", [
+        ("run", []), ("scan", ["--sweep", "--values"]),
+    ], ids=["run", "scan"])
+    def test_help_lists_every_flag(self, runner, command, extra):
+        text = runner.invoke(main, [command, "--help"]).stdout
+        flags = ["--config", "--a", "--family", "--budget", *extra]
+        flags += ["--" + f.name.replace("_", "-") for f in SCALAR_FIELDS]
+        assert [flag for flag in flags if flag not in text.split()] == []
+        after = runner.invoke(main, [command, "linear-xp", "--help"])
+        assert after.exit_code == 0 and after.stdout == text
+
+
+class TestUsageErrors:
+    """Bad flags and values exit 1 with a JSON error on stderr, never 2."""
+
+    @pytest.mark.parametrize("args,error", [
+        (["run", "rosenthal-distortion", "--n", "8.7"], "ValueError"),
+        (["run", "linear-xp", "--bogus", "1"], "ValueError"),
+        (["run", "linear-xp", "--config", "no/such/config.json"], "FileNotFoundError"),
+        (["run", "nosuch"], "ValueError"),
+        (["scan", "linear-xp", "--values", "1,2"], "ValueError"),
+        (["run", "linear-xp", "--n"], "ValueError"),
+        (["run", "linear-xp", "--deterministic=1"], "ValueError"),
+        (["run", "linear-xp", "trace"], "ValueError"),
+        (["run", "linear-xp", "--format", "xml"], "ValueError"),
+    ], ids=["fractional-int", "unknown-flag", "missing-config", "unknown-report",
+            "scan-without-sweep", "flag-without-value", "bool-flag-with-value",
+            "second-report", "unknown-format"])
+    def test_exit_one_with_json_error(self, runner, args, error):
+        res = runner.invoke(main, args)
+        assert res.exit_code == 1
+        assert res.stdout == ""
+        assert json.loads(res.stderr)["error"] == error
 
 
 class TestRun:
