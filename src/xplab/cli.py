@@ -17,6 +17,7 @@ import math
 import sys
 import time
 from dataclasses import dataclass, fields
+from typing import NoReturn
 
 import click
 import numpy as np
@@ -346,7 +347,7 @@ def _run_psd_counterexample(cfg: ExperimentConfig) -> dict:
 
 
 def _run_smoothness(cfg: ExperimentConfig) -> dict:
-    return smoothness_report(_hypercube(cfg), _smoothness_kind(cfg), norm_p=2.0).to_json_dict()
+    return smoothness_report(_hypercube(cfg), _smoothness_kind(cfg)).to_json_dict()
 
 
 def _run_cotype(cfg: ExperimentConfig) -> dict:
@@ -596,6 +597,13 @@ def _parse(tokens: tuple, flags: dict) -> tuple[str | None, dict]:
     return report, options
 
 
+def _fail(exc: Exception) -> NoReturn:
+    """Write ``exc`` to stderr as a JSON error and exit 1."""
+    payload = {"error": type(exc).__name__, "message": str(exc)}
+    click.echo(json.dumps(payload, sort_keys=True), file=sys.stderr)
+    sys.exit(1)
+
+
 def _execute(tokens: tuple, flags: dict, render, *required: str, **defaults) -> None:
     """Parse ``tokens`` against ``flags``, load the config over ``defaults``,
     render it with ``render(cfg, *values of the required flags)``, write the
@@ -624,9 +632,7 @@ def _execute(tokens: tuple, flags: dict, render, *required: str, **defaults) -> 
             # itself, so each swapped-in sys.stdout would be kept for good.
             click.echo(text, nl=False, file=sys.stdout)
     except Exception as exc:  # noqa: BLE001 - single process boundary
-        payload = {"error": type(exc).__name__, "message": str(exc)}
-        click.echo(json.dumps(payload, sort_keys=True), file=sys.stderr)
-        sys.exit(1)
+        _fail(exc)
     sys.exit(code)
 
 
@@ -845,9 +851,12 @@ SUITES = {
 
 
 @main.command()
-@click.argument("suite", type=click.Choice(sorted(SUITES) + ["all"]))
-def verify(suite: str) -> None:
+@click.argument("suite", required=False, metavar="{" + "|".join([*sorted(SUITES), "all"]) + "}")
+def verify(suite: str | None) -> None:
     """Run a named invariant suite and print a check table."""
+    if suite != "all" and suite not in SUITES:
+        _fail(ValueError(f"unknown suite {suite!r}; choose one of "
+                         f"{', '.join(sorted(SUITES))} or all"))
     names = sorted(SUITES) if suite == "all" else [suite]
     failed = 0
     click.echo(f"{'check':<48} {'status':<6} {'observed':>14} {'threshold':>12}",

@@ -48,27 +48,23 @@ __all__ = [
 
 DEFAULT_NODES = 512
 _BLOCK = 1 << 15  # float64 elements per quadrature or coefficient block
+_MOMENT_TOL = 1e-10  # relative change that stops circular_moment's refinement
 
 
-def _theta_nodes(nodes: int) -> np.ndarray:
-    if nodes < 64:
-        raise ValueError("need at least 64 quadrature nodes")
-    return 2.0 * math.pi * np.arange(nodes) / nodes
-
-
-def _pair_powers(w: np.ndarray, p: float, nodes: int = DEFAULT_NODES) -> np.ndarray:
+def _pair_powers(w: np.ndarray, p: float) -> np.ndarray:
     """||(Re w, Im w)||^p for each complex d-vector on the last axis of ``w``.
 
-    2π · mean_θ sum_i |cos θ Re w_i - sin θ Im w_i|^p over the periodic
-    trapezoid nodes, in blocks of at most ``_BLOCK`` float64 elements.
+    2π · mean_θ sum_i |cos θ Re w_i - sin θ Im w_i|^p over the
+    ``DEFAULT_NODES`` periodic trapezoid nodes, in blocks of at most
+    ``_BLOCK`` float64 elements.
     """
     w = np.asarray(w, dtype=complex)
     d = w.shape[-1]
     flat = w.reshape(math.prod(w.shape[:-1]), d)
-    theta = _theta_nodes(nodes)
+    theta = 2.0 * math.pi * np.arange(DEFAULT_NODES) / DEFAULT_NODES
     cos, sin = np.cos(theta)[:, None], np.sin(theta)[:, None]
     out = np.empty(len(flat))
-    rows = max(1, _BLOCK // (nodes * max(d, 1)))
+    rows = max(1, _BLOCK // (DEFAULT_NODES * max(d, 1)))
     for lo in range(0, len(flat), rows):
         block = flat[lo:lo + rows, None, :]
         vals = cos * block.real
@@ -76,20 +72,15 @@ def _pair_powers(w: np.ndarray, p: float, nodes: int = DEFAULT_NODES) -> np.ndar
         np.abs(vals, out=vals)
         np.power(vals, p, out=vals)
         out[lo:lo + rows] = vals.reshape(len(vals), -1).sum(axis=1)
-    return (2.0 * math.pi / nodes) * out.reshape(w.shape[:-1])
+    return (2.0 * math.pi / DEFAULT_NODES) * out.reshape(w.shape[:-1])
 
 
-def complexification_norm(
-    u: Sequence[float],
-    v: Sequence[float],
-    p: float,
-    nodes: int = DEFAULT_NODES,
-) -> float:
+def complexification_norm(u: Sequence[float], v: Sequence[float], p: float) -> float:
     """(∫_0^{2π} ||cos(t)u - sin(t)v||_p^p dt)^{1/p}, periodic trapezoid."""
     if p < 1:
         raise ValueError("p must be >= 1")
     w = np.asarray(u, dtype=float) + 1j * np.asarray(v, dtype=float)
-    return float(_pair_powers(w, p, nodes)) ** (1.0 / p)
+    return float(_pair_powers(w, p)) ** (1.0 / p)
 
 
 def complex_scale(
@@ -100,16 +91,16 @@ def complex_scale(
     return a * u - b * v, a * v + b * u
 
 
-def circular_moment(p: float, tol: float = 1e-10) -> float:
+def circular_moment(p: float) -> float:
     """∫_0^{2π} |cos t|^p dt by node-doubling trapezoid refinement."""
     if p < 1:
         raise ValueError("p must be >= 1")
     nodes = DEFAULT_NODES
     prev = None
     while nodes <= 1 << 22:
-        theta = _theta_nodes(nodes)
+        theta = 2.0 * math.pi * np.arange(nodes) / nodes
         val = float(2.0 * math.pi * np.mean(np.abs(np.cos(theta)) ** p))
-        if prev is not None and abs(val - prev) <= tol * max(abs(val), 1.0):
+        if prev is not None and abs(val - prev) <= _MOMENT_TOL * max(abs(val), 1.0):
             return val
         prev = val
         nodes *= 2
@@ -176,12 +167,7 @@ def _lattice_blocks(M: int, r: int, row_size: int):
 
 
 def bridge_report(
-    zs: Sequence[Sequence[float]],
-    m: int,
-    k: int,
-    p: float,
-    plan: SamplePlan,
-    nodes: int = DEFAULT_NODES,
+    zs: Sequence[Sequence[float]], m: int, k: int, p: float, plan: SamplePlan
 ) -> InequalityReport:
     """Check the metric-to-linear implication on the exponential family.
 
@@ -237,7 +223,7 @@ def bridge_report(
     def half_period_lhs(S: tuple[int, ...]) -> float:
         cols = [j - 1 for j in S]
         total = [
-            _pair_powers(phase(x) @ zmat[cols], p, nodes)
+            _pair_powers(phase(x) @ zmat[cols], p)
             for x in _lattice_blocks(M, len(cols), 2 * (len(cols) + d))
         ]
         # with delta_S = +1: 2^|S| signs and (2M)^{n-|S|} free coordinates
@@ -254,13 +240,13 @@ def bridge_report(
 
     # intermediate 2: single-coordinate (edge) upper bound
     step = float(abs(phase(1) - 1.0))
-    edge_lhs = step**p * math.fsum(_pair_powers(zmat + 0j, p, nodes))
+    edge_lhs = step**p * math.fsum(_pair_powers(zmat + 0j, p))
     edge_rhs = (math.pi ** (p + 1.0) / m**p) * linear_lp
 
     # intermediate 3: diagonal (contraction) upper bound, worst (x, eps)
     diag_rhs = (2.0 * math.pi ** (p + 1.0) / m**p) * math.fsum(lp_power(signs @ zmat))
     g = np.concatenate([
-        _pair_powers((phase(y[:, None, :] + signs) - phase(y)[:, None, :]) @ zmat, p, nodes)
+        _pair_powers((phase(y[:, None, :] + signs) - phase(y)[:, None, :]) @ zmat, p)
         for y in _lattice_blocks(M, n, 2 * (n + d) * len(signs))
     ])
     rows = g.reshape((M,) * n + (len(signs),))
@@ -273,7 +259,7 @@ def bridge_report(
     metric_lhs = 2.0**p * hp_lhs / (2**n * M**n * m**p)
     # the edge term of coordinate j depends on x_j only (delta_j flips its sign)
     x = np.arange(M)
-    edges = _pair_powers((phase(x + 1) - phase(x))[:, None, None] * zmat, p, nodes)
+    edges = _pair_powers((phase(x + 1) - phase(x))[:, None, None] * zmat, p)
     metric_edges = math.fsum(edges.sum(axis=0) / M)
     metric_diag = math.fsum(g.ravel()) / g.size
 

@@ -12,7 +12,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -37,6 +37,7 @@ __all__ = [
 ]
 
 _SCHOENBERG_CLIP = 1e-6
+_T_GRID = 2049  # ratio grid of rosenthal_distortion_two_level
 
 
 @dataclass(frozen=True)
@@ -48,7 +49,6 @@ class EmbeddingResult:
     expansion: float
     contraction: float
     distortion: float
-    scale_witness: float = 1.0
 
     def to_json_dict(self) -> dict:
         return {
@@ -56,7 +56,7 @@ class EmbeddingResult:
             "expansion": self.expansion,
             "contraction": self.contraction,
             "distortion": self.distortion,
-            "scale_witness": self.scale_witness,
+            "scale_witness": self.contraction,
         }
 
 
@@ -66,20 +66,18 @@ class EmbeddingResult:
 
 
 def rosenthal_embed(x: Sequence[float], q: float, p: float) -> np.ndarray:
-    """J(x) = (n^{1/2} x, n^{1/q} x) in R^{2n}; linear in x."""
+    """J(x) = (n^{1/2} x, n^{1/q} x) in R^{2n} for each x on the last axis."""
     x = np.asarray(x, dtype=float)
-    n = x.size
-    return np.concatenate([n**0.5 * x, n ** (1.0 / q) * x])
+    n = x.shape[-1]
+    return np.concatenate([n**0.5 * x, n ** (1.0 / q) * x], axis=-1)
 
 
-def rosenthal_target_norm(v: np.ndarray, p: float) -> float:
-    """The (l_p^n (+) l_2^n)_p norm (||u||_p^p + ||w||_2^p)^{1/p} on R^{2n}."""
-    v = np.asarray(v, dtype=float)
-    n = v.size // 2
-    u, w = v[:n], v[n:]
-    return float(
-        np.sum(np.abs(u) ** p) + np.sum(w**2) ** (p / 2.0)
-    ) ** (1.0 / p)
+def rosenthal_target_norm(v: np.ndarray, p: float) -> np.ndarray:
+    """The (l_p^n (+) l_2^n)_p norm (||u||_p^p + ||w||_2^p)^{1/p} of each
+    v = (u, w) in R^{2n} on the last axis of ``v``; ``v`` is left unchanged."""
+    v = np.array(v, dtype=float)
+    n = v.shape[-1] // 2
+    return (_norm_power(v[..., :n], p, p) + _norm_power(v[..., n:], 2.0, p)) ** (1.0 / p)
 
 
 def _rosenthal_objective(n: int, q: float, p: float, s: np.ndarray) -> np.ndarray:
@@ -112,9 +110,7 @@ def rosenthal_exponent(q: float, p: float) -> float:
     return (p - q) * (q - 2.0) / (q * q * (p - 2.0))
 
 
-def rosenthal_distortion_two_level(
-    n: int, q: float, p: float, t_grid: int = 2049
-) -> float:
+def rosenthal_distortion_two_level(n: int, q: float, p: float) -> float:
     """Distortion extremized over all two-level vectors on the l_q sphere.
 
     Vectors with s coordinates at one magnitude and n - s at a smaller one
@@ -125,7 +121,7 @@ def rosenthal_distortion_two_level(
     """
     if not (2.0 < q <= p):
         raise ValueError("require 2 < q <= p")
-    t = np.linspace(0.0, 1.0, t_grid)
+    t = np.linspace(0.0, 1.0, _T_GRID)
     best_max, best_min = -np.inf, np.inf
     for s in range(1, n + 1):
         r = n - s
@@ -171,32 +167,16 @@ def distortion_from_matrices(
 
 
 def distortion(
-    source: np.ndarray,
-    image: np.ndarray,
-    source_p: float,
-    image_p: float,
-    image_norm: Callable[[np.ndarray], float] | None = None,
+    source: np.ndarray, image: np.ndarray, source_p: float, image_p: float
 ) -> EmbeddingResult:
-    """Exact pairwise-ratio extremes of a finite point map.
-
-    Source distances are l_{source_p}; image distances are l_{image_p}
-    unless a custom ``image_norm`` (applied to difference vectors) is given.
-    """
+    """Exact pairwise-ratio extremes of a finite point map between the
+    l_{source_p} and l_{image_p} distances."""
     source = np.asarray(source, dtype=float)
     image = np.asarray(image, dtype=float)
     if source.shape[0] != image.shape[0] or source.shape[0] < 2:
         raise ValueError("need equal-length lists of at least 2 points")
-    dsrc = _pairwise_lp(source, source_p)
-    if image_norm is None:
-        dimg = _pairwise_lp(image, image_p)
-    else:
-        npts = image.shape[0]
-        dimg = np.zeros((npts, npts))
-        for i in range(npts):
-            for j in range(i + 1, npts):
-                dimg[i, j] = dimg[j, i] = image_norm(image[i] - image[j])
-    exp_, con_, dist_ = distortion_from_matrices(dsrc, dimg)
-    return EmbeddingResult(source, image, exp_, con_, dist_, con_)
+    return EmbeddingResult(source, image, *distortion_from_matrices(
+        _pairwise_lp(source, source_p), _pairwise_lp(image, image_p)))
 
 
 # ---------------------------------------------------------------------------
@@ -322,7 +302,8 @@ def composite_grid_distortion(
     """Exact distortion of the chosen embedding on the grid {0..m}^n with
     the l_q source metric.
 
-    "rosenthal": two-level embedding measured in the (l_p (+) l_2)_p norm.
+    "rosenthal": two-level embedding measured in the (l_p (+) l_2)_p norm,
+    every pair in one batch.
     "schoenberg": snowflake realization; image distances are measured in
     l_2, which embeds isometrically into L_p, so the l_2 distortion equals
     the L_p distortion of the composite map restricted to the grid.
@@ -330,12 +311,14 @@ def composite_grid_distortion(
     count = (m + 1) ** n
     if count * (count - 1) // 2 > budget:
         raise ValueError(f"{count} grid points exceed the pair budget")
+    if count < 2:
+        raise ValueError("need equal-length lists of at least 2 points")
     pts = _grid_points(m, n)
     if which == "rosenthal":
-        image = np.array([rosenthal_embed(x, q, p) for x in pts])
-        return distortion(
-            pts, image, q, p, image_norm=lambda v: rosenthal_target_norm(v, p)
-        )
+        image = rosenthal_embed(pts, q, p)
+        d_image = rosenthal_target_norm(image[:, None, :] - image[None, :, :], p)
+        return EmbeddingResult(pts, image, *distortion_from_matrices(
+            _pairwise_lp(pts, q), d_image))
     if which == "schoenberg":
         image = schoenberg_embed(pts, q)
         return distortion(pts, image, q, 2.0)

@@ -393,15 +393,13 @@ class Pisier:
     p: float
 
 
-def _cube_mean_power(diff: np.ndarray, power: float, norm_p: float) -> float:
-    vals = _norm_power(diff, norm_p, power)
+def _cube_mean_power(diff: np.ndarray, power: float) -> float:
+    vals = _norm_power(diff, 2.0, power)
     return math.fsum(vals.ravel().tolist()) / vals.size
 
 
-def smoothness_report(
-    h: HypercubeFunction, kind: Enflo | BMW | Pisier, norm_p: float = 2.0
-) -> InequalityReport:
-    """Antipodal vs coordinate-flip moments on the hypercube.
+def smoothness_report(h: HypercubeFunction, kind: Enflo | BMW | Pisier) -> InequalityReport:
+    """Antipodal vs coordinate-flip moments on the hypercube, in l_2 distances.
 
     Enflo(r): lhs = E d(h(eps), h(-eps))^r, rhs = sum_j E d(h(eps), h(s^j eps))^r.
     BMW(q,p): rhs additionally scaled by n^{p/q-1}; implied B^p reported.
@@ -412,27 +410,27 @@ def smoothness_report(
     flips = [h.flip(j).values - h.values for j in range(1, n + 1)]
     if isinstance(kind, Enflo):
         r = kind.r
-        lhs = _cube_mean_power(anti, r, norm_p)
-        rhs = math.fsum(_cube_mean_power(d, r, norm_p) for d in flips)
+        lhs = _cube_mean_power(anti, r)
+        rhs = math.fsum(_cube_mean_power(d, r) for d in flips)
         return _finalize(
             "enflo", {"r": r, "n": n, "d": h.value_dim}, lhs, {"flips": rhs}, None
         )
     if isinstance(kind, BMW):
         q, p = kind.q, kind.p
-        lhs = _cube_mean_power(anti, p, norm_p)
+        lhs = _cube_mean_power(anti, p)
         rhs = n ** (p / q - 1.0) * math.fsum(
-            _cube_mean_power(d, p, norm_p) for d in flips
+            _cube_mean_power(d, p) for d in flips
         )
         return _finalize(
             "bmw", {"q": q, "p": p, "n": n, "d": h.value_dim}, lhs, {"flips": rhs}, None
         )
     if isinstance(kind, Pisier):
         p = kind.p
-        lhs = _cube_mean_power(anti, p, norm_p)
+        lhs = _cube_mean_power(anti, p)
         parts = []
         for delta in itertools.product((-1.0, 1.0), repeat=n):
             comb = sum(dj * dv for dj, dv in zip(delta, flips))
-            parts.append(_cube_mean_power(comb, p, norm_p))
+            parts.append(_cube_mean_power(comb, p))
         rhs = math.fsum(parts) / len(parts)
         return _finalize(
             "pisier", {"p": p, "n": n, "d": h.value_dim}, lhs, {"rad_diff": rhs}, None
@@ -515,7 +513,7 @@ def convolution_probe(f: GridFunction, p: float) -> InequalityReport:
     parts = []
     for eps in itertools.product((-1.0, 1.0), repeat=n):
         comb = sum(e * g for e, g in zip(eps, gj))
-        parts.append(float(np.sum(np.abs(comb) ** p)))
+        parts.append(float(_norm_power(comb, p, p, axis=None)))
     rad = math.fsum(parts) / 2**n
     edge = npoints * math.fsum(
         gap_moment(f, Edge(j), plan, power=p) for j in range(1, n + 1)

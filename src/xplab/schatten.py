@@ -115,15 +115,9 @@ def schatten_norm(a: "SymMatrix | np.ndarray", p: float) -> float:
     """l_p norm of the singular values (eigenvalues when symmetric)."""
     if p < 1:
         raise ValueError("p must be >= 1")
-    if isinstance(a, SymMatrix):
-        sv = np.abs(a.eigenvalues)
-    else:
-        arr = np.asarray(a, dtype=float)
-        if arr.shape[0] == arr.shape[1] and np.array_equal(arr, arr.T):
-            sv = np.abs(np.linalg.eigvalsh(arr))
-        else:
-            sv = np.sqrt(np.clip(np.linalg.eigvalsh(arr.T @ arr), 0.0, None))
-    return float(np.sum(sv**p)) ** (1.0 / p)
+    arr = a.entries if isinstance(a, SymMatrix) else np.asarray(a, dtype=float)
+    power = _schatten_power(p, np.array_equal(arr, arr.T))
+    return float(power(arr[None])[0]) ** (1.0 / p)
 
 
 def trace_power(a: "SymMatrix | np.ndarray", q: float) -> float:
@@ -390,22 +384,11 @@ def psd_counterexample(s: float, q: float, big_k: float) -> PsdCounterexample:
 # ---------------------------------------------------------------------------
 
 
-def random_psd(
-    d: int,
-    seed: int,
-    purpose: str = "psd",
-    profile: Sequence[float] | None = None,
-) -> SymMatrix:
-    """A = G G^T / d with standard normal G; optionally spectrum-shaped."""
+def random_psd(d: int, seed: int, purpose: str = "psd") -> SymMatrix:
+    """A = G G^T / d with standard normal G."""
     gen = stream(seed, purpose)
     g = gen.normal(size=(d, d))
     a = g @ g.T / d
-    if profile is not None:
-        profile = np.asarray(profile, dtype=float)
-        if profile.shape != (d,) or np.any(profile < 0):
-            raise ValueError("profile must be d nonnegative eigenvalues")
-        _, vecs = eigen_sym(a)
-        a = (vecs * profile) @ vecs.T
     return SymMatrix.from_array(a)
 
 

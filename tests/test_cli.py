@@ -7,11 +7,15 @@ import io
 import json
 import weakref
 from dataclasses import fields
+from pathlib import Path
 
+import numpy as np
 import pytest
 from click.testing import CliRunner
 
 from xplab.cli import REPORTS, ExperimentConfig, _flatten, main
+from xplab.lattice import random_grid_function
+from xplab.schatten import random_psd
 
 
 @pytest.fixture()
@@ -409,6 +413,48 @@ class TestScan:
         assert len(res.output.strip().splitlines()) == 5
 
 
+class TestEveryReportPath:
+    """Input paths of ``run`` that no other test or benchmark command takes,
+    each once at small size.  File inputs are written to the working
+    directory and given through ``--config``."""
+
+    @pytest.fixture()
+    def workdir(self, runner, tmp_path):
+        with runner.isolated_filesystem(temp_dir=tmp_path):
+            f = random_grid_function(4, 2, 1, 4.0, seed=1)
+            Path("f.json").write_text(json.dumps(f.to_json_dict()))
+            for name in ("a", "b"):
+                np.savetxt(f"{name}.csv", random_psd(3, 1, purpose=name).entries, delimiter=",")
+            yield
+
+    @pytest.mark.parametrize("args,config", [
+        (["metric-xp", "--m", "2", "--family", "character"], None),
+        (["metric-xp", "--m", "1", "--family", "indicator"], None),
+        (["metric-xp", "--m", "1", "--family", "cosine"], None),
+        (["metric-xp", "--m", "1"], {"function_path": "f.json"}),
+        (["trace"], {"matrix_paths": ["a.csv", "b.csv"]}),
+        (["schatten-xp", "--k", "1"], {"matrix_paths": ["a.csv", "b.csv"]}),
+        (["trace", "--kind", "holder", "--q", "3"], {"word_a": [1.5, 1.5], "word_b": [1.0]}),
+        (["scaling-witness", "--m", "2", "--n", "2"], None),
+        (["grid-bounds", "--m", "4", "--n", "8", "--q", "3", "--p", "6"], None),
+        (["convolution-search", "--m", "1", "--n", "2", "--trials", "2"], None),
+    ], ids=lambda v: " ".join(v) if isinstance(v, list) else str(v))
+    def test_report_runs(self, runner, workdir, args, config):
+        if config is not None:
+            Path("cfg.json").write_text(json.dumps(config))
+            args = [*args, "--config", "cfg.json"]
+        res = runner.invoke(main, ["run", *args, "--deterministic"])
+        assert res.exit_code in (0, 2), res.output
+        assert json.loads(res.stdout)["schema"] == "xp-report/1"
+
+    def test_grid_distortion_scale_witness_is_the_contraction(self, runner):
+        res = runner.invoke(main, ["run", "grid-distortion", "--m", "2", "--n", "2",
+                                   "--which", "rosenthal", "--q", "3", "--p", "6"])
+        assert res.exit_code == 0, res.output
+        report = json.loads(res.stdout)["report"]
+        assert report["scale_witness"] == report["contraction"]
+
+
 class TestVerify:
     def test_geodesic_suite_passes(self, runner):
         res = runner.invoke(main, ["verify", "geodesic"])
@@ -423,7 +469,10 @@ class TestVerify:
 
     def test_unknown_suite_rejected(self, runner):
         res = runner.invoke(main, ["verify", "bogus"])
-        assert res.exit_code != 0
+        assert res.exit_code == 1
+        err = json.loads(res.stderr)
+        assert err["error"] == "ValueError" and "'bogus'" in err["message"]
+        assert res.stdout == ""
 
 
 class TestOutputStreams:

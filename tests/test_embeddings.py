@@ -1,5 +1,6 @@
 """Two-level embeddings, snowflake realizations, grid rounding, exponents."""
 
+import itertools
 import math
 
 import numpy as np
@@ -58,6 +59,15 @@ class TestRosenthal:
     def test_monotone_in_n(self):
         vals = [rosenthal_distortion(n, 3.0, 6.0)[0] for n in (4, 16, 64)]
         assert vals[0] <= vals[1] <= vals[2]
+
+    def test_target_norm_of_a_stack_is_per_vector_and_keeps_its_input(self):
+        v = np.random.default_rng(3).standard_normal((5, 8))
+        kept = v.copy()
+        stacked = rosenthal_target_norm(v, 5.5)
+        assert stacked.shape == (5,)
+        singles = [rosenthal_target_norm(row, 5.5) for row in v]
+        np.testing.assert_allclose(stacked, singles, rtol=1e-15, atol=0.0)
+        assert np.array_equal(v, kept)
 
 
 class TestDistortion:
@@ -147,3 +157,19 @@ class TestComposite:
     def test_rosenthal_grid_below_two_level(self):
         res = composite_grid_distortion(4, 2, 3.0, 6.0, "rosenthal")
         assert res.distortion <= rosenthal_distortion_two_level(2, 3.0, 6.0) + 1e-9
+
+    @pytest.mark.parametrize("m,n,q,p", [(3, 2, 3.0, 6.0), (2, 3, 2.5, 4.5)])
+    def test_rosenthal_grid_matches_pair_loop(self, m, n, q, p):
+        res = composite_grid_distortion(m, n, q, p, "rosenthal")
+        pts = np.array(list(itertools.product(range(m + 1), repeat=n)), dtype=float)
+        ratios = []
+        for i in range(len(pts)):
+            for j in range(i):
+                x = pts[i] - pts[j]
+                # (l_p (+) l_2)_p norm of J x = (n^{1/2} x, n^{1/q} x)
+                image = (np.sum(np.abs(n**0.5 * x) ** p)
+                         + np.sum((n ** (1 / q) * x) ** 2) ** (p / 2)) ** (1 / p)
+                ratios.append(image / np.sum(np.abs(x) ** q) ** (1 / q))
+        assert res.expansion == pytest.approx(max(ratios), rel=1e-12)
+        assert res.contraction == pytest.approx(min(ratios), rel=1e-12)
+        assert res.distortion == pytest.approx(max(ratios) / min(ratios), rel=1e-12)

@@ -99,6 +99,13 @@ class TestNorms:
         a = np.array([[0.0, 2.0], [0.0, 0.0]])
         assert schatten_norm(a, 4.0) == pytest.approx(2.0)
 
+    def test_sym_matrix_equals_its_entries(self):
+        m = random_psd(4, 9, purpose="norm")
+        for p in (1.0, 3.0, 4.5):
+            assert schatten_norm(m, p) == schatten_norm(m.entries, p)
+            assert schatten_norm(m, p) == pytest.approx(
+                np.sum(np.abs(m.eigenvalues) ** p) ** (1 / p), rel=1e-12)
+
     def test_trace_mixed_oracle(self):
         a = SymMatrix.from_array(np.diag([1.0, 2.0]))
         b = SymMatrix.from_array(np.diag([3.0, 4.0]))

@@ -1,5 +1,7 @@
-"""tools/dump_outputs.py: the comparison that byte-identity claims rest on."""
+"""tools/: the output comparison that byte-identity claims rest on, and the
+line counting of the unexercised-lines report."""
 
+import importlib.util
 import json
 import subprocess
 import sys
@@ -37,3 +39,30 @@ def test_moved_float_is_named_and_exits_one(tmp_path):
     assert lines[0] == "linear-xp/0:"
     assert lines[1].startswith("  lhs: 0.25 -> 0.25000000000000006 (relative ")
     assert lines[-1] == "1 of 2 commands identical"
+
+
+def load(name: str, path: Path):
+    spec = importlib.util.spec_from_file_location(name, path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_unexercised_counts_the_lines_that_never_ran(tmp_path):
+    tool = load("unexercised", TOOL.parent / "unexercised.py")
+    path = tmp_path / "sample.py"
+    path.write_text(
+        "def pick(x):\n"           # 1: runs at import
+        "    if x:\n"              # 2
+        "        return 'yes'\n"   # 3
+        "    return 'no'\n"        # 4: never runs
+        "\n"
+        "\n"
+        "def unused():\n"          # 7: runs at import
+        "    return pick(0)\n"     # 8: never runs
+    )
+    assert tool.executable_lines(path) == {1, 2, 3, 4, 7, 8}
+    with tool.traced(str(tmp_path), set()) as hits:
+        assert load("sample", path).pick(1) == "yes"
+    assert tool.missed(path, hits) == [4, 8]
+    assert all(name == str(path) for name, _ in hits)
