@@ -8,6 +8,9 @@ Usage, from the repository root::
 The first form runs, in this process, every command the benchmark can issue:
 the ``POOL`` instances of each pooled template and three seeded draws of each
 closed-form template of ``benchmarks/workloads.py`` (read, never written).
+It then runs each report of ``xplab.cli.REPORTS`` at its default parameters
+three ways, which the benchmark does not: ``run NAME --deterministic`` in
+JSON and in CSV, and ``scan NAME --sweep seed --values 1,2``.
 xplab is imported from ``DIR`` (default: ``src/`` of this checkout), config
 files go to a temporary directory, and ``OUT.json`` maps each command's key
 to ``[exit code, stdout, stderr]``.
@@ -33,9 +36,12 @@ DRAWS = 3
 
 
 def commands(directory: Path) -> dict[str, list[str]]:
-    """Key -> argv of every benchmark command, config files in ``directory``."""
+    """Key -> argv of every benchmark command and of the three default-size
+    commands of each report, config files in ``directory``.  xplab must be
+    importable."""
     sys.path.insert(0, str(ROOT / "benchmarks"))
     import workloads as wl
+    from xplab.cli import REPORTS
 
     templates = {t.key: t for w in wl.WORKLOADS.values()
                  for t in (w.warmup, *(t for t, _ in w.slots))}
@@ -50,6 +56,10 @@ def commands(directory: Path) -> dict[str, list[str]]:
             job["id"] = i
             wl.materialize(job, directory)
             jobs.append((f"{key}/{i}", job["argv"]))
+    for name in sorted(REPORTS):
+        jobs += [(f"cli-run-json/{name}", ["run", name, "--deterministic"]),
+                 (f"cli-run-csv/{name}", ["run", name, "--deterministic", "--format", "csv"]),
+                 (f"cli-scan-seed/{name}", ["scan", name, "--sweep", "seed", "--values", "1,2"])]
     return dict(jobs)
 
 
