@@ -23,21 +23,12 @@ import click
 import numpy as np
 
 from . import __version__
-from .complexify import (
-    bridge_report,
-    circular_moment_report,
-    complexification_norm,
-    contraction_check,
-)
+from .complexify import bridge_report, circular_moment_report, contraction_check
 from .embeddings import (
     composite_grid_distortion,
     grid_bounds,
-    grid_round_map,
     rosenthal_distortion,
     rosenthal_exponent,
-    schoenberg_embed,
-    snowflake_exponent_poly,
-    snowflake_exponent_root,
 )
 from .inequalities import (
     BMW,
@@ -54,29 +45,8 @@ from .inequalities import (
     scaling_witness_report,
     smoothness_report,
 )
-from .lattice import (
-    Diagonal,
-    Edge,
-    FixedShift,
-    GridFunction,
-    LatticePoint,
-    ShiftedSet,
-    SymmetricDiagonal,
-    ThreeLetterDiagonal,
-    gap_moment,
-    geodesic,
-    make_sample_plan,
-    random_grid_function,
-)
-from .operators import (
-    BoxA,
-    CalE,
-    HypercubeFunction,
-    box_average,
-    character,
-    edge_average,
-    rad_identity_residual,
-)
+from .lattice import GridFunction, LatticePoint, make_sample_plan, random_grid_function
+from .operators import HypercubeFunction, character
 from .rng import stream
 from .schatten import (
     Holder,
@@ -86,7 +56,6 @@ from .schatten import (
     OpConvex,
     Qlt1,
     SymMatrix,
-    eigen_sym,
     khinchine_report,
     psd_counterexample,
     psd_xp_report,
@@ -94,6 +63,7 @@ from .schatten import (
     schatten_xp_report,
     trace_inequality_report,
 )
+from .verify import SUITES
 
 SCHEMA = "xp-report/1"
 
@@ -197,8 +167,7 @@ def _grid_function(cfg: ExperimentConfig, modulus: int) -> GridFunction:
     if cfg.function_path:
         with open(cfg.function_path, encoding="utf-8") as fh:
             return GridFunction.from_json_dict(json.load(fh))
-    fam = dict(cfg.function or {"family": "random"})
-    name = fam.pop("family", "random")
+    name = (cfg.function or {}).get("family", "random")
     if name == "random":
         return random_grid_function(modulus, cfg.n, cfg.d, cfg.p, cfg.seed)
     if name == "character":
@@ -210,31 +179,21 @@ def _grid_function(cfg: ExperimentConfig, modulus: int) -> GridFunction:
         vals[(0,) * cfg.n + (0,)] = 1.0
         return GridFunction(modulus, cfg.n, 1, cfg.p, vals)
     if name == "cosine":
-        grid = np.arange(modulus)
-        axis = np.cos(2.0 * math.pi * grid / modulus)
-        shape = [modulus] + [1] * (cfg.n - 1)
-        vals = np.broadcast_to(
-            axis.reshape(shape), (modulus,) * cfg.n
-        )[..., None]
-        return GridFunction(modulus, cfg.n, 1, cfg.p, np.array(vals))
+        axis = np.cos(2.0 * math.pi * np.arange(modulus) / modulus)
+        vals = np.broadcast_to(axis.reshape([modulus] + [1] * (cfg.n - 1)), (modulus,) * cfg.n)
+        return GridFunction(modulus, cfg.n, 1, cfg.p, np.array(vals[..., None]))
     raise ValueError(f"unknown function family {name!r}")
 
 
 def _matrices(cfg: ExperimentConfig, count: int, purpose: str) -> list[SymMatrix]:
     if cfg.matrix_paths:
-        mats = []
-        for path in cfg.matrix_paths:
-            arr = np.atleast_2d(np.loadtxt(path, delimiter=","))
-            mats.append(SymMatrix.from_array(arr))
-        return mats
-    return [
-        random_psd(cfg.d, cfg.seed, purpose=f"{purpose}:{j}") for j in range(count)
-    ]
+        return [SymMatrix.from_array(np.atleast_2d(np.loadtxt(path, delimiter=",")))
+                for path in cfg.matrix_paths]
+    return [random_psd(cfg.d, cfg.seed, purpose=f"{purpose}:{j}") for j in range(count)]
 
 
 def _hypercube(cfg: ExperimentConfig) -> HypercubeFunction:
-    gen = stream(cfg.seed, "hypercube")
-    vals = gen.standard_normal((2,) * cfg.n + (cfg.d,))
+    vals = stream(cfg.seed, "hypercube").standard_normal((2,) * cfg.n + (cfg.d,))
     return HypercubeFunction(cfg.n, cfg.d, vals)
 
 
@@ -242,89 +201,52 @@ def _coeffs(cfg: ExperimentConfig) -> list:
     return list(cfg.a) if cfg.a is not None else [1.0] * cfg.n
 
 
-def _sign_plan(cfg: ExperimentConfig, items: list):
-    return make_sample_plan(1, len(items), cfg.k, budget=cfg.budget, seed=cfg.seed)
+def _vectors(cfg: ExperimentConfig, count: int) -> list:
+    """``zs``, or else ``count`` unit vectors."""
+    return cfg.zs if cfg.zs is not None else np.eye(count).tolist()
 
 
 def _grid_plan(cfg: ExperimentConfig, modulus: int, letters: int = 2):
     return make_sample_plan(modulus, cfg.n, cfg.k, cfg.budget, cfg.seed, letters)
 
 
-def _trace_kind(cfg: ExperimentConfig):
-    name = cfg.kind or "main"
-    if name == "main":
-        return MainQge1(cfg.q)
-    if name == "qlt1":
-        return Qlt1(cfg.q)
-    if name == "lambda":
-        return LambdaFamily(cfg.q)
-    if name == "holder":
-        if cfg.word_a is None or cfg.word_b is None:
-            raise ValueError("holder kind requires word_a and word_b")
-        return Holder(cfg.q, tuple(cfg.word_a), tuple(cfg.word_b))
-    if name == "lieb-thirring":
-        return LiebThirring(cfg.r)
-    if name == "op-convex":
-        return OpConvex(cfg.theta, cfg.s)
-    raise ValueError(f"unknown trace kind {name!r}")
+def _signed(cfg: ExperimentConfig, report, items: list, *args, **kwargs) -> dict:
+    """``report(items, *args, plan, **kwargs)``, its sign plan sized from
+    the number of ``items`` (coefficients or matrices), not from ``n``."""
+    plan = make_sample_plan(1, len(items), cfg.k, cfg.budget, cfg.seed)
+    return report(items, *args, plan, **kwargs).to_json_dict()
 
 
-def _smoothness_kind(cfg: ExperimentConfig):
-    name = cfg.kind or "enflo"
-    if name == "enflo":
-        return Enflo(cfg.r)
-    if name == "bmw":
-        return BMW(cfg.q, cfg.p)
-    if name == "pisier":
-        return Pisier(cfg.p)
-    raise ValueError(f"unknown smoothness kind {name!r}")
+def _holder(cfg: ExperimentConfig) -> Holder:
+    if cfg.word_a is None or cfg.word_b is None:
+        raise ValueError("holder kind requires word_a and word_b")
+    return Holder(cfg.q, tuple(cfg.word_a), tuple(cfg.word_b))
 
 
-# ---------------------------------------------------------------------------
-# report builders
-# ---------------------------------------------------------------------------
+_TRACE_KINDS = {
+    "main": lambda cfg: MainQge1(cfg.q),
+    "qlt1": lambda cfg: Qlt1(cfg.q),
+    "lambda": lambda cfg: LambdaFamily(cfg.q),
+    "holder": _holder,
+    "lieb-thirring": lambda cfg: LiebThirring(cfg.r),
+    "op-convex": lambda cfg: OpConvex(cfg.theta, cfg.s),
+}
+_SMOOTHNESS_KINDS = {
+    "enflo": lambda cfg: Enflo(cfg.r),
+    "bmw": lambda cfg: BMW(cfg.q, cfg.p),
+    "pisier": lambda cfg: Pisier(cfg.p),
+}
 
 
-def _run_linear_xp(cfg: ExperimentConfig) -> dict:
-    a = _coeffs(cfg)
-    rep = linear_xp_report(a, cfg.k, cfg.p, _sign_plan(cfg, a),
-                           square_function=cfg.square_function)
-    return rep.to_json_dict()
+def _kind(cfg: ExperimentConfig, kinds: dict, family: str, default: str):
+    """The ``cfg.kind`` member (``default`` when unset) of a kind table."""
+    name = cfg.kind or default
+    if name not in kinds:
+        raise ValueError(f"unknown {family} kind {name!r}")
+    return kinds[name](cfg)
 
 
-def _run_reverse_linear_xp(cfg: ExperimentConfig) -> dict:
-    a = _coeffs(cfg)
-    return reverse_linear_xp_report(a, cfg.k, cfg.p, _sign_plan(cfg, a)).to_json_dict()
-
-
-def _run_metric_xp(cfg: ExperimentConfig) -> dict:
-    M = 4 * cfg.m
-    f = _grid_function(cfg, M)
-    return metric_xp_report(f, cfg.k, _grid_plan(cfg, M)).to_json_dict()
-
-
-def _run_reverse_metric_xp(cfg: ExperimentConfig) -> dict:
-    M = 8 * cfg.m
-    f = _grid_function(cfg, M)
-    return reverse_metric_xp_report(f, cfg.k, _grid_plan(cfg, M)).to_json_dict()
-
-
-def _run_schatten_xp(cfg: ExperimentConfig) -> dict:
-    mats = _matrices(cfg, cfg.n, "schatten-xp")
-    return schatten_xp_report(mats, cfg.k, cfg.p, _sign_plan(cfg, mats)).to_json_dict()
-
-
-def _run_psd_xp(cfg: ExperimentConfig) -> dict:
-    mats = _matrices(cfg, cfg.n, "psd-xp")
-    return psd_xp_report(mats, cfg.k, cfg.q, _sign_plan(cfg, mats)).to_json_dict()
-
-
-def _run_khinchine(cfg: ExperimentConfig) -> dict:
-    mats = _matrices(cfg, cfg.n, "khinchine")
-    return khinchine_report(mats, cfg.p, _sign_plan(cfg, mats)).to_json_dict()
-
-
-def _run_trace(cfg: ExperimentConfig) -> dict:
+def _trace(cfg: ExperimentConfig) -> dict:
     a = random_psd(cfg.d, cfg.seed, purpose="trace:a")
     b = random_psd(cfg.d, cfg.seed, purpose="trace:b")
     if cfg.matrix_paths:
@@ -332,10 +254,10 @@ def _run_trace(cfg: ExperimentConfig) -> dict:
         if len(mats) != 2:
             raise ValueError("trace report needs exactly two matrices")
         a, b = mats
-    return trace_inequality_report(a, b, _trace_kind(cfg)).to_json_dict()
+    return trace_inequality_report(a, b, _kind(cfg, _TRACE_KINDS, "trace", "main")).to_json_dict()
 
 
-def _run_psd_counterexample(cfg: ExperimentConfig) -> dict:
+def _psd_counterexample(cfg: ExperimentConfig) -> dict:
     ce = psd_counterexample(cfg.s, cfg.q, cfg.big_k)
     return {
         "functional": "psd_counterexample",
@@ -346,37 +268,14 @@ def _run_psd_counterexample(cfg: ExperimentConfig) -> dict:
     }
 
 
-def _run_smoothness(cfg: ExperimentConfig) -> dict:
-    return smoothness_report(_hypercube(cfg), _smoothness_kind(cfg)).to_json_dict()
-
-
-def _run_cotype(cfg: ExperimentConfig) -> dict:
+def _cotype(cfg: ExperimentConfig) -> dict:
     three = cfg.variant == "three-letter"
     M = 2 * cfg.m if three else 8 * cfg.m
     plan = _grid_plan(cfg, M, letters=3 if three else 2)
     return cotype_report(_grid_function(cfg, M), cfg.s, cfg.variant, plan).to_json_dict()
 
 
-def _run_convolution_probe(cfg: ExperimentConfig) -> dict:
-    f = _grid_function(cfg, 4 * cfg.m)
-    return convolution_probe(f, cfg.p).to_json_dict()
-
-
-def _run_convolution_search(cfg: ExperimentConfig) -> dict:
-    return convolution_search(4 * cfg.m, cfg.n, cfg.p, cfg.trials, cfg.seed)
-
-
-def _run_scaling_witness(cfg: ExperimentConfig) -> dict:
-    return scaling_witness_report(cfg.m, cfg.n, cfg.k, cfg.p).to_json_dict()
-
-
-def _run_displacement(cfg: ExperimentConfig) -> dict:
-    f = _grid_function(cfg, 4 * cfg.m)
-    S = tuple(int(v) for v in (cfg.subset or range(1, cfg.k + 1)))
-    return displacement_report(f, S, cfg.R, cfg.p).to_json_dict()
-
-
-def _run_rosenthal_distortion(cfg: ExperimentConfig) -> dict:
+def _rosenthal_distortion(cfg: ExperimentConfig) -> dict:
     dist, s_star = rosenthal_distortion(cfg.n, cfg.q, cfg.p)
     return {
         "functional": "rosenthal_distortion",
@@ -387,65 +286,59 @@ def _run_rosenthal_distortion(cfg: ExperimentConfig) -> dict:
     }
 
 
-def _run_grid_distortion(cfg: ExperimentConfig) -> dict:
-    res = composite_grid_distortion(
-        cfg.m, cfg.n, cfg.q, cfg.p, cfg.which, budget=cfg.budget
-    )
-    out = res.to_json_dict()
-    out["functional"] = "grid_distortion"
-    out["params"] = {
-        "m": cfg.m, "n": cfg.n, "q": cfg.q, "p": cfg.p, "which": cfg.which,
-    }
-    return out
-
-
-def _run_grid_bounds(cfg: ExperimentConfig) -> dict:
-    out = grid_bounds(cfg.m, cfg.n, cfg.q, cfg.p)
-    out["functional"] = "grid_bounds"
-    out["params"] = {"m": cfg.m, "n": cfg.n, "q": cfg.q, "p": cfg.p}
-    return out
-
-
-def _run_bridge(cfg: ExperimentConfig) -> dict:
-    zs = cfg.zs if cfg.zs is not None else np.eye(cfg.n).tolist()
-    plan = _grid_plan(cfg, 2 * cfg.m)
-    return bridge_report(zs, cfg.m, cfg.k, cfg.p, plan).to_json_dict()
-
-
-def _run_contraction(cfg: ExperimentConfig) -> dict:
-    a = _coeffs(cfg)
-    zs = cfg.zs if cfg.zs is not None else np.eye(len(a)).tolist()
-    return contraction_check(a, zs, cfg.p, _sign_plan(cfg, a)).to_json_dict()
-
-
-def _run_circular_moment(cfg: ExperimentConfig) -> dict:
-    out = circular_moment_report(cfg.p)
-    out["functional"] = "circular_moment"
-    return out
-
-
+# Report name -> the JSON payload of the report for a config.  The rows name
+# each library function inside a lambda, so that it is looked up in this
+# module when the report runs: a table of function objects would keep the
+# originals and bypass any later rebinding of the names here, such as the
+# span wrappers of benchmarks/tracer.py.
 REPORTS = {
-    "linear-xp": _run_linear_xp,
-    "reverse-linear-xp": _run_reverse_linear_xp,
-    "metric-xp": _run_metric_xp,
-    "reverse-metric-xp": _run_reverse_metric_xp,
-    "schatten-xp": _run_schatten_xp,
-    "psd-xp": _run_psd_xp,
-    "khinchine": _run_khinchine,
-    "trace": _run_trace,
-    "psd-counterexample": _run_psd_counterexample,
-    "smoothness": _run_smoothness,
-    "cotype": _run_cotype,
-    "convolution-probe": _run_convolution_probe,
-    "convolution-search": _run_convolution_search,
-    "scaling-witness": _run_scaling_witness,
-    "displacement": _run_displacement,
-    "rosenthal-distortion": _run_rosenthal_distortion,
-    "grid-distortion": _run_grid_distortion,
-    "grid-bounds": _run_grid_bounds,
-    "bridge": _run_bridge,
-    "contraction": _run_contraction,
-    "circular-moment": _run_circular_moment,
+    "linear-xp": lambda cfg: _signed(cfg, linear_xp_report, _coeffs(cfg), cfg.k, cfg.p,
+                                     square_function=cfg.square_function),
+    "reverse-linear-xp": lambda cfg: _signed(cfg, reverse_linear_xp_report, _coeffs(cfg),
+                                             cfg.k, cfg.p),
+    "metric-xp": lambda cfg: metric_xp_report(
+        _grid_function(cfg, 4 * cfg.m), cfg.k, _grid_plan(cfg, 4 * cfg.m)).to_json_dict(),
+    "reverse-metric-xp": lambda cfg: reverse_metric_xp_report(
+        _grid_function(cfg, 8 * cfg.m), cfg.k, _grid_plan(cfg, 8 * cfg.m)).to_json_dict(),
+    "schatten-xp": lambda cfg: _signed(cfg, schatten_xp_report,
+                                       _matrices(cfg, cfg.n, "schatten-xp"), cfg.k, cfg.p),
+    "psd-xp": lambda cfg: _signed(cfg, psd_xp_report, _matrices(cfg, cfg.n, "psd-xp"),
+                                  cfg.k, cfg.q),
+    "khinchine": lambda cfg: _signed(cfg, khinchine_report,
+                                     _matrices(cfg, cfg.n, "khinchine"), cfg.p),
+    "trace": _trace,
+    "psd-counterexample": _psd_counterexample,
+    "smoothness": lambda cfg: smoothness_report(
+        _hypercube(cfg), _kind(cfg, _SMOOTHNESS_KINDS, "smoothness", "enflo")).to_json_dict(),
+    "cotype": _cotype,
+    "convolution-probe": lambda cfg: convolution_probe(
+        _grid_function(cfg, 4 * cfg.m), cfg.p).to_json_dict(),
+    "convolution-search": lambda cfg: convolution_search(
+        4 * cfg.m, cfg.n, cfg.p, cfg.trials, cfg.seed),
+    "scaling-witness": lambda cfg: scaling_witness_report(
+        cfg.m, cfg.n, cfg.k, cfg.p).to_json_dict(),
+    "displacement": lambda cfg: displacement_report(
+        _grid_function(cfg, 4 * cfg.m),
+        tuple(int(v) for v in (cfg.subset or range(1, cfg.k + 1))), cfg.R, cfg.p,
+    ).to_json_dict(),
+    "rosenthal-distortion": _rosenthal_distortion,
+    "grid-distortion": lambda cfg: {
+        **composite_grid_distortion(cfg.m, cfg.n, cfg.q, cfg.p, cfg.which,
+                                    budget=cfg.budget).to_json_dict(),
+        "functional": "grid_distortion",
+        "params": {"m": cfg.m, "n": cfg.n, "q": cfg.q, "p": cfg.p, "which": cfg.which},
+    },
+    "grid-bounds": lambda cfg: {
+        **grid_bounds(cfg.m, cfg.n, cfg.q, cfg.p),
+        "functional": "grid_bounds",
+        "params": {"m": cfg.m, "n": cfg.n, "q": cfg.q, "p": cfg.p},
+    },
+    "bridge": lambda cfg: bridge_report(
+        _vectors(cfg, cfg.n), cfg.m, cfg.k, cfg.p, _grid_plan(cfg, 2 * cfg.m)).to_json_dict(),
+    "contraction": lambda cfg: _signed(cfg, contraction_check, _coeffs(cfg),
+                                       _vectors(cfg, len(_coeffs(cfg))), cfg.p),
+    "circular-moment": lambda cfg: {**circular_moment_report(cfg.p),
+                                    "functional": "circular_moment"},
 }
 
 
@@ -636,7 +529,18 @@ def _execute(tokens: tuple, flags: dict, render, *required: str, **defaults) -> 
     sys.exit(code)
 
 
-@click.group()
+class _Commands(click.Group):
+    """A subcommand group whose unknown subcommand is a usage error like any
+    other: exit 1 with a JSON error, not click's exit 2."""
+
+    def get_command(self, ctx: click.Context, name: str) -> click.Command:
+        command = super().get_command(ctx, name)
+        if command is None:
+            _fail(ValueError(f"unknown command {name!r}"))
+        return command
+
+
+@click.group(cls=_Commands)
 @click.version_option(__version__)
 def main() -> None:
     """Numerical laboratory for torus, hypercube and Schatten inequalities."""
@@ -660,194 +564,6 @@ def run(tokens: tuple) -> None:
 def scan(tokens: tuple) -> None:
     """Sweep exactly one parameter and write one CSV row per value."""
     _execute(tokens, _SCAN_FLAGS, _scan_text, "sweep", "values", format="csv")
-
-
-# ---------------------------------------------------------------------------
-# verification suites
-# ---------------------------------------------------------------------------
-
-
-def _suite_geodesic() -> list[tuple[str, bool, float, float]]:
-    import itertools
-
-    checks = []
-    worst_step = 0
-    ok_end = ok_inj = ok_sign = True
-    for n in (1, 2, 3):
-        for w in itertools.product((1, 3, 5), repeat=n):
-            path = geodesic(w)
-            ok_end &= not path[0].any() and (path[-1] == np.array(w)).all()
-            steps = np.abs(np.diff(path, axis=0)).max(axis=1)
-            worst_step = max(worst_step, int(np.abs(np.diff(path, axis=0)).max()))
-            ok_end &= bool((steps == 1).all())
-            ok_inj &= len({tuple(r) for r in path}) == len(path)
-            for signs in itertools.product((-1, 1), repeat=n):
-                sw = tuple(s * wi for s, wi in zip(signs, w))
-                ok_sign &= bool(
-                    (geodesic(sw) == path * np.array(signs)).all()
-                )
-    checks.append(("geodesic endpoints and unit steps", ok_end, float(worst_step), 1.0))
-    checks.append(("geodesic injectivity", ok_inj, 1.0 if ok_inj else 0.0, 1.0))
-    checks.append(("geodesic sign equivariance", ok_sign, 1.0 if ok_sign else 0.0, 1.0))
-    return checks
-
-
-def _suite_lattice() -> list[tuple[str, bool, float, float]]:
-    plan = make_sample_plan(8, 2, 1, budget=10**6, seed=3)
-    f = random_grid_function(8, 2, 2, 4.0, seed=3)
-    shifted = f.shift((3, 5))
-    worst = 0.0
-    for spec in (Edge(1), Diagonal(), SymmetricDiagonal(), ThreeLetterDiagonal(),
-                 ShiftedSet((1, 2), 1), FixedShift((4, 0))):
-        worst = max(worst, abs(gap_moment(f, spec, plan) - gap_moment(shifted, spec, plan)))
-    rt = GridFunction.from_json_dict(f.to_json_dict())
-    rt_exact = bool((rt.values == f.values).all())
-    return [
-        ("gap moment translation invariance", worst < 1e-12, worst, 1e-12),
-        ("grid function JSON round trip", rt_exact, 1.0 if rt_exact else 0.0, 1.0),
-    ]
-
-
-def _suite_operators() -> list[tuple[str, bool, float, float]]:
-    f = random_grid_function(8, 2, 1, 4.0, seed=5)
-    mean = float(f.values.mean())
-    box = box_average(f, BoxA(1))
-    edge = edge_average(f, CalE())
-    mean_drift = max(
-        abs(float(box.values.mean()) - mean), abs(float(edge.values.mean()) - mean)
-    )
-    contract = max(float(np.abs(box.values).max()), float(np.abs(edge.values).max()))
-    bound = float(np.abs(f.values).max())
-    residual = max(
-        rad_identity_residual(random_grid_function(8, 2, 1, 4.0, seed=s), (0,) * 2)
-        for s in range(5)
-    )
-    gram_worst = 0.0
-    pts = [(a, b) for a in range(8) for b in range(8)]
-    chars = [character(LatticePoint(y, 8)).values.reshape(-1, 2) for y in pts[:16]]
-    for i, ci in enumerate(chars):
-        for j, cj in enumerate(chars):
-            re = float(np.mean(ci[:, 0] * cj[:, 0] + ci[:, 1] * cj[:, 1]))
-            im = float(np.mean(ci[:, 1] * cj[:, 0] - ci[:, 0] * cj[:, 1]))
-            target = 1.0 if i == j else 0.0
-            gram_worst = max(gram_worst, abs(re - target), abs(im))
-    return [
-        ("averaging operators preserve the mean", mean_drift < 1e-12, mean_drift, 1e-12),
-        ("averaging operators are sup-norm contractions",
-         contract <= bound + 1e-12, contract - bound, 1e-12),
-        ("first-order projection identity residual", residual < 1e-9, residual, 1e-9),
-        ("character orthonormality", gram_worst < 1e-10, gram_worst, 1e-10),
-    ]
-
-
-def _suite_inequalities() -> list[tuple[str, bool, float, float]]:
-    plan = make_sample_plan(1, 3, 2, budget=10**6, seed=11)
-    rep = linear_xp_report([1.0, 1.0, 1.0], 2, 4.0, plan)
-    coeffs = [0.3, -1.2, 0.7]
-    sq = linear_xp_report(coeffs, 2, 4.0, plan, square_function=True)
-    rad = linear_xp_report(coeffs, 2, 4.0, plan)
-    jensen = sq.rhs_terms["square_function"] <= rad.rhs_terms["rademacher"] + 1e-12
-    f = random_grid_function(8, 2, 1, 4.0, seed=11)
-    gplan = make_sample_plan(8, 2, 1, budget=10**6, seed=11)
-    m = metric_xp_report(f, 1, gplan)
-    holds = m.lhs <= sum(m.rhs_terms.values()) * 50
-    return [
-        ("linear report reproduces the (1,1,1) oracle",
-         abs(rep.lhs - 8.0) < 1e-12, rep.lhs, 8.0),
-        ("square function below rademacher moment", jensen,
-         rad.rhs_terms["rademacher"] - sq.rhs_terms["square_function"], 0.0),
-        ("metric report bounded on a random instance", holds,
-         m.implied_constant or 0.0, 50.0),
-    ]
-
-
-def _suite_trace() -> list[tuple[str, bool, float, float]]:
-    worst = -math.inf
-    for seed in range(100):
-        a = random_psd(4, seed, purpose="verify:a")
-        b = random_psd(4, seed, purpose="verify:b")
-        for kind in (MainQge1(2.7), Qlt1(0.5), LambdaFamily(2.5),
-                     LiebThirring(1.5), OpConvex(1.5, 0.3)):
-            rep = trace_inequality_report(a, b, kind)
-            if isinstance(kind, OpConvex):
-                # lhs is the minimum eigenvalue of the PSD combination
-                worst = max(worst, -rep.lhs / max(abs(rep.lhs), 1.0))
-            else:
-                rhs = sum(rep.rhs_terms.values())
-                scale = max(abs(rep.lhs), abs(rhs), 1e-30)
-                worst = max(worst, (rep.lhs - rhs) / scale)
-    ce = psd_counterexample(0.1, 4.0, 2.0)
-    target = -0.1**6 - 3 * 0.1**8 + 0.1**10
-    ce_err = abs(ce.quadratic_form - target) / abs(target)
-    res_worst = 0.0
-    for seed in range(20):
-        arr = random_psd(6, seed, purpose="verify:jacobi").entries
-        lam, vec = eigen_sym(arr)
-        res = np.linalg.norm(arr @ vec - vec * lam) / max(np.linalg.norm(arr), 1e-30)
-        res_worst = max(res_worst, float(res))
-    return [
-        ("trace inequalities on the random corpus", worst <= 1e-8, worst, 1e-8),
-        ("counterexample closed form at s=0.1", ce_err < 1e-12, ce_err, 1e-12),
-        ("counterexample eigenvalue negative", ce.min_eigenvalue < 0,
-         ce.min_eigenvalue, 0.0),
-        ("eigensolver residual", res_worst < 1e-10, res_worst, 1e-10),
-    ]
-
-
-def _suite_embeddings() -> list[tuple[str, bool, float, float]]:
-    pts = np.array([[i, j] for i in range(5) for j in range(5)], dtype=float)
-    img = schoenberg_embed(pts, 3.0)
-    src = np.sqrt(((pts[:, None] - pts[None]) ** 2).sum(-1)) ** (2.0 / 3.0)
-    dst = np.sqrt(((img[:, None] - img[None]) ** 2).sum(-1))
-    mask = src > 0
-    snow_err = float(np.max(np.abs(dst[mask] - src[mask]) / src[mask]))
-    sandwich = True
-    for m in range(2, 9):
-        for u in range(m):
-            ab = grid_round_map([u], m)
-            for v in range(u):
-                dd = float(np.linalg.norm(grid_round_map([v], m) - ab))
-                src = abs(np.exp(2j * math.pi * u / m) - np.exp(2j * math.pi * v / m))
-                sandwich &= m * src <= dd <= 3 * m * src
-    p, q = 6.0, 3.0
-    theta = snowflake_exponent_root(p, q)
-    psi0 = abs(snowflake_exponent_poly(p, q, 0.0) + p)
-    psit = abs(snowflake_exponent_poly(p, q, theta))
-    return [
-        ("snowflake realization distances", snow_err < 1e-8, snow_err, 1e-8),
-        ("grid rounding sandwich", sandwich, 1.0 if sandwich else 0.0, 1.0),
-        ("exponent polynomial checkpoints", psi0 < 1e-10 and psit < 1e-10,
-         max(psi0, psit), 1e-10),
-    ]
-
-
-def _suite_complexify() -> list[tuple[str, bool, float, float]]:
-    rep = circular_moment_report(2.0)
-    mom_err = abs(rep["quadrature"] - math.pi)
-    u, v = np.array([1.0, -0.3]), np.array([0.4, 2.0])
-    base = complexification_norm(u, v, 3.0)
-    uu = math.cos(1.1) * u - math.sin(1.1) * v
-    vv = math.cos(1.1) * v + math.sin(1.1) * u
-    rot_err = abs(complexification_norm(uu, vv, 3.0) - base)
-    plan = make_sample_plan(4, 2, 1, budget=10**6, seed=2)
-    br = bridge_report(np.eye(2).tolist(), 2, 1, 4.0, plan)
-    inter_ok = all(d["holds"] for d in br.extra["intermediates"].values())
-    return [
-        ("circular moment p=2 equals pi", mom_err < 1e-9, mom_err, 1e-9),
-        ("rotation invariance of the pair norm", rot_err < 1e-8, rot_err, 1e-8),
-        ("bridge intermediate bounds", inter_ok, 1.0 if inter_ok else 0.0, 1.0),
-    ]
-
-
-SUITES = {
-    "geodesic": _suite_geodesic,
-    "lattice": _suite_lattice,
-    "operators": _suite_operators,
-    "inequalities": _suite_inequalities,
-    "trace": _suite_trace,
-    "embeddings": _suite_embeddings,
-    "complexify": _suite_complexify,
-}
 
 
 @main.command()

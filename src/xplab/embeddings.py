@@ -65,7 +65,7 @@ class EmbeddingResult:
 # ---------------------------------------------------------------------------
 
 
-def rosenthal_embed(x: Sequence[float], q: float, p: float) -> np.ndarray:
+def rosenthal_embed(x: Sequence[float], q: float) -> np.ndarray:
     """J(x) = (n^{1/2} x, n^{1/q} x) in R^{2n} for each x on the last axis."""
     x = np.asarray(x, dtype=float)
     n = x.shape[-1]
@@ -315,7 +315,7 @@ def composite_grid_distortion(
         raise ValueError("need equal-length lists of at least 2 points")
     pts = _grid_points(m, n)
     if which == "rosenthal":
-        image = rosenthal_embed(pts, q, p)
+        image = rosenthal_embed(pts, q)
         d_image = rosenthal_target_norm(image[:, None, :] - image[None, :, :], p)
         return EmbeddingResult(pts, image, *distortion_from_matrices(
             _pairwise_lp(pts, q), d_image))

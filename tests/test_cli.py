@@ -13,6 +13,7 @@ import numpy as np
 import pytest
 from click.testing import CliRunner
 
+from xplab import cli
 from xplab.cli import REPORTS, ExperimentConfig, _flatten, main
 from xplab.lattice import random_grid_function
 from xplab.schatten import random_psd
@@ -214,6 +215,13 @@ class TestFlagGrammar:
 class TestUsageErrors:
     """Bad flags and values exit 1 with a JSON error on stderr, never 2."""
 
+    @pytest.fixture(autouse=True)
+    def workdir(self, runner, tmp_path):
+        with runner.isolated_filesystem(temp_dir=tmp_path):
+            np.savetxt("a.csv", random_psd(3, 1, purpose="a").entries, delimiter=",")
+            Path("one-matrix.json").write_text(json.dumps({"matrix_paths": ["a.csv"]}))
+            yield
+
     @pytest.mark.parametrize("args,error", [
         (["run", "rosenthal-distortion", "--n", "8.7"], "ValueError"),
         (["run", "linear-xp", "--bogus", "1"], "ValueError"),
@@ -224,9 +232,18 @@ class TestUsageErrors:
         (["run", "linear-xp", "--deterministic=1"], "ValueError"),
         (["run", "linear-xp", "trace"], "ValueError"),
         (["run", "linear-xp", "--format", "xml"], "ValueError"),
+        (["nosuch"], "ValueError"),
+        (["run", "metric-xp", "--family", "bogus"], "ValueError"),
+        (["run", "trace", "--kind", "holder"], "ValueError"),
+        (["run", "trace", "--kind", "bogus"], "ValueError"),
+        (["run", "smoothness", "--kind", "bogus"], "ValueError"),
+        (["scan", "linear-xp", "--sweep", "n", "--values", "1;2"], "ValueError"),
+        (["run", "trace", "--config", "one-matrix.json"], "ValueError"),
     ], ids=["fractional-int", "unknown-flag", "missing-config", "unknown-report",
             "scan-without-sweep", "flag-without-value", "bool-flag-with-value",
-            "second-report", "unknown-format"])
+            "second-report", "unknown-format", "unknown-command", "unknown-family",
+            "holder-without-words", "unknown-trace-kind", "unknown-smoothness-kind",
+            "two-sweeps", "trace-one-matrix"])
     def test_exit_one_with_json_error(self, runner, args, error):
         res = runner.invoke(main, args)
         assert res.exit_code == 1
@@ -262,12 +279,14 @@ class TestRun:
         b = runner.invoke(main, args).output
         assert a == b
 
-    def test_hypothesis_warning_exit_code(self, runner):
+    @pytest.mark.parametrize("args", [
         # m = 1 violates both sample-size hypotheses of the torus inequality
-        res = runner.invoke(main, [
-            "run", "metric-xp", "--m", "1", "--n", "2", "--k", "1",
-            "--p", "4", "--deterministic",
-        ])
+        ["metric-xp", "--m", "1", "--n", "2", "--k", "1", "--p", "4"],
+        # 1 < 3^{1/2}/sqrt(2): m >= k^{1/p}/sqrt(p) fails
+        ["reverse-metric-xp", "--m", "1", "--n", "3", "--k", "3", "--p", "2"],
+    ], ids=["metric-xp", "reverse-metric-xp"])
+    def test_hypothesis_warning_exit_code(self, runner, args):
+        res = runner.invoke(main, ["run", *args, "--deterministic"])
         assert res.exit_code == 2
         assert json.loads(res.output)["report"]["warnings"]
 
@@ -328,6 +347,16 @@ class TestRun:
         res = runner.invoke(main, ["run", "contraction", "--a", "1,2,3", "--deterministic"])
         assert res.exit_code == 0, res.output
         assert json.loads(res.output)["report"]["params"]["n"] == 3
+
+    def test_bridge_with_zero_vectors_is_degenerate(self, runner, tmp_path):
+        path = tmp_path / "zero.json"
+        path.write_text(json.dumps({"zs": [[0.0, 0.0], [0.0, 0.0]], "n": 2}))
+        res = runner.invoke(main, ["run", "bridge", "--config", str(path), "--deterministic"])
+        assert res.exit_code == 0, res.output
+        report = json.loads(res.stdout)["report"]
+        assert report["degenerate"] is True
+        assert report["extra"]["metric"]["gamma"] is None
+        assert report["extra"]["linear_constant_from_gamma"] is None
 
     def test_three_letter_cotype_budget_counts_three_letters(self, runner):
         # 2^8 points and 3^8 patterns: 1,679,616 terms exceed the budget
@@ -466,6 +495,13 @@ class TestVerify:
         assert res.exit_code == 0, res.output
         assert "FAIL" not in res.output
         assert "lattice: gap moment translation invariance" in res.output
+
+    def test_failed_check_exits_one(self, runner, monkeypatch):
+        monkeypatch.setattr(cli, "SUITES", {"geodesic": lambda: [("broken", False, 2.0, 1.0)]})
+        res = runner.invoke(main, ["verify", "all"])
+        assert res.exit_code == 1
+        assert "geodesic: broken" in res.stdout and "FAIL" in res.stdout
+        assert res.stderr == "1 check(s) failed\n"
 
     def test_unknown_suite_rejected(self, runner):
         res = runner.invoke(main, ["verify", "bogus"])

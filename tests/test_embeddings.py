@@ -30,7 +30,7 @@ class TestRosenthal:
         n, q, p = 5, 3.0, 6.0
         x = np.zeros(n)
         x[0] = 1.0
-        v = rosenthal_embed(x, q, p)
+        v = rosenthal_embed(x, q)
         # [DERIVED] ||J x||^p = n^{p/2} + n^{p/q} for a basis vector
         assert rosenthal_target_norm(v, p) ** p == pytest.approx(
             n ** (p / 2) + n ** (p / q)
@@ -46,8 +46,8 @@ class TestRosenthal:
         assert 1 <= s_star <= n
         x = np.zeros(n)
         x[:2] = 2.5
-        a = rosenthal_target_norm(rosenthal_embed(x, q, p), p)
-        b = rosenthal_target_norm(rosenthal_embed(x / 2.5, q, p), p)
+        a = rosenthal_target_norm(rosenthal_embed(x, q), p)
+        b = rosenthal_target_norm(rosenthal_embed(x / 2.5, q), p)
         assert a == pytest.approx(2.5 * b)
 
     def test_two_level_dominates_flat(self):
