@@ -530,8 +530,14 @@ def _execute(tokens: tuple, flags: dict, render, *required: str, **defaults) -> 
 
 
 class _Commands(click.Group):
-    """A subcommand group whose unknown subcommand is a usage error like any
-    other: exit 1 with a JSON error, not click's exit 2."""
+    """A subcommand group whose missing or unknown subcommand is a usage error
+    like any other: exit 1 with a JSON error, not click's exit 2."""
+
+    def parse_args(self, ctx: click.Context, args: list[str]) -> list[str]:
+        if not args:
+            _fail(ValueError(f"missing command; choose one of "
+                             f"{', '.join(self.list_commands(ctx))}"))
+        return super().parse_args(ctx, args)
 
     def get_command(self, ctx: click.Context, name: str) -> click.Command:
         command = super().get_command(ctx, name)

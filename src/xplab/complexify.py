@@ -28,6 +28,7 @@ from typing import Sequence
 import numpy as np
 
 from .inequalities import (
+    _BLOCK,
     InequalityReport,
     _as_vectors,
     _finalize,
@@ -47,7 +48,6 @@ __all__ = [
 ]
 
 DEFAULT_NODES = 512
-_BLOCK = 1 << 15  # float64 elements per quadrature or coefficient block
 _MOMENT_TOL = 1e-10  # relative change that stops circular_moment's refinement
 
 

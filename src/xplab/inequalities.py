@@ -55,6 +55,7 @@ __all__ = [
 ]
 
 DEGENERACY_TOL = 1e-14
+_BLOCK = 1 << 15  # float64 elements per block of sign sums or quadrature terms
 
 
 # ---------------------------------------------------------------------------
@@ -151,6 +152,32 @@ def _signed_sum_mean(
     return math.fsum(vals.tolist()) / len(vals)
 
 
+def _signed_sum_means(
+    items: Sequence[np.ndarray],
+    subsets: Sequence[tuple[int, ...]],
+    patterns: np.ndarray,
+    power_fn: Callable[[np.ndarray], np.ndarray],
+) -> list[float]:
+    """The ``_signed_sum_mean`` of each subset (all of one size), bit for bit.
+
+    The subsets' items are gathered into a (u, |S|, ...) stack and summed by
+    one ``np.matmul`` per block of at most ``_BLOCK`` sums (at least one
+    subset), which runs the same product per subset as ``tensordot``;
+    ``power_fn`` sees one (u, batch, ...) array per block.
+    """
+    coeffs = np.asarray(items, dtype=float)
+    flat = coeffs.reshape(len(coeffs), -1)
+    per_block = max(1, _BLOCK // (len(patterns) * flat.shape[1]))
+    means = []
+    for start in range(0, len(subsets), per_block):
+        stack = flat[np.asarray(subsets[start:start + per_block]) - 1]  # (u, s, D)
+        sums = np.matmul(patterns, stack)  # (u, batch, D)
+        vals = np.asarray(power_fn(sums.reshape(sums.shape[:2] + coeffs.shape[1:])),
+                          dtype=float)
+        means.extend(math.fsum(row.tolist()) / len(row) for row in vals)
+    return means
+
+
 def signed_power_mean(
     items: Sequence[np.ndarray],
     subset: Sequence[int],
@@ -166,25 +193,29 @@ def signed_power_mean(
     order for exhaustive plans, ``plan.budget`` draws from the (seed,
     purpose) stream for Monte Carlo plans.  The rows depend on |S| only, so
     ``_xp_moments`` draws them once per report and sums every subset against
-    the same rows; a 1x1 matrix has ``eigvalsh`` equal to its entry, so the
-    Schatten report at d = 1 performs the float operations of the scalar one.
+    the same rows, a block of subsets at a time; a 1x1 matrix has ``eigvalsh``
+    equal to its entry, so the Schatten report at d = 1 performs the float
+    operations of the scalar one.
     """
     patterns = _sign_rows(len(subset), plan, purpose)
     return _signed_sum_mean(items, subset, patterns, power_fn)
 
 
 def subset_average(
-    fn: Callable[[tuple[int, ...]], float], n: int, k: int, plan: SamplePlan
+    fn: Callable, n: int, k: int, plan: SamplePlan, *, batched: bool = False
 ) -> float:
     """Mean of ``fn(S)`` over the plan's stream of size-k subsets of 1..n.
 
     ``fn`` must be a deterministic function of S (gap moments and sign means
     reseed their own streams, the other callers are closed forms): it is
-    called once per distinct subset, and every draw adds its subset's value
-    to the ``math.fsum`` in draw order.
+    called once per distinct subset, or with ``batched`` once with the list
+    of distinct subsets in first-draw order, returning their values in that
+    order.  Every draw adds its subset's value to the ``math.fsum`` in draw
+    order.
     """
     subsets = list(subset_stream(n, k, plan))
-    value = {S: fn(S) for S in dict.fromkeys(subsets)}
+    distinct = list(dict.fromkeys(subsets))
+    value = dict(zip(distinct, fn(distinct) if batched else map(fn, distinct)))
     return math.fsum(value[S] for S in subsets) / len(subsets)
 
 
@@ -196,15 +227,18 @@ def _xp_moments(
 
     avg_{|S|=k} E power_fn(sum_{j in S} eps_j x_j), sum_j power_fn(x_j) and
     E power_fn(sum_j eps_j x_j) (None unless ``full``).  The k-column sign
-    rows are drawn once and shared by every subset; the full average draws
-    its own n-column rows.
+    rows are drawn once and shared by every subset, and the distinct subsets
+    are summed against them in blocks (``_signed_sum_means``), with the same
+    floats as one ``_signed_sum_mean`` per subset; the full average draws its
+    own n-column rows.
     """
     n = len(items)
     if not 1 <= k <= n:
         raise ValueError(f"k={k} out of range for n={n}")
     rows = _sign_rows(k, plan, purpose)
     subset = subset_average(
-        lambda S: _signed_sum_mean(items, S, rows, power_fn), n, k, plan
+        lambda subsets: _signed_sum_means(items, subsets, rows, power_fn), n, k, plan,
+        batched=True,
     )
     ell = math.fsum(power_fn(np.stack(items)).tolist())
     rad = (signed_power_mean(items, tuple(range(1, n + 1)), power_fn, plan, purpose)

@@ -14,9 +14,11 @@ mod M (delta and -delta are one under a mirror law) once over all x, on
 rolled copies of the table with the value axis first, repeats that partial
 for every pattern that maps to it and combines the pattern partials with
 ``math.fsum``; a Monte Carlo plan draws ``budget`` pairs (x, eps) from a
-seeded stream (a one-letter law draws x only) and gathers both values of
-each pair as rows of the table flattened to ``(M**n, d)``, one flat row
-index per sample.
+seeded stream (a one-letter law draws x only).  A one-letter law whose torus
+has at most ``budget`` points evaluates the norm once per point and gathers
+each sample's value at the flat index of its x; every other plan gathers both
+values of each pair as rows of the table flattened to ``(M**n, d)``, one
+flat row index (``np.ravel_multi_index``) per sample.
 """
 
 from __future__ import annotations
@@ -408,13 +410,20 @@ def gap_moment_estimate(
     gen = stream(plan.seed, "gap:" + _spec_tag(spec))
     count = plan.budget
     x = gen.integers(0, M, size=(count, n))
-    # a one-letter law has delta = v: no sign draw, the stream's last, is needed
-    delta = v * _pattern_rows(letters, n, plan, gen) if len(letters) > 1 else v
-    table = values.reshape(M**n, f.value_dim)
-    place = M ** np.arange(n - 1, -1, -1)
-    left = table.take(((x + delta) % M) @ place, axis=0)
-    right = table.take(((x - delta) % M if mirror else x) @ place, axis=0)
-    samples = _norm_power(left - right, f.value_p, power)
+    shape, table = (M,) * n, values.reshape(M**n, f.value_dim)
+    if len(letters) == 1 and M**n <= count:
+        # delta = v is fixed, so a sample's value depends on x alone: one
+        # norm per torus point, gathered at the drawn points
+        shifted = np.roll(values, tuple(-v), axis=tuple(range(n))).reshape(table.shape)
+        per_point = _norm_power(shifted - table, f.value_p, power)
+        samples = per_point.take(np.ravel_multi_index(x.T, shape))
+    else:
+        # a one-letter law has delta = v: no sign draw, the stream's last, is needed
+        delta = v * _pattern_rows(letters, n, plan, gen) if len(letters) > 1 else v
+        left = table.take(np.ravel_multi_index((x + delta).T, shape, mode="wrap"), axis=0)
+        right_x = (x - delta).T if mirror else x.T
+        right = table.take(np.ravel_multi_index(right_x, shape, mode="wrap"), axis=0)
+        samples = _norm_power(left - right, f.value_p, power)
     mean = float(np.mean(samples))
     stderr = float(np.std(samples, ddof=1) / math.sqrt(count)) if count > 1 else 0.0
     return GapEstimate(mean, stderr, count, "monte-carlo")

@@ -239,11 +239,12 @@ class TestUsageErrors:
         (["run", "smoothness", "--kind", "bogus"], "ValueError"),
         (["scan", "linear-xp", "--sweep", "n", "--values", "1;2"], "ValueError"),
         (["run", "trace", "--config", "one-matrix.json"], "ValueError"),
+        ([], "ValueError"),
     ], ids=["fractional-int", "unknown-flag", "missing-config", "unknown-report",
             "scan-without-sweep", "flag-without-value", "bool-flag-with-value",
             "second-report", "unknown-format", "unknown-command", "unknown-family",
             "holder-without-words", "unknown-trace-kind", "unknown-smoothness-kind",
-            "two-sweeps", "trace-one-matrix"])
+            "two-sweeps", "trace-one-matrix", "no-command"])
     def test_exit_one_with_json_error(self, runner, args, error):
         res = runner.invoke(main, args)
         assert res.exit_code == 1

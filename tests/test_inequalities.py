@@ -2,6 +2,7 @@
 
 import itertools
 import math
+import tracemalloc
 from unittest import mock
 
 import numpy as np
@@ -26,6 +27,7 @@ from xplab.inequalities import (
     smoothness_report,
     subset_average,
 )
+from xplab.inequalities import _sign_rows, _signed_sum_mean, _xp_moments
 from xplab.lattice import (
     GridFunction,
     SamplePlan,
@@ -33,9 +35,11 @@ from xplab.lattice import (
     gap_moment,
     make_sample_plan,
     random_grid_function,
+    _norm_power,
     subset_stream,
 )
 from xplab.operators import HypercubeFunction
+from xplab.schatten import _schatten_power
 
 
 def indicator(modulus: int, n: int, p: float) -> GridFunction:
@@ -157,6 +161,70 @@ class TestMonteCarloReuse:
         linear_xp_report([0.7, -1.3, 0.2, 2.1, -0.4, 1.1], 3, 4.0, plan,
                          square_function=square_function)
         assert [c.args for c in opened.call_args_list] == [(3, "signs:xp")] * opens
+
+
+RNG = np.random.default_rng(8)
+SYM = RNG.standard_normal((8, 3, 3))
+
+
+class TestBatchedSubsets:
+    """``_xp_moments`` sums a block of subsets at a time, with the floats of
+    one ``_signed_sum_mean`` per subset, whatever the block size."""
+
+    # 500 draws of a 4-subset of 1..8 hit most of the 70 subsets; a product
+    # that sums in another order than one subset's ``tensordot`` moves the
+    # scalar moments at these sizes
+    PLANS = {
+        "exhaustive": SamplePlan("exhaustive", 10**6, 3),
+        "monte-carlo": SamplePlan("monte-carlo", 500, 3, subset_mode="sampled",
+                                  subset_count=500),
+    }
+    ITEMS = {
+        "scalar": (RNG.standard_normal((8, 1)), lambda v: _norm_power(v, 4.0, 4.0)),
+        "l_p^3": (RNG.standard_normal((8, 3)), lambda v: _norm_power(v, 3.5, 3.5)),
+        "S_p-symmetric": (list(SYM + SYM.transpose(0, 2, 1)), _schatten_power(4.0, True)),
+        "S_p-general": (list(RNG.standard_normal((8, 3, 3))), _schatten_power(3.0, False)),
+    }
+
+    @staticmethod
+    def per_subset(items, k, power_fn, plan) -> float:
+        rows = _sign_rows(k, plan, "signs:xp")
+        subsets = list(subset_stream(len(items), k, plan))
+        value = {S: _signed_sum_mean(items, S, rows, power_fn)
+                 for S in dict.fromkeys(subsets)}
+        return math.fsum(value[S] for S in subsets) / len(subsets)
+
+    @pytest.mark.parametrize("plan_name", sorted(PLANS))
+    @pytest.mark.parametrize("item_name", sorted(ITEMS))
+    def test_equals_per_subset_loop(self, plan_name, item_name):
+        plan, (items, power_fn) = self.PLANS[plan_name], self.ITEMS[item_name]
+        assert _xp_moments(items, 4, power_fn, plan)[0] == self.per_subset(
+            items, 4, power_fn, plan)
+
+    @pytest.mark.parametrize("per_block", [1, 7])
+    @pytest.mark.parametrize("plan_name", sorted(PLANS))
+    @pytest.mark.parametrize("item_name", sorted(ITEMS))
+    def test_block_size_does_not_change_the_floats(self, monkeypatch, per_block,
+                                                    plan_name, item_name):
+        plan, (items, power_fn) = self.PLANS[plan_name], self.ITEMS[item_name]
+        whole = _xp_moments(items, 4, power_fn, plan)
+        rows = 2**4 if plan.mode == "exhaustive" else plan.budget
+        monkeypatch.setattr(inequalities, "_BLOCK", per_block * rows * np.size(items[0]))
+        assert _xp_moments(items, 4, power_fn, plan) == whole
+
+    def test_memory_is_bounded_by_the_block(self):
+        # 64 subsets of 4096 sign sums take 2 MiB at once; blocked, the peak
+        # is the full average's 4096 x 16 sign draws and their letters (about
+        # 5 blocks). 64 subsets, not 4096, keep the traced run short.
+        a = np.random.default_rng(1).standard_normal(16)
+        plan = SamplePlan("monte-carlo", 4096, 5, subset_mode="sampled", subset_count=64)
+        tracemalloc.start()
+        try:
+            linear_xp_report(a, 8, 4.0, plan)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 8 * inequalities._BLOCK * 8
 
 
 class TestMetricXp:

@@ -140,6 +140,41 @@ class TestGapMoment:
         assert est.stderr == float(np.std(samples, ddof=1) / np.sqrt(999))
 
 
+class TestFixedShiftPerPoint:
+    """A one-letter law whose torus has at most ``budget`` points takes one
+    norm per point; the samples and their statistics are unchanged."""
+
+    @staticmethod
+    def direct_gather(f: GridFunction, v: tuple[int, ...], power: float, budget: int,
+                      tag: str) -> tuple[float, float]:
+        # the draws of the spec's stream (x only) gathered pair by pair
+        gen = stream(9, "gap:" + tag)
+        x = gen.integers(0, f.modulus, size=(budget, f.dimension))
+        diff = (f.values[tuple(((x + np.asarray(v)) % f.modulus).T)]
+                - f.values[tuple(x.T)])
+        samples = np.sum(np.abs(diff) ** f.value_p, axis=-1)
+        if power != f.value_p:
+            samples = (samples ** (1.0 / f.value_p)) ** power
+        return float(np.mean(samples)), float(np.std(samples, ddof=1) / np.sqrt(budget))
+
+    @pytest.mark.parametrize("spec,v", [(Edge(2), (0, 1, 0)),
+                                        (FixedShift((2, 0, -1)), (2, 0, -1))],
+                             ids=["Edge", "FixedShift"])
+    @pytest.mark.parametrize("power", [3.0, 2.0], ids=["power=value_p", "power=2"])
+    @pytest.mark.parametrize("budget,rolls", [(4**3 - 1, 0), (4**3, 1), (4 * 4**3, 1)],
+                             ids=["below-points", "points", "4x-points"])
+    def test_equals_direct_gather(self, monkeypatch, spec, v, power, budget, rolls):
+        f = random_grid_function(4, 3, 2, 3.0, seed=6)
+        counted = mock.Mock(wraps=np.roll)
+        monkeypatch.setattr(np, "roll", counted)
+        est = gap_moment_estimate(f, spec, SamplePlan("monte-carlo", budget, seed=9),
+                                  power=power)
+        assert counted.call_count == rolls
+        assert est.count == budget
+        assert (est.value, est.stderr) == self.direct_gather(f, v, power, budget,
+                                                             _spec_tag(spec))
+
+
 def per_pattern_reference(f: GridFunction, spec, power: float) -> tuple[float, int]:
     """Exhaustive gap moment with one roll per sign pattern, value axis last."""
     n, M, values = f.dimension, f.modulus, f.values

@@ -1,5 +1,6 @@
-"""tools/: the output comparison that byte-identity claims rest on, and the
-line counting of the unexercised-lines report."""
+"""tools/: the output comparison that byte-identity claims rest on, the
+line counting of the unexercised-lines report, and the aggregation of
+benchmark pairs."""
 
 import importlib.util
 import json
@@ -66,3 +67,38 @@ def test_unexercised_counts_the_lines_that_never_ran(tmp_path):
         assert load("sample", path).pick(1) == "yes"
     assert tool.missed(path, hits) == [4, 8]
     assert all(name == str(path) for name, _ in hits)
+
+
+def run_line(throughput: float, rss: float, failed: int = 0) -> str:
+    """The last stdout line of ``benchmarks/run.py --trace 0``, as it prints it."""
+    metrics = {"throughput_rps": {"value": throughput, "unit": "1/s"},
+               "peak_rss_mb": {"value": rss, "unit": "MB"}}
+    return json.dumps({"correct": failed == 0, "attempted": 100, "failed": failed,
+                       "metrics": metrics})
+
+
+def test_bench_pairs_aggregates_medians_quartiles_and_wins():
+    tool = load("bench_pairs", TOOL.parent / "bench_pairs.py")
+    specs = [{"name": "throughput_rps", "unit": "1/s", "better": "higher", "bound": 0.25},
+             {"name": "peak_rss_mb", "unit": "MB", "better": "lower", "bound": 0.15}]
+    parent = [(10.0, 90.0), (12.0, 91.0), (11.0, 89.0), (13.0, 90.0), (14.0, 92.0)]
+    change = [(15.0, 99.0), (11.0, 104.0), (16.0, 103.0), (17.0, 105.0), (18.0, 106.0)]
+    pairs = [(tool.last_json("set-up line\n" + run_line(*p) + "\n"),
+              tool.last_json(run_line(*c, failed=i == 0)))
+             for i, (p, c) in enumerate(zip(parent, change))]
+    entry = tool.aggregate(pairs, specs)
+    assert entry["pairs"] == 5
+    assert entry["attempted"] == {"parent": 500, "change": 500}
+    assert entry["failed"] == {"parent": 0, "change": 1}
+    rps = entry["metrics"]["throughput_rps"]
+    assert rps["parent"] == {"median": 12.0, "q1": 11.0, "q3": 13.0}
+    assert rps["change"] == {"median": 16.0, "q1": 15.0, "q3": 17.0}
+    assert rps["change_wins"] == 4  # 11 < 12 in the second pair
+    assert rps["relative_change"] == 0.333333
+    assert rps["within_bound"] is True
+    rss = entry["metrics"]["peak_rss_mb"]
+    assert rss["parent"]["median"] == 90.0
+    assert rss["change_wins"] == 0
+    assert rss["relative_change"] == 0.155556  # 104 / 90 - 1, over the 0.15 bound
+    assert rss["within_bound"] is False
+    assert (rss["unit"], rss["bound"]) == ("MB", 0.15)
