@@ -35,9 +35,9 @@ from xplab.lattice import (
     gap_moment,
     make_sample_plan,
     random_grid_function,
-    _norm_power,
     subset_stream,
 )
+from xplab.lattice import _norm_power
 from xplab.operators import HypercubeFunction
 from xplab.schatten import _schatten_power
 

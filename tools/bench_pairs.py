@@ -110,6 +110,8 @@ def main() -> None:
     ap.add_argument("--note", required=True, help="one line on what the change does")
     ap.add_argument("--out", type=Path, required=True)
     args = ap.parse_args()
+    if args.pairs < 2:
+        ap.error("--pairs must be at least 2 for quartiles")
 
     bench = json.loads((ROOT / "BENCHMARK.json").read_text(encoding="utf-8"))
     workloads = args.workloads or [w["name"] for w in bench["workloads"]]
