@@ -531,17 +531,18 @@ def _execute(tokens: tuple, flags: dict, render, *required: str, **defaults) -> 
 
 class _Commands(click.Group):
     """A subcommand group whose missing or unknown subcommand is a usage error
-    like any other: exit 1 with a JSON error, not click's exit 2."""
+    like any other: exit 1 with a JSON error, not click's exit 2.  Shell
+    completion parses resiliently and is left to click, as its own checks are."""
 
     def parse_args(self, ctx: click.Context, args: list[str]) -> list[str]:
-        if not args:
+        if not args and not ctx.resilient_parsing:
             _fail(ValueError(f"missing command; choose one of "
                              f"{', '.join(self.list_commands(ctx))}"))
         return super().parse_args(ctx, args)
 
     def get_command(self, ctx: click.Context, name: str) -> click.Command:
         command = super().get_command(ctx, name)
-        if command is None:
+        if command is None and not ctx.resilient_parsing:
             _fail(ValueError(f"unknown command {name!r}"))
         return command
 

@@ -11,6 +11,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from click.shell_completion import ShellComplete
 from click.testing import CliRunner
 
 from xplab import cli
@@ -250,6 +251,15 @@ class TestUsageErrors:
         assert res.exit_code == 1
         assert res.stdout == ""
         assert json.loads(res.stderr)["error"] == error
+
+    @pytest.mark.parametrize("args,incomplete,names", [
+        ([], "", ["run", "scan", "verify"]),
+        ([], "ru", ["run"]),
+        (["nosuch"], "--", ["--version", "--help"]),
+    ], ids=["first-word", "partial-word", "after-unknown-command"])
+    def test_shell_completion_is_not_a_usage_error(self, args, incomplete, names):
+        completion = ShellComplete(main, {}, "xplab", "_XPLAB_COMPLETE")
+        assert [c.value for c in completion.get_completions(args, incomplete)] == names
 
 
 class TestRun:

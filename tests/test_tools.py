@@ -102,3 +102,13 @@ def test_bench_pairs_aggregates_medians_quartiles_and_wins():
     assert rss["relative_change"] == 0.155556  # 104 / 90 - 1, over the 0.15 bound
     assert rss["within_bound"] is False
     assert (rss["unit"], rss["bound"]) == ("MB", 0.15)
+
+
+def test_bench_pairs_records_the_command_it_runs():
+    tool = load("bench_pairs", TOOL.parent / "bench_pairs.py")
+    bench = {"command": ["python3", "benchmarks/run.py"], "run_seconds": 25}
+    argv = tool.benchmark_argv(bench, "montecarlo", 90417, 1)
+    assert argv == ["python3", "benchmarks/run.py", "--workload", "montecarlo",
+                    "--seed", "90417", "--seconds", "25", "--trace", "1"]
+    recorded = json.loads((TOOL.parent.parent / "BENCH_12.json").read_text(encoding="utf-8"))
+    assert recorded["trace_montecarlo"]["command"] == " ".join(argv)

@@ -3,13 +3,12 @@
 Usage, from the repository root::
 
     python3 tools/bench_pairs.py --parent DIR --change DIR --seed N --pairs 10 \\
-        --seconds 25 --out BENCH_12.json --note "what changed" \\
-        [--workload NAME ...] [--claimed WORKLOAD:METRIC] [--traced]
+        --out BENCH_12.json --note "what changed" [--claimed WORKLOAD:METRIC] [--traced]
 
 ``DIR`` is a checkout (for example ``git clone`` of each commit into a
-scratch directory).  For each workload (default: every workload of
-``BENCHMARK.json``) it runs ``python3 benchmarks/run.py --workload W --seed N
---seconds S --trace 0`` in each checkout, ``--pairs`` times, alternating
+scratch directory).  For each workload of ``BENCHMARK.json`` it runs that
+file's ``command`` with ``--workload W --seed N --seconds S --trace 0``, where
+``S`` is its ``run_seconds``, in each checkout, ``--pairs`` times, alternating
 which side runs first, and reads the JSON object on the last line of each
 run's standard output.  Each end-to-end metric of ``BENCHMARK.json`` is
 summarised by the median and quartiles of each side's runs; ``change_wins``
@@ -32,8 +31,6 @@ import sys
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
-COMMAND = ("python3 benchmarks/run.py --workload {workload} --seed {seed} --seconds {seconds} "
-           "--trace {trace}")
 STATISTICS = ("median and quartiles (q1, q3) of the {pairs} runs of each side; change_wins "
               "counts pairs where the change reads better")
 
@@ -84,9 +81,13 @@ def traced_metrics(parent: dict, change: dict) -> dict:
             for name in parent["metrics"]}
 
 
-def run_once(checkout: Path, workload: str, seed: int, seconds: float, trace: int = 0) -> dict:
-    argv = [sys.executable, "benchmarks/run.py", "--workload", workload, "--seed", str(seed),
-            "--seconds", str(seconds), "--trace", str(trace)]
+def benchmark_argv(bench: dict, workload: str, seed: int, trace: int) -> list[str]:
+    """The benchmark command of ``BENCHMARK.json`` with one run's flags."""
+    return [*bench["command"], "--workload", workload, "--seed", str(seed),
+            "--seconds", f"{bench['run_seconds']:g}", "--trace", str(trace)]
+
+
+def run_once(checkout: Path, argv: list[str]) -> dict:
     proc = subprocess.run(argv, cwd=checkout, capture_output=True, text=True, check=True)
     sys.stderr.write(proc.stderr)  # FAILED reports, counters that differ between passes
     return last_json(proc.stdout)
@@ -103,8 +104,6 @@ def main() -> None:
     ap.add_argument("--change", type=Path, required=True)
     ap.add_argument("--seed", type=int, required=True)
     ap.add_argument("--pairs", type=int, default=10)
-    ap.add_argument("--seconds", type=float, default=25.0)
-    ap.add_argument("--workload", action="append", dest="workloads")
     ap.add_argument("--claimed", metavar="WORKLOAD:METRIC")
     ap.add_argument("--traced", action="store_true", help="add one traced run per side")
     ap.add_argument("--note", required=True, help="one line on what the change does")
@@ -114,13 +113,11 @@ def main() -> None:
         ap.error("--pairs must be at least 2 for quartiles")
 
     bench = json.loads((ROOT / "BENCHMARK.json").read_text(encoding="utf-8"))
-    workloads = args.workloads or [w["name"] for w in bench["workloads"]]
-    seconds = f"{args.seconds:g}"
     cpus = len(os.sched_getaffinity(0))
     doc = {
         "change": args.note,
         "parent": revision(args.parent),
-        "command": COMMAND.format(workload="W", seed=args.seed, seconds=seconds, trace=0),
+        "command": " ".join(benchmark_argv(bench, "W", args.seed, 0)),
         "pairs": f"{args.pairs} per workload, alternating which side runs first",
         "host": f"{cpus}-vCPU host, times calibration-scaled by the benchmark",
         "statistics": STATISTICS.format(pairs=args.pairs),
@@ -128,23 +125,22 @@ def main() -> None:
                     if args.claimed else None),
         "workloads": {},
     }
-    for workload in workloads:
+    for workload in (w["name"] for w in bench["workloads"]):
+        argv = benchmark_argv(bench, workload, args.seed, 0)
         pairs = []
         for i in range(args.pairs):
             order = ("parent", "change") if i % 2 == 0 else ("change", "parent")
-            runs = {side: run_once(getattr(args, side), workload, args.seed, args.seconds)
-                    for side in order}
+            runs = {side: run_once(getattr(args, side), argv) for side in order}
             pairs.append((runs["parent"], runs["change"]))
             print(f"{workload} pair {i + 1}/{args.pairs}: " + ", ".join(
                 f"{side} {runs[side]['metrics']['throughput_rps']['value']:.4g} rps"
                 for side in ("parent", "change")), flush=True)
         doc["workloads"][workload] = aggregate(pairs, bench["end_to_end"])
         if args.traced:
-            traced = {side: run_once(getattr(args, side), workload, args.seed, args.seconds, 1)
-                      for side in ("parent", "change")}
+            argv = benchmark_argv(bench, workload, args.seed, 1)
+            traced = {side: run_once(getattr(args, side), argv) for side in ("parent", "change")}
             doc[f"trace_{workload}"] = {
-                "command": COMMAND.format(workload=workload, seed=args.seed, seconds=seconds,
-                                          trace=1),
+                "command": " ".join(argv),
                 "runs": "one per side, values per traced pass",
                 "metrics": traced_metrics(traced["parent"], traced["change"]),
             }
