@@ -10,19 +10,25 @@ x uniform on the torus and the displacement law of a spec: delta = v * eps
 with eps_j uniform on a letter set for j in the support of v, and
 delta' = -delta or 0 (``_law``).  An exhaustive plan takes every sign
 pattern in ``itertools.product`` order.  It sums each distinct displacement
-mod M (delta and -delta are one under a mirror law) once over all x, on
-rolled copies of the table with the value axis first, repeats that partial
-for every pattern that maps to it and combines the pattern partials with
-``math.fsum``; a Monte Carlo plan draws ``budget`` pairs (x, eps) from a
-seeded stream (a one-letter law draws x only).  A one-letter law whose torus
-has at most ``budget`` points evaluates the norm once per point and gathers
-each sample's value at the flat index of its x; every other plan gathers both
-values of each pair as rows of the table flattened to ``(M**n, d)``, one
-flat row index (``np.ravel_multi_index``) per sample.
+mod M once over all x, on rolled copies of the table with the value axis
+first (``GridFunction.value_first``, built once per grid function), repeats
+that partial for every pattern that maps to it and combines the pattern
+partials with ``math.fsum``.  delta and -delta share one pass over the table
+under every law: under a mirror law they give one difference up to sign, and
+otherwise the per-point norms of -delta are those of delta rolled by delta,
+bit for bit.  The zero displacement needs no pass.
+
+A Monte Carlo plan draws ``budget`` pairs (x, eps) from a seeded stream (a
+one-letter law draws x only).  A one-letter law whose torus has at most
+``budget`` points evaluates the norm once per point and gathers each sample's
+value at the flat index of its x; every other plan gathers both values of
+each pair as rows of the table flattened to ``(M**n, d)``, one flat row index
+(``np.ravel_multi_index``) per sample.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass, replace
@@ -125,6 +131,22 @@ class GridFunction:
         vals = vals.copy()
         vals.setflags(write=False)
         object.__setattr__(self, "values", vals)
+
+    def __eq__(self, other: object) -> bool:
+        """Equal fields and equal tables; the cached ``value_first`` is no field."""
+        if not isinstance(other, GridFunction):
+            return NotImplemented
+        return (self.modulus, self.dimension, self.value_dim, self.value_p) == (
+            other.modulus, other.dimension, other.value_dim, other.value_p,
+        ) and np.array_equal(self.values, other.values)
+
+    @functools.cached_property
+    def value_first(self) -> np.ndarray:
+        """``values`` with the value axis first, shape ``(d,) + (M,)*n``,
+        C-contiguous and read-only; built on first use, once per instance."""
+        table = np.ascontiguousarray(np.moveaxis(self.values, -1, 0))
+        table.setflags(write=False)
+        return table
 
     # -- constructors --------------------------------------------------
 
@@ -396,13 +418,24 @@ def gap_moment_estimate(
         keys = [tuple(row) for row in (deltas % M).tolist()]
         if mirror:
             keys = [min(key, tuple(-c % M for c in key)) for key in keys]
-        table = np.ascontiguousarray(np.moveaxis(values, -1, 0))
-        axes = tuple(range(1, n + 1))
+        distinct, zero = set(keys), (0,) * n
         partial = {}
-        for key in set(keys):
+        if zero in distinct:
+            # every difference is zero: M**n copies of one norm, no roll
+            partial[zero] = M**n * float(_norm_power(np.zeros(1), f.value_p, power, axis=0))
+        table, axes = f.value_first, tuple(range(1, n + 1))
+        for key in distinct:
+            if key in partial:
+                continue
             diff = np.roll(table, tuple(-c for c in key), axis=axes)
             diff -= np.roll(table, key, axis=axes) if mirror else table
-            partial[key] = float(np.sum(_norm_power(diff, f.value_p, power, axis=0)))
+            norms = _norm_power(diff, f.value_p, power, axis=0)
+            partial[key] = float(np.sum(norms))
+            # x -> x - delta permutes the torus and |a - b| == |b - a|, so the
+            # norms of -delta are those of delta rolled by delta, bit for bit
+            partner = tuple(-c % M for c in key)
+            if partner in distinct and partner not in partial:
+                partial[partner] = float(np.sum(np.roll(norms, key, axis=tuple(range(n)))))
         count = len(keys) * M**n
         value = math.fsum(partial[key] for key in keys) / count
         return GapEstimate(value, 0.0, count, "exhaustive")

@@ -2,6 +2,7 @@
 
 import itertools
 import math
+from dataclasses import replace
 from unittest import mock
 
 import numpy as np
@@ -202,7 +203,9 @@ def torus_specs(modulus: int, n: int) -> tuple:
 
 
 class TestExhaustiveDedup:
-    """Each distinct displacement is rolled once; the result is unchanged."""
+    """Each distinct displacement mod M costs at most one pass over the table;
+    -delta reuses the per-point norms of delta, rolled, under every law, and a
+    zero displacement costs none.  The result is unchanged bit for bit."""
 
     @pytest.mark.parametrize("modulus", [2, 4, 8, 16])
     @pytest.mark.parametrize("d", [1, 2, 4])
@@ -212,6 +215,20 @@ class TestExhaustiveDedup:
         f = random_grid_function(modulus, n, d, 3.0, seed=modulus + d)
         plan = exhaustive_plan(modulus, n)
         for spec in torus_specs(modulus, n):
+            est = gap_moment_estimate(f, spec, plan, power=power)
+            assert (est.value, est.count) == per_pattern_reference(f, spec, power), spec
+
+    @pytest.mark.parametrize("modulus", [3, 5, 6, 12])
+    @pytest.mark.parametrize("d", [1, 2, 4])
+    @pytest.mark.parametrize("power", [3.0, 2.0, 1.5],
+                             ids=["power=value_p", "power=2", "power=1.5"])
+    def test_equals_per_pattern_loop_other_moduli(self, modulus, d, power):
+        # at odd M no displacement is its own partner; t = M and v = 0 are zero
+        n = 3 if modulus <= 6 else 2
+        f = random_grid_function(modulus, n, d, 3.0, seed=modulus + d)
+        plan = exhaustive_plan(modulus, n)
+        zero_specs = (ShiftedSet((1,), modulus), FixedShift((0,) * n))
+        for spec in torus_specs(modulus, n) + zero_specs:
             est = gap_moment_estimate(f, spec, plan, power=power)
             assert (est.value, est.count) == per_pattern_reference(f, spec, power), spec
 
@@ -250,6 +267,21 @@ class TestExhaustiveDedup:
         assert rolls.call_count == 16
         assert est.count == 2**4 * 4**4
 
+    @pytest.mark.parametrize("modulus,n,report,table_rolls", [
+        # lhs 6 subsets, edges 4, diagonal 16 displacements in 8 pairs
+        (16, 4, lambda f, plan: metric_xp_report(f, 2, plan), 18),
+        # 27 patterns: the zero one is free, the other 26 form 13 pairs
+        (16, 3, lambda f, plan: gap_moment_estimate(f, ThreeLetterDiagonal(), plan), 13),
+        # the mirror law already folds eps and -eps: 8 pairs, two rolls each
+        (4, 4, lambda f, plan: gap_moment_estimate(f, SymmetricDiagonal(), plan), 16),
+    ], ids=["metric-xp", "three-letter", "symmetric-diagonal"])
+    def test_full_table_rolls(self, monkeypatch, modulus, n, report, table_rolls):
+        f = random_grid_function(modulus, n, 1, 3.0, seed=0)
+        rolls = self.count_rolls(monkeypatch)
+        report(f, exhaustive_plan(modulus, n, 2))
+        # the (d, M**n) table has one axis more than the per-point norms
+        assert sum(c.args[0].ndim == n + 1 for c in rolls.call_args_list) == table_rolls
+
 
 class TestGridFunction:
     def test_shift_semantics(self):
@@ -269,6 +301,22 @@ class TestGridFunction:
         f = random_grid_function(4, 1, 1, 2.0, seed=0)
         with pytest.raises(ValueError):
             f.values[0] = 0.0
+
+    def test_derived_functions_build_their_own_table(self):
+        f = random_grid_function(6, 2, 3, 3.0, seed=4)
+        plan = exhaustive_plan(6, 2)
+        gap_moment_estimate(f, Diagonal(), plan)
+        assert "value_first" in vars(f)
+        derived = (f.shift((1, 4)), f.with_values(-2.0 * f.values[::-1]),
+                   GridFunction.from_json_dict(f.to_json_dict()))
+        for g in derived:
+            for spec in torus_specs(6, 2):
+                est = gap_moment_estimate(g, spec, plan)
+                assert (est.value, est.count) == per_pattern_reference(g, spec, 3.0), spec
+        with pytest.raises(ValueError):
+            f.values[0, 0, 0] = 0.0
+        assert not f.value_first.flags.writeable
+        assert f == replace(f)
 
 
 class TestSamplePlan:
