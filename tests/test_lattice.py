@@ -232,6 +232,15 @@ class TestExhaustiveDedup:
             est = gap_moment_estimate(f, spec, plan, power=power)
             assert (est.value, est.count) == per_pattern_reference(f, spec, power), spec
 
+    @pytest.mark.parametrize("power", [0.0, -1.0])
+    def test_zero_displacement_at_power_zero_and_below(self, power):
+        # the norm of a zero difference is 1 or inf there, not 0
+        f = random_grid_function(4, 2, 2, 3.0, seed=1)
+        with np.errstate(divide="ignore"):
+            for spec in (FixedShift((0, 0)), ThreeLetterDiagonal()):
+                est = gap_moment_estimate(f, spec, exhaustive_plan(4, 2), power=power)
+                assert (est.value, est.count) == per_pattern_reference(f, spec, power), spec
+
     @pytest.mark.parametrize("d", [8, 9])
     def test_long_value_axis_within_rounding(self, d):
         # numpy sums an axis of 8 or more pairwise when it is last, and
