@@ -10,7 +10,8 @@ the ``POOL`` instances of each pooled template and three seeded draws of each
 closed-form template of ``benchmarks/workloads.py`` (read, never written).
 It then runs each report of ``xplab.cli.REPORTS`` at its default parameters
 three ways, which the benchmark does not: ``run NAME --deterministic`` in
-JSON and in CSV, and ``scan NAME --sweep seed --values 1,2``.
+JSON and in CSV, and ``scan NAME --sweep seed --values 1,2``; then the
+``EXTRA`` sizes and ``verify all``.
 xplab is imported from ``DIR`` (default: ``src/`` of this checkout), config
 files go to a temporary directory, and ``OUT.json`` maps each command's key
 to ``[exit code, stdout, stderr]``.
@@ -33,6 +34,19 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 DRAWS = 3
+# valid sizes of reports whose code neither the benchmark nor the default
+# runs reach: exact counterexample powers, Pisier and probe sign sums at
+# small n, scaling witnesses, both grid embeddings, and the verify oracles
+EXTRA = [
+    *(["run", "psd-counterexample", "--q", q] for q in ("1", "2", "4", "6")),
+    *(["run", "smoothness", "--kind", "pisier", "--n", n, "--d", d]
+      for n in ("1", "3", "5") for d in ("1", "3")),
+    *(["run", "convolution-probe", "--n", n] for n in ("1", "2", "3")),
+    *(["run", "scaling-witness", "--m", m, "--n", n, "--k", k]
+      for m, n, k in (("1", "1", "1"), ("3", "2", "2"), ("4", "3", "2"))),
+    *(["run", "grid-distortion", "--which", which, "--m", m, "--n", "2"]
+      for which in ("rosenthal", "schoenberg") for m in ("2", "3")),
+]
 
 
 def commands(directory: Path) -> dict[str, list[str]]:
@@ -60,6 +74,8 @@ def commands(directory: Path) -> dict[str, list[str]]:
         jobs += [(f"cli-run-json/{name}", ["run", name, "--deterministic"]),
                  (f"cli-run-csv/{name}", ["run", name, "--deterministic", "--format", "csv"]),
                  (f"cli-scan-seed/{name}", ["scan", name, "--sweep", "seed", "--values", "1,2"])]
+    jobs += [("extra/" + " ".join(argv[1:]), [*argv, "--deterministic"]) for argv in EXTRA]
+    jobs.append(("extra/verify all", ["verify", "all"]))
     return dict(jobs)
 
 
