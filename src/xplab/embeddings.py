@@ -9,7 +9,6 @@ double-centering of the squared-distance matrix plus a spectral embedding.
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 from typing import Sequence
@@ -291,9 +290,8 @@ def grid_bounds(m: int, n: int, q: float, p: float) -> dict:
 
 
 def _grid_points(m: int, n: int) -> np.ndarray:
-    return np.array(
-        list(itertools.product(range(m + 1), repeat=n)), dtype=float
-    )
+    """The points of {0..m}^n as rows, in ``itertools.product`` order."""
+    return np.indices((m + 1,) * n).reshape(n, -1).T.astype(float, order="C")
 
 
 def composite_grid_distortion(

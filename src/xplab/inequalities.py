@@ -9,7 +9,6 @@ are never hard-coded: acceptance pins regression values of implied constants.
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass, field
 from typing import Callable, Sequence
@@ -135,21 +134,9 @@ def _finalize(
 
 def _sign_rows(r: int, plan: SamplePlan, purpose: str) -> np.ndarray:
     """The sign patterns of ``signed_power_mean`` for a subset of size r."""
-    gen = None if plan.mode == "exhaustive" else stream(plan.seed, purpose)
-    return _pattern_rows((-1.0, 1.0), r, plan, gen)
-
-
-def _signed_sum_mean(
-    items: Sequence[np.ndarray],
-    subset: Sequence[int],
-    patterns: np.ndarray,
-    power_fn: Callable[[np.ndarray], np.ndarray],
-) -> float:
-    """``signed_power_mean`` over the given sign rows."""
-    stackdim = np.stack([items[j - 1] for j in subset], axis=0)  # (s, ...)
-    sums = np.tensordot(patterns, stackdim, axes=(1, 0))  # (batch, ...)
-    vals = np.asarray(power_fn(sums), dtype=float)
-    return math.fsum(vals.tolist()) / len(vals)
+    if plan.mode == "exhaustive":
+        return _pattern_rows((-1.0, 1.0), r)
+    return _pattern_rows((-1.0, 1.0), r, stream(plan.seed, purpose), plan.budget)
 
 
 def _signed_sum_means(
@@ -158,12 +145,16 @@ def _signed_sum_means(
     patterns: np.ndarray,
     power_fn: Callable[[np.ndarray], np.ndarray],
 ) -> list[float]:
-    """The ``_signed_sum_mean`` of each subset (all of one size), bit for bit.
+    """The library's one sign-sum kernel: for each subset S (all of one
+    size), the mean over the sign rows eps of ``patterns`` of
+    ``power_fn(sum_{j in S} eps_j items[j-1])``.
 
     The subsets' items are gathered into a (u, |S|, ...) stack and summed by
     one ``np.matmul`` per block of at most ``_BLOCK`` sums (at least one
-    subset), which runs the same product per subset as ``tensordot``;
-    ``power_fn`` sees one (u, batch, ...) array per block.
+    subset), with the floats of one ``tensordot`` per subset whatever the
+    block; ``power_fn`` sees one (u, batch, ...) array per block and returns
+    one float per sign sum, and each subset's floats are combined with
+    ``math.fsum`` in row order.
     """
     coeffs = np.asarray(items, dtype=float)
     flat = coeffs.reshape(len(coeffs), -1)
@@ -187,18 +178,18 @@ def signed_power_mean(
 ) -> float:
     """Mean over signs eps of ``power_fn(sum_{j in S} eps_j items[j-1])``.
 
-    ``power_fn`` is applied to a batch whose leading axis indexes the sign
-    patterns and must return one float per pattern.  The patterns are the
-    rows of {-1, 1}^{|S|} that the gap moments use: all 2^{|S|} in a fixed
-    order for exhaustive plans, ``plan.budget`` draws from the (seed,
-    purpose) stream for Monte Carlo plans.  The rows depend on |S| only, so
-    ``_xp_moments`` draws them once per report and sums every subset against
-    the same rows, a block of subsets at a time; a 1x1 matrix has ``eigvalsh``
-    equal to its entry, so the Schatten report at d = 1 performs the float
-    operations of the scalar one.
+    One subset through ``_signed_sum_means``: ``power_fn`` is applied to a
+    batch whose second axis indexes the sign patterns and must return one
+    float per pattern.  The patterns are the rows of {-1, 1}^{|S|} that the
+    gap moments use: all 2^{|S|} in a fixed order for exhaustive plans,
+    ``plan.budget`` draws from the (seed, purpose) stream for Monte Carlo
+    plans.  The rows depend on |S| only, so ``_xp_moments`` draws them once
+    per report and sums every subset against the same rows; a 1x1 matrix
+    has ``eigvalsh`` equal to its entry, so the Schatten report at d = 1
+    performs the float operations of the scalar one.
     """
     patterns = _sign_rows(len(subset), plan, purpose)
-    return _signed_sum_mean(items, subset, patterns, power_fn)
+    return _signed_sum_means(items, [tuple(subset)], patterns, power_fn)[0]
 
 
 def subset_average(
@@ -226,11 +217,10 @@ def _xp_moments(
     """The moments of the linear X_p inequality for coefficients x_j:
 
     avg_{|S|=k} E power_fn(sum_{j in S} eps_j x_j), sum_j power_fn(x_j) and
-    E power_fn(sum_j eps_j x_j) (None unless ``full``).  The k-column sign
-    rows are drawn once and shared by every subset, and the distinct subsets
-    are summed against them in blocks (``_signed_sum_means``), with the same
-    floats as one ``_signed_sum_mean`` per subset; the full average draws its
-    own n-column rows.
+    E power_fn(sum_j eps_j x_j) (None unless ``full``).  Both averages run
+    the sign-sum kernel ``_signed_sum_means``: the k-column sign rows are
+    drawn once and every distinct subset is summed against them, and the
+    full average (``signed_power_mean`` of 1..n) draws its own n-column rows.
     """
     n = len(items)
     if not 1 <= k <= n:
@@ -440,6 +430,8 @@ def smoothness_report(h: HypercubeFunction, kind: Enflo | BMW | Pisier) -> Inequ
     Pisier(p): rhs = E_{eps,delta} ||sum_j delta_j (h(s^j eps) - h(eps))||^p.
     """
     n = h.dimension
+    if n < 1:
+        raise ValueError("smoothness reports require dimension n >= 1")
     anti = h.values - h.antipode().values
     flips = [h.flip(j).values - h.values for j in range(1, n + 1)]
     if isinstance(kind, Enflo):
@@ -461,15 +453,17 @@ def smoothness_report(h: HypercubeFunction, kind: Enflo | BMW | Pisier) -> Inequ
     if isinstance(kind, Pisier):
         p = kind.p
         lhs = _cube_mean_power(anti, p)
-        parts = []
-        for delta in itertools.product((-1.0, 1.0), repeat=n):
-            comb = sum(dj * dv for dj, dv in zip(delta, flips))
-            parts.append(_cube_mean_power(comb, p))
-        rhs = math.fsum(parts) / len(parts)
+
+        def cube_means(sums: np.ndarray) -> list[list[float]]:
+            norms = _norm_power(sums, 2.0, p).reshape(sums.shape[:2] + (-1,))
+            return [[math.fsum(row.tolist()) / row.size for row in block] for block in norms]
+
+        rhs = _signed_sum_means(flips, [tuple(range(1, n + 1))], _pattern_rows((-1.0, 1.0), n),
+                                cube_means)[0]
         return _finalize(
             "pisier", {"p": p, "n": n, "d": h.value_dim}, lhs, {"rad_diff": rhs}, None
         )
-    raise TypeError(f"unknown smoothness kind {kind!r}")  # pragma: no cover
+    raise TypeError(f"unknown smoothness kind {kind!r}")
 
 
 # ---------------------------------------------------------------------------
@@ -486,6 +480,8 @@ def cotype_report(
     variant "rademacher":   modulus 8m, shift 4m e_j, eps uniform on {-1,1}^n.
     """
     n = f.dimension
+    if s <= 0:
+        raise ValueError(f"cotype exponent s={s} must be > 0")
     if variant == "three-letter":
         if f.modulus % 2 != 0:
             raise ValueError("three-letter variant requires even modulus")
@@ -532,9 +528,11 @@ def convolution_probe(f: GridFunction, p: float) -> InequalityReport:
     lower bound on the best constant in the conjectured inequality; the
     report never claims the conjecture's truth value.
     """
+    n, M = f.dimension, f.modulus
+    if n < 1:
+        raise ValueError("convolution_probe requires dimension n >= 1")
     if f.value_dim != 1:
         raise ValueError("convolution_probe requires scalar values")
-    n, M = f.dimension, f.modulus
     npoints = M**n
     ef = edge_average(f, CalE())
     plan = SamplePlan("exhaustive", max(npoints * 2**n, 1), 0)
@@ -544,11 +542,10 @@ def convolution_probe(f: GridFunction, p: float) -> InequalityReport:
         ejf = edge_average(f, CalEj(j))
         e = tuple(1 if a == j - 1 else 0 for a in range(n))
         gj.append(ejf.shift(e).values - ejf.shift(tuple(-c for c in e)).values)
-    parts = []
-    for eps in itertools.product((-1.0, 1.0), repeat=n):
-        comb = sum(e * g for e, g in zip(eps, gj))
-        parts.append(float(_norm_power(comb, p, p, axis=None)))
-    rad = math.fsum(parts) / 2**n
+    rad = _signed_sum_means(
+        gj, [tuple(range(1, n + 1))], _pattern_rows((-1.0, 1.0), n),
+        lambda sums: _norm_power(sums.reshape(sums.shape[:2] + (-1,)), p, p),
+    )[0]
     edge = npoints * math.fsum(
         gap_moment(f, Edge(j), plan, power=p) for j in range(1, n + 1)
     )
@@ -602,17 +599,15 @@ def scaling_witness_report(m: int, n: int, k: int, p: float) -> InequalityReport
     constant is m-independent: the surrogate alone can never exhibit the
     decay that motivates the truncated witness (which is out of scope).
     """
+    if m < 1:
+        raise ValueError(f"scaling witness requires m >= 1, got m={m}")
     if not 1 <= k <= n:
         raise ValueError(f"k={k} out of range for n={n}")
     M = 2 * m
-
-    def g(x: tuple[int, ...]) -> list[float]:
-        out = []
-        for c in x:
-            out.extend([math.cos(math.pi * c / m), math.sin(math.pi * c / m)])
-        return out
-
-    f = GridFunction.from_evaluator(M, n, 2 * n, 2.0, g)
+    # g(x) concatenates the (cos, sin) pairs of x's residues
+    circle = np.array([[math.cos(math.pi * c / m), math.sin(math.pi * c / m)] for c in range(M)])
+    values = np.moveaxis(circle[np.indices((M,) * n)], 0, -2).reshape((M,) * n + (2 * n,))
+    f = GridFunction(M, n, 2 * n, 2.0, values)
     plan = SamplePlan("exhaustive", max(M**n * 2**n, 1), 0)
     shifted = subset_average(
         lambda S: gap_moment(f, ShiftedSet(S, m), plan, power=p), n, k, plan

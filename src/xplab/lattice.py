@@ -32,7 +32,7 @@ import functools
 import itertools
 import math
 from dataclasses import dataclass, replace
-from typing import Callable, Iterable, Iterator, Sequence
+from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -147,23 +147,6 @@ class GridFunction:
         table = np.ascontiguousarray(np.moveaxis(self.values, -1, 0))
         table.setflags(write=False)
         return table
-
-    # -- constructors --------------------------------------------------
-
-    @staticmethod
-    def from_evaluator(
-        modulus: int,
-        dimension: int,
-        value_dim: int,
-        value_p: float,
-        fn: Callable[[tuple[int, ...]], Sequence[float]],
-    ) -> "GridFunction":
-        """Tabulate a total evaluator over the torus (row-major order)."""
-        shape = (modulus,) * dimension + (value_dim,)
-        table = np.empty(shape, dtype=float)
-        for x in itertools.product(range(modulus), repeat=dimension):
-            table[x] = np.asarray(fn(x), dtype=float)
-        return GridFunction(modulus, dimension, value_dim, value_p, table)
 
     # -- views and algebra ---------------------------------------------
 
@@ -387,14 +370,15 @@ def _law(spec: DisplacementSpec, n: int) -> tuple[np.ndarray, tuple[int, ...], b
 
 
 def _pattern_rows(
-    letters: Sequence[float], r: int, plan: SamplePlan, gen: np.random.Generator | None
+    letters: Sequence[float], r: int, gen: np.random.Generator | None = None,
+    count: int = 0,
 ) -> np.ndarray:
-    """Rows of letters^r: all of them in ``itertools.product`` order for an
-    exhaustive plan, ``plan.budget`` uniform draws from ``gen`` otherwise."""
-    if plan.mode == "exhaustive":
+    """Rows of letters^r: all of them in ``itertools.product`` order without
+    ``gen``, ``count`` uniform draws from ``gen`` otherwise."""
+    if gen is None:
         index = np.indices((len(letters),) * r).reshape(r, len(letters) ** r).T
     else:
-        index = gen.integers(0, len(letters), size=(plan.budget, r))
+        index = gen.integers(0, len(letters), size=(count, r))
     return np.asarray(letters)[index]
 
 
@@ -412,7 +396,7 @@ def gap_moment_estimate(
     if plan.mode == "exhaustive":
         support = np.flatnonzero(v)
         deltas = np.zeros((len(letters) ** len(support), n), dtype=np.int64)
-        deltas[:, support] = _pattern_rows(letters, len(support), plan, None) * v[support]
+        deltas[:, support] = _pattern_rows(letters, len(support)) * v[support]
         # one key per distinct displacement mod M; under a mirror law delta
         # and -delta only flip the sign of the difference
         keys = [tuple(row) for row in (deltas % M).tolist()]
@@ -454,7 +438,7 @@ def gap_moment_estimate(
         samples = per_point.take(np.ravel_multi_index(x.T, shape))
     else:
         # a one-letter law has delta = v: no sign draw, the stream's last, is needed
-        delta = v * _pattern_rows(letters, n, plan, gen) if len(letters) > 1 else v
+        delta = v * _pattern_rows(letters, n, gen, count) if len(letters) > 1 else v
         left = table.take(np.ravel_multi_index((x + delta).T, shape, mode="wrap"), axis=0)
         right_x = (x - delta).T if mirror else x.T
         right = table.take(np.ravel_multi_index(right_x, shape, mode="wrap"), axis=0)
@@ -492,18 +476,11 @@ def geodesic(w: Sequence[int]) -> np.ndarray:
         raise ValueError("w must be a nonempty integer vector")
     if np.any(w % 2 == 0):
         raise ValueError("all coordinates of w must be odd")
-    signs = np.sign(w)
     aw = np.abs(w)
-    T = int(aw.max())
-    path = np.zeros((T + 1, w.size), dtype=np.int64)
-    for t in range(1, T + 1):
-        prev = path[t - 1]
-        if t % 2 == 1:
-            path[t] = prev + 1
-        else:
-            step = np.where(prev < aw, 1, -1)
-            path[t] = prev + step
-    return path * signs
+    # coordinate j climbs one step at a time to |w_j|, then alternates
+    # between |w_j| - 1 and |w_j| (every coordinate moves at every step)
+    t = np.arange(int(aw.max()) + 1, dtype=np.int64)[:, None]
+    return np.where(t <= aw, t, aw - (t - aw) % 2) * np.sign(w)
 
 
 # ---------------------------------------------------------------------------

@@ -309,7 +309,7 @@ def trace_inequality_report(
             extra={"min_eigenvalue": min_eig},
         )
 
-    raise TypeError(f"unknown trace inequality kind {kind!r}")  # pragma: no cover
+    raise TypeError(f"unknown trace inequality kind {kind!r}")
 
 
 # ---------------------------------------------------------------------------
@@ -324,20 +324,6 @@ class PsdCounterexample:
     w: np.ndarray
     quadratic_form: float
     min_eigenvalue: float
-
-
-def _frac_matmul(x: list[list[Fraction]], y: list[list[Fraction]]) -> list[list[Fraction]]:
-    return [
-        [sum(x[i][t] * y[t][j] for t in range(2)) for j in range(2)]
-        for i in range(2)
-    ]
-
-
-def _frac_matpow(x: list[list[Fraction]], q: int) -> list[list[Fraction]]:
-    out = [[Fraction(1), Fraction(0)], [Fraction(0), Fraction(1)]]
-    for _ in range(q):
-        out = _frac_matmul(out, x)
-    return out
 
 
 def psd_counterexample(s: float, q: float, big_k: float) -> PsdCounterexample:
@@ -355,20 +341,13 @@ def psd_counterexample(s: float, q: float, big_k: float) -> PsdCounterexample:
     w = np.array([-s, 1.0])
     if float(q) == int(q):
         sf = Fraction(s)
-        kf = Fraction(big_k)
-        qa = [[sf * sf, Fraction(0)], [Fraction(0), Fraction(0)]]
-        qb = [[Fraction(1), sf], [sf, sf * sf]]
-        qs = [[qa[i][j] + qb[i][j] for j in range(2)] for i in range(2)]
-        pa = _frac_matpow(qa, int(q))
-        pb = _frac_matpow(qb, int(q))
-        ps = _frac_matpow(qs, int(q))
-        gap = [[kf * (pa[i][j] + pb[i][j]) - ps[i][j] for j in range(2)] for i in range(2)]
-        wf = [-sf, Fraction(1)]
-        form_exact = sum(
-            wf[i] * gap[i][j] * wf[j] for i in range(2) for j in range(2)
-        )
-        form = float(form_exact)
-        gap_f = np.array([[float(gap[i][j]) for j in range(2)] for i in range(2)])
+        qa = np.array([[sf * sf, 0], [0, 0]], dtype=object)
+        qb = np.array([[1, sf], [sf, sf * sf]], dtype=object)
+        wf = np.array([-sf, 1], dtype=object)
+        power = np.linalg.matrix_power
+        gap = Fraction(big_k) * (power(qa, int(q)) + power(qb, int(q))) - power(qa + qb, int(q))
+        form = float(wf @ gap @ wf)
+        gap_f = gap.astype(float)
     else:
         pa = _as_sym(a).power(q)
         pb = _as_sym(b).power(q)

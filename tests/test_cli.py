@@ -241,11 +241,21 @@ class TestUsageErrors:
         (["scan", "linear-xp", "--sweep", "n", "--values", "1;2"], "ValueError"),
         (["run", "trace", "--config", "one-matrix.json"], "ValueError"),
         ([], "ValueError"),
+        (["run", "cotype", "--variant", "three-letter", "--s", "0"], "ValueError"),
+        (["run", "cotype", "--variant", "three-letter", "--s", "-1"], "ValueError"),
+        (["run", "cotype", "--variant", "rademacher", "--s", "0"], "ValueError"),
+        (["run", "cotype", "--variant", "rademacher", "--s", "-1"], "ValueError"),
+        (["run", "smoothness", "--kind", "pisier", "--n", "0"], "ValueError"),
+        (["run", "convolution-probe", "--n", "0"], "ValueError"),
+        (["run", "scaling-witness", "--m", "0"], "ValueError"),
     ], ids=["fractional-int", "unknown-flag", "missing-config", "unknown-report",
             "scan-without-sweep", "flag-without-value", "bool-flag-with-value",
             "second-report", "unknown-format", "unknown-command", "unknown-family",
             "holder-without-words", "unknown-trace-kind", "unknown-smoothness-kind",
-            "two-sweeps", "trace-one-matrix", "no-command"])
+            "two-sweeps", "trace-one-matrix", "no-command",
+            "three-letter-cotype-s-zero", "three-letter-cotype-s-negative",
+            "rademacher-cotype-s-zero", "rademacher-cotype-s-negative",
+            "smoothness-n-zero", "probe-n-zero", "scaling-witness-m-zero"])
     def test_exit_one_with_json_error(self, runner, args, error):
         res = runner.invoke(main, args)
         assert res.exit_code == 1

@@ -3,6 +3,7 @@
 import itertools
 import math
 import tracemalloc
+from typing import Callable, Sequence
 from unittest import mock
 
 import numpy as np
@@ -27,7 +28,7 @@ from xplab.inequalities import (
     smoothness_report,
     subset_average,
 )
-from xplab.inequalities import _sign_rows, _signed_sum_mean, _xp_moments
+from xplab.inequalities import _sign_rows, _xp_moments
 from xplab.lattice import (
     GridFunction,
     SamplePlan,
@@ -165,6 +166,19 @@ class TestMonteCarloReuse:
 
 RNG = np.random.default_rng(8)
 SYM = RNG.standard_normal((8, 3, 3))
+
+
+def _signed_sum_mean(
+    items: Sequence[np.ndarray],
+    subset: Sequence[int],
+    patterns: np.ndarray,
+    power_fn: Callable[[np.ndarray], np.ndarray],
+) -> float:
+    """``signed_power_mean`` over the given sign rows."""
+    stackdim = np.stack([items[j - 1] for j in subset], axis=0)  # (s, ...)
+    sums = np.tensordot(patterns, stackdim, axes=(1, 0))  # (batch, ...)
+    vals = np.asarray(power_fn(sums), dtype=float)
+    return math.fsum(vals.tolist()) / len(vals)
 
 
 class TestBatchedSubsets:
@@ -416,3 +430,39 @@ class TestDisplacement:
         lhs = float(np.sum(np.abs(f.values - df.values) ** 4))
         assert rep.lhs == pytest.approx(lhs)
         assert set(rep.rhs_terms) == {"diag", "set"}
+
+
+class TestLoopReferences:
+    """Sign sums and tables built from numpy primitives give the floats of
+    the per-pattern and per-point loops, exactly."""
+
+    @pytest.mark.parametrize("n,d,p", [(1, 1, 2.0), (3, 2, 3.0), (5, 3, 4.5)])
+    def test_pisier_rad_diff(self, n, d, p):
+        h = HypercubeFunction(n, d, np.random.default_rng(n).standard_normal((2,) * n + (d,)))
+        flips = [h.flip(j).values - h.values for j in range(1, n + 1)]
+        parts = [inequalities._cube_mean_power(sum(e * v for e, v in zip(eps, flips)), p)
+                 for eps in itertools.product((-1.0, 1.0), repeat=n)]
+        rad_diff = smoothness_report(h, Pisier(p)).rhs_terms["rad_diff"]
+        assert rad_diff == math.fsum(parts) / len(parts)
+
+    @pytest.mark.parametrize("modulus,n,p", [(4, 1, 2.0), (8, 2, 4.0), (5, 3, 3.5)])
+    def test_probe_rad(self, modulus, n, p):
+        f = random_grid_function(modulus, n, 1, p, seed=n)
+        gj = []
+        for j in range(1, n + 1):
+            ejf = inequalities.edge_average(f, inequalities.CalEj(j))
+            e = tuple(1 if a == j - 1 else 0 for a in range(n))
+            gj.append(ejf.shift(e).values - ejf.shift(tuple(-c for c in e)).values)
+        parts = [float(_norm_power(sum(e * g for e, g in zip(eps, gj)), p, p, axis=None))
+                 for eps in itertools.product((-1.0, 1.0), repeat=n)]
+        assert convolution_probe(f, p).rhs_terms["rad"] == math.fsum(parts) / 2**n
+
+    @pytest.mark.parametrize("m,n", [(1, 1), (3, 2), (2, 3)])
+    def test_scaling_witness_table(self, m, n):
+        with mock.patch.object(inequalities, "GridFunction", wraps=GridFunction) as built:
+            scaling_witness_report(m, n, 1, 2.0)
+        table = np.empty((2 * m,) * n + (2 * n,))
+        for x in itertools.product(range(2 * m), repeat=n):
+            angles = [math.pi * c / m for c in x]
+            table[x] = [t for a in angles for t in (math.cos(a), math.sin(a))]
+        assert np.array_equal(built.call_args.args[4], table)

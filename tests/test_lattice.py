@@ -392,3 +392,19 @@ class TestGeodesic:
         for signs in itertools.product((-1, 1), repeat=3):
             sw = tuple(s * c for s, c in zip(signs, w))
             assert (geodesic(sw) == base * np.array(signs)).all()
+
+
+def geodesic_loop(w):
+    """Odd steps add 1; even steps add 1 below |w_j| and subtract 1 at it."""
+    aw = np.abs(np.asarray(w, dtype=np.int64))
+    path = np.zeros((int(aw.max()) + 1, aw.size), dtype=np.int64)
+    for t in range(1, len(path)):
+        path[t] = path[t - 1] + (1 if t % 2 else np.where(path[t - 1] < aw, 1, -1))
+    return path * np.sign(w)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_geodesic_equals_step_loop(n):
+    for w in itertools.product(range(-7, 8, 2), repeat=n):
+        path = geodesic(w)
+        assert path.dtype == np.int64 and np.array_equal(path, geodesic_loop(w))

@@ -184,6 +184,36 @@ class TestPsdCounterexample:
             ce = psd_counterexample(0.01, q, 10.0)
             assert ce.quadratic_form < 0
 
+    # (q, s, K, quadratic_form, min_eigenvalue) of the exact-rational branch,
+    # recorded before it moved to numpy object arrays of Fractions
+    PINNED = [
+        (1, 0.05, 1, 0.0, 0.0),
+        (1, 0.05, 2, 6.250000000000001e-06, 6.218943955486368e-06),
+        (1, 0.3, 1, 0.0, 0.0),
+        (1, 0.3, 2, 0.0081, 0.006904810515469956),
+        (2, 0.05, 1, 0.0, -0.005003123049312599),
+        (2, 0.05, 2, 1.5625000000000006e-08, 3.90620114379403e-11),
+        (2, 0.3, 1, 0.0, -0.18396275858019495),
+        (2, 0.3, 2, 0.0007289999999999998, 6.456816477849736e-05),
+        (3, 0.05, 1, -1.5625000000000006e-08, -0.007539587989177605),
+        (3, 0.05, 2, -1.5585937500000006e-08, -3.1407227298486246e-08),
+        (3, 0.3, 1, -0.0007289999999999998, -0.3215527029050672),
+        (3, 0.3, 2, -0.0006633899999999998, -0.001781038543109681),
+        (5, 0.05, 1, -1.5820898437500005e-08, -0.01265813818664547),
+        (5, 0.05, 2, -1.582089819335938e-08, -3.1962413849732224e-08),
+        (5, 0.3, 1, -0.0010924793999999996, -0.685224103451277),
+        (5, 0.3, 2, -0.0010919479589999997, -0.0035899045456735806),
+        (8, 0.05, 1, -1.6059102581819157e-08, -0.02048044605132105),
+        (8, 0.05, 2, -1.6059102581819154e-08, -3.269443740955627e-08),
+        (8, 0.3, 1, -0.0017645100204140994, -1.5959188326317575),
+        (8, 0.3, 2, -0.0017645096329936105, -0.015573604085084687),
+    ]
+
+    @pytest.mark.parametrize("q,s,big_k,form,min_eig", PINNED)
+    def test_integer_q_is_pinned(self, q, s, big_k, form, min_eig):
+        ce = psd_counterexample(s, q, big_k)
+        assert (ce.quadratic_form, ce.min_eigenvalue) == (form, min_eig)
+
 
 class TestMatrixReports:
     def test_d1_reduction_is_exact(self):
