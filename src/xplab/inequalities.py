@@ -542,10 +542,12 @@ def convolution_probe(f: GridFunction, p: float) -> InequalityReport:
         ejf = edge_average(f, CalEj(j))
         e = tuple(1 if a == j - 1 else 0 for a in range(n))
         gj.append(ejf.shift(e).values - ejf.shift(tuple(-c for c in e)).values)
-    rad = _signed_sum_means(
-        gj, [tuple(range(1, n + 1))], _pattern_rows((-1.0, 1.0), n),
-        lambda sums: _norm_power(sums.reshape(sums.shape[:2] + (-1,)), p, p),
-    )[0]
+    # one pattern's sums at a time, in this order: the kernel would hold all
+    # 2^n M^n sums, and its BLAS product rounds some of them differently at
+    # n >= 8 when M^n is not a multiple of 8
+    parts = [float(_norm_power(sum(e * g for e, g in zip(eps, gj)), p, p, axis=None))
+             for eps in _pattern_rows((-1.0, 1.0), n)]
+    rad = math.fsum(parts) / 2**n
     edge = npoints * math.fsum(
         gap_moment(f, Edge(j), plan, power=p) for j in range(1, n + 1)
     )

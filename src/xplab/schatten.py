@@ -340,7 +340,7 @@ def psd_counterexample(s: float, q: float, big_k: float) -> PsdCounterexample:
     b = np.array([[1.0, s], [s, s * s]])
     w = np.array([-s, 1.0])
     if float(q) == int(q):
-        sf = Fraction(s)
+        sf = Fraction(s)  # s^2 exactly, not the rounded s * s entries of a and b
         qa = np.array([[sf * sf, 0], [0, 0]], dtype=object)
         qb = np.array([[1, sf], [sf, sf * sf]], dtype=object)
         wf = np.array([-sf, 1], dtype=object)
