@@ -217,6 +217,13 @@ def _signed(cfg: ExperimentConfig, report, items: list, *args, **kwargs) -> dict
     return report(items, *args, plan, **kwargs).to_json_dict()
 
 
+def _probe_modulus(cfg: ExperimentConfig) -> int:
+    """4m, once the probe's (4m)^n-point torus is within the budget."""
+    if (4 * cfg.m) ** cfg.n > cfg.budget:
+        raise ValueError(f"probe torus (4m)^n = {4 * cfg.m}^{cfg.n} exceeds the budget {cfg.budget}")
+    return 4 * cfg.m
+
+
 def _holder(cfg: ExperimentConfig) -> Holder:
     if cfg.word_a is None or cfg.word_b is None:
         raise ValueError("holder kind requires word_a and word_b")
@@ -312,9 +319,9 @@ REPORTS = {
         _hypercube(cfg), _kind(cfg, _SMOOTHNESS_KINDS, "smoothness", "enflo")).to_json_dict(),
     "cotype": _cotype,
     "convolution-probe": lambda cfg: convolution_probe(
-        _grid_function(cfg, 4 * cfg.m), cfg.p).to_json_dict(),
+        _grid_function(cfg, _probe_modulus(cfg)), cfg.p).to_json_dict(),
     "convolution-search": lambda cfg: convolution_search(
-        4 * cfg.m, cfg.n, cfg.p, cfg.trials, cfg.seed),
+        _probe_modulus(cfg), cfg.n, cfg.p, cfg.trials, cfg.seed),
     "scaling-witness": lambda cfg: scaling_witness_report(
         cfg.m, cfg.n, cfg.k, cfg.p).to_json_dict(),
     "displacement": lambda cfg: displacement_report(

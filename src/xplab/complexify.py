@@ -21,7 +21,6 @@ delta = +1 only and the sign sums become sums over shifted lattice points.
 from __future__ import annotations
 
 import functools
-import itertools
 import math
 from typing import Sequence
 
@@ -32,11 +31,12 @@ from .inequalities import (
     InequalityReport,
     _as_vectors,
     _finalize,
+    _signed_sum_means,
     _xp_moments,
     signed_power_mean,
     subset_average,
 )
-from .lattice import SamplePlan, _norm_power
+from .lattice import SamplePlan, _norm_power, _pattern_rows
 
 __all__ = [
     "complexification_norm",
@@ -211,7 +211,7 @@ def bridge_report(
     def phase(x: np.ndarray) -> np.ndarray:
         return np.exp(1j * math.pi * x / m)
 
-    signs = np.array(list(itertools.product((-1, 1), repeat=n)))
+    signs = _pattern_rows((-1, 1), n)
 
     # linear side: sign moments of the raw coefficients in l_p^d
     lp_power = functools.partial(_norm_power, value_p=p, power=p)
@@ -230,10 +230,11 @@ def bridge_report(
         # give the same term
         return 2**n * M ** (n - len(cols)) * math.fsum(np.concatenate(total))
 
+    # a sum over all 2^n sign rows repeats each row of the |S| columns 2^(n-|S|)
+    # times, so its math.fsum is 2^n times the kernel's mean over those rows
     def half_period_rhs(S: tuple[int, ...]) -> float:
-        cols = [j - 1 for j in S]
-        total = lp_power(signs[:, cols] @ zmat[cols])
-        return (2.0 ** (p + 1.0) * M**n / math.pi ** (p - 1.0)) * math.fsum(total)
+        mean = _signed_sum_means(zmat, [S], _pattern_rows((-1.0, 1.0), len(S)), lp_power)[0]
+        return (2.0 ** (p + 1.0) * M**n / math.pi ** (p - 1.0)) * (2**n * mean)
 
     hp_lhs = subset_average(half_period_lhs, n, k, plan)
     hp_rhs = subset_average(half_period_rhs, n, k, plan)
@@ -244,7 +245,8 @@ def bridge_report(
     edge_rhs = (math.pi ** (p + 1.0) / m**p) * linear_lp
 
     # intermediate 3: diagonal (contraction) upper bound, worst (x, eps)
-    diag_rhs = (2.0 * math.pi ** (p + 1.0) / m**p) * math.fsum(lp_power(signs @ zmat))
+    full = _signed_sum_means(zmat, [tuple(range(1, n + 1))], signs, lp_power)[0]
+    diag_rhs = (2.0 * math.pi ** (p + 1.0) / m**p) * (2**n * full)
     g = np.concatenate([
         _pair_powers((phase(y[:, None, :] + signs) - phase(y)[:, None, :]) @ zmat, p)
         for y in _lattice_blocks(M, n, 2 * (n + d) * len(signs))

@@ -149,23 +149,40 @@ def _signed_sum_means(
     size), the mean over the sign rows eps of ``patterns`` of
     ``power_fn(sum_{j in S} eps_j items[j-1])``.
 
-    The subsets' items are gathered into a (u, |S|, ...) stack and summed by
-    one ``np.matmul`` per block of at most ``_BLOCK`` sums (at least one
-    subset), with the floats of one ``tensordot`` per subset whatever the
-    block; ``power_fn`` sees one (u, batch, ...) array per block and returns
-    one float per sign sum, and each subset's floats are combined with
-    ``math.fsum`` in row order.
+    If one subset's sums fit in ``_BLOCK`` floats (or in ``patterns.size``),
+    the subsets' items are stacked (u, |S|, ...) and summed by one
+    ``np.matmul`` per block of at most ``_BLOCK`` sums (at least one subset),
+    with the floats of one ``tensordot`` per subset whatever the block.
+    Otherwise each subset adds eps_j items[j-1] in j order over chunks of at
+    most ``_BLOCK`` sums (at least one sign row): the floats of a loop over
+    the patterns, whatever the chunk.  ``power_fn`` maps each (u, batch, ...)
+    array of sums to one float per sum; ``math.fsum`` combines a subset's.
     """
     coeffs = np.asarray(items, dtype=float)
     flat = coeffs.reshape(len(coeffs), -1)
-    per_block = max(1, _BLOCK // (len(patterns) * flat.shape[1]))
+    size = len(patterns) * flat.shape[1]
+
+    def powers(sums: np.ndarray) -> np.ndarray:
+        return np.asarray(power_fn(sums.reshape(sums.shape[:2] + coeffs.shape[1:])), dtype=float)
+
     means = []
-    for start in range(0, len(subsets), per_block):
-        stack = flat[np.asarray(subsets[start:start + per_block]) - 1]  # (u, s, D)
-        sums = np.matmul(patterns, stack)  # (u, batch, D)
-        vals = np.asarray(power_fn(sums.reshape(sums.shape[:2] + coeffs.shape[1:])),
-                          dtype=float)
-        means.extend(math.fsum(row.tolist()) / len(row) for row in vals)
+    if size <= max(_BLOCK, patterns.size):
+        per_block = max(1, _BLOCK // size)
+        for start in range(0, len(subsets), per_block):
+            stack = flat[np.asarray(subsets[start:start + per_block]) - 1]  # (u, s, D)
+            vals = powers(np.matmul(patterns, stack))
+            means.extend(math.fsum(row.tolist()) / len(row) for row in vals)
+        return means
+    rows = max(1, _BLOCK // flat.shape[1])
+    for S in subsets:
+        vals = []
+        for start in range(0, len(patterns), rows):
+            chunk = patterns[start:start + rows]
+            sums = chunk[:, :1] * flat[S[0] - 1]
+            for col, j in enumerate(S[1:], 1):
+                sums += chunk[:, col, None] * flat[j - 1]
+            vals += powers(sums[None])[0].tolist()
+        means.append(math.fsum(vals) / len(vals))
     return means
 
 
@@ -444,22 +461,18 @@ def smoothness_report(h: HypercubeFunction, kind: Enflo | BMW | Pisier) -> Inequ
     if isinstance(kind, BMW):
         q, p = kind.q, kind.p
         lhs = _cube_mean_power(anti, p)
-        rhs = n ** (p / q - 1.0) * math.fsum(
-            _cube_mean_power(d, p) for d in flips
-        )
+        rhs = n ** (p / q - 1.0) * math.fsum(_cube_mean_power(d, p) for d in flips)
         return _finalize(
             "bmw", {"q": q, "p": p, "n": n, "d": h.value_dim}, lhs, {"flips": rhs}, None
         )
     if isinstance(kind, Pisier):
         p = kind.p
         lhs = _cube_mean_power(anti, p)
-
-        def cube_means(sums: np.ndarray) -> list[list[float]]:
-            norms = _norm_power(sums, 2.0, p).reshape(sums.shape[:2] + (-1,))
-            return [[math.fsum(row.tolist()) / row.size for row in block] for block in norms]
-
-        rhs = _signed_sum_means(flips, [tuple(range(1, n + 1))], _pattern_rows((-1.0, 1.0), n),
-                                cube_means)[0]
+        rhs = _signed_sum_means(
+            flips, [tuple(range(1, n + 1))], _pattern_rows((-1.0, 1.0), n),
+            lambda sums: [[math.fsum(row.tolist()) / row.size for row in block] for block
+                          in _norm_power(sums, 2.0, p).reshape(sums.shape[:2] + (-1,))],
+        )[0]
         return _finalize(
             "pisier", {"p": p, "n": n, "d": h.value_dim}, lhs, {"rad_diff": rhs}, None
         )
@@ -534,20 +547,18 @@ def convolution_probe(f: GridFunction, p: float) -> InequalityReport:
     if f.value_dim != 1:
         raise ValueError("convolution_probe requires scalar values")
     npoints = M**n
-    ef = edge_average(f, CalE())
     plan = SamplePlan("exhaustive", max(npoints * 2**n, 1), 0)
-    lhs = npoints * gap_moment(ef, SymmetricDiagonal(), plan, power=p)
-    gj = []
+    lhs = npoints * gap_moment(edge_average(f, CalE()), SymmetricDiagonal(), plan, power=p)
+    # one (n,) + table array, so that the kernel does not copy it
+    edge_diffs = np.empty((n,) + f.values.shape)
     for j in range(1, n + 1):
-        ejf = edge_average(f, CalEj(j))
-        e = tuple(1 if a == j - 1 else 0 for a in range(n))
-        gj.append(ejf.shift(e).values - ejf.shift(tuple(-c for c in e)).values)
-    # one pattern's sums at a time, in this order: the kernel would hold all
-    # 2^n M^n sums, and its BLAS product rounds some of them differently at
-    # n >= 8 when M^n is not a multiple of 8
-    parts = [float(_norm_power(sum(e * g for e, g in zip(eps, gj)), p, p, axis=None))
-             for eps in _pattern_rows((-1.0, 1.0), n)]
-    rad = math.fsum(parts) / 2**n
+        ejf = edge_average(f, CalEj(j)).values
+        np.subtract(np.roll(ejf, -1, axis=j - 1), np.roll(ejf, 1, axis=j - 1),
+                    out=edge_diffs[j - 1])
+    rad = _signed_sum_means(
+        edge_diffs, [tuple(range(1, n + 1))], _pattern_rows((-1.0, 1.0), n),
+        lambda sums: _norm_power(sums.reshape(sums.shape[:2] + (-1,)), p, p),
+    )[0]
     edge = npoints * math.fsum(
         gap_moment(f, Edge(j), plan, power=p) for j in range(1, n + 1)
     )

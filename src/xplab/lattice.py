@@ -373,10 +373,11 @@ def _pattern_rows(
     letters: Sequence[float], r: int, gen: np.random.Generator | None = None,
     count: int = 0,
 ) -> np.ndarray:
-    """Rows of letters^r: all of them in ``itertools.product`` order without
-    ``gen``, ``count`` uniform draws from ``gen`` otherwise."""
+    """Rows of letters^r as a C-contiguous array: all of them in
+    ``itertools.product`` order without ``gen``, ``count`` uniform draws from
+    ``gen`` otherwise.  The library's one source of sign patterns."""
     if gen is None:
-        index = np.indices((len(letters),) * r).reshape(r, len(letters) ** r).T
+        index = np.indices((len(letters),) * r).reshape(r, len(letters) ** r).T.copy()
     else:
         index = gen.integers(0, len(letters), size=(count, r))
     return np.asarray(letters)[index]

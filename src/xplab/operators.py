@@ -12,14 +12,13 @@ direct summation (no FFT), which is exact and fast at desk scale.
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass, replace
 from typing import Sequence
 
 import numpy as np
 
-from .lattice import GridFunction, LatticePoint, _check_subset
+from .lattice import GridFunction, LatticePoint, _check_subset, _pattern_rows
 
 __all__ = [
     "DS",
@@ -148,24 +147,21 @@ def box_average(f: GridFunction, kind: DS | BoxA | Bj | DeltaT) -> GridFunction:
         kind = DS((kind.j,), kind.R)
     if isinstance(kind, BoxA):
         kind = DeltaT(tuple(range(1, n + 1)), kind.R)
+    if not isinstance(kind, (DS, DeltaT)):
+        raise TypeError(f"unknown box kind {kind!r}")
     _check_box(f, kind.R)
     values = f.values
     if isinstance(kind, DS):
         S = set(_check_subset(kind.S, n))
         for axis in range(n):
-            offsets = (
-                _even_offsets(kind.R, closed=True)
-                if (axis + 1) in S
-                else _odd_offsets(kind.R)
-            )
+            offsets = (_even_offsets(kind.R, closed=True) if (axis + 1) in S
+                       else _odd_offsets(kind.R))
             values = _axis_average(values, axis, offsets)
-    elif isinstance(kind, DeltaT):
+    else:
         T = set(_check_subset(kind.T, n))
         for axis in range(n):
             offsets = _even_offsets(kind.R, closed=False) if (axis + 1) in T else [0]
             values = _axis_average(values, axis, offsets)
-    else:  # pragma: no cover
-        raise TypeError(f"unknown box kind {kind!r}")
     return f.with_values(values)
 
 
@@ -179,18 +175,14 @@ def edge_average(f: GridFunction, kind: Ej | CalEj | CalE | Tj) -> GridFunction:
     n = f.dimension
     values = f.values
     if isinstance(kind, Ej):
-        axes = [kind.j - 1]
-        offsets = [-1, 1]
+        axes, offsets = [kind.j - 1], [-1, 1]
     elif isinstance(kind, CalEj):
-        axes = [a for a in range(n) if a != kind.j - 1]
-        offsets = [-1, 1]
+        axes, offsets = [a for a in range(n) if a != kind.j - 1], [-1, 1]
     elif isinstance(kind, CalE):
-        axes = list(range(n))
-        offsets = [-1, 1]
+        axes, offsets = list(range(n)), [-1, 1]
     elif isinstance(kind, Tj):
-        axes = [a for a in range(n) if a != kind.j - 1]
-        offsets = [-2, 2]
-    else:  # pragma: no cover
+        axes, offsets = [a for a in range(n) if a != kind.j - 1], [-2, 2]
+    else:
         raise TypeError(f"unknown edge kind {kind!r}")
     if isinstance(kind, (Ej, CalEj, Tj)) and not 1 <= kind.j <= n:
         raise ValueError(f"index {kind.j} not in 1..{n}")
@@ -264,11 +256,8 @@ def character(y: LatticePoint) -> GridFunction:
         raise ValueError("characters require modulus divisible by 8")
     m = M // 8
     n = y.dimension
-    grids = np.meshgrid(*[np.arange(M)] * n, indexing="ij") if n else []
-    phase = np.zeros((M,) * n)
-    for axis in range(n):
-        phase = phase + grids[axis] * y.coords[axis]
-    phase = math.pi * phase / (4.0 * m)
+    # <x, y> in exact integer arithmetic
+    phase = math.pi * np.tensordot(y.coords, np.indices((M,) * n), axes=1) / (4.0 * m)
     table = np.stack([np.cos(phase), np.sin(phase)], axis=-1)
     return GridFunction(M, n, 2, 2.0, table)
 
@@ -292,28 +281,18 @@ def rad_identity_residual(f: GridFunction, x: Sequence[int]) -> float:
     if f.modulus % 8 != 0:
         raise ValueError("identity requires modulus divisible by 8")
     n, d = f.dimension, f.value_dim
-    x = tuple(int(c) for c in x)
-    fx = f(x)
-    table = np.empty((2,) * n + (d,))
-    for eps in itertools.product((-1, 1), repeat=n):
-        idx = tuple((e + 1) // 2 for e in eps)
-        table[idx] = f(tuple(c + 2 * e for c, e in zip(x, eps))) - fx
-    h = HypercubeFunction(n, d, table)
-    rad = rademacher_projection(h)
+    x = np.asarray(x, dtype=np.int64)
+    rows = _pattern_rows((-1, 1), n)  # row i is the table's i-th point in C order
+    table = f.values[tuple((x[:, None] + 2 * rows.T) % f.modulus)] - f(x)
+    rad = rademacher_projection(HypercubeFunction(n, d, table.reshape((2,) * n + (d,))))
 
     diffs = []
-    for j in range(1, n + 1):
+    for j, step in enumerate(2 * np.eye(n, dtype=np.int64), 1):
         tjf = edge_average(f, Tj(j))
-        xp = tuple(c + 2 * (1 if a == j - 1 else 0) for a, c in enumerate(x))
-        xm = tuple(c - 2 * (1 if a == j - 1 else 0) for a, c in enumerate(x))
-        diffs.append(tjf(xp) - tjf(xm))
-
-    worst = 0.0
-    for eps in itertools.product((-1, 1), repeat=n):
-        idx = tuple((e + 1) // 2 for e in eps)
-        rhs = 0.5 * sum(e * dval for e, dval in zip(eps, diffs))
-        worst = max(worst, float(np.linalg.norm(rad.values[idx] - rhs)))
-    return worst
+        diffs.append(tjf(x + step) - tjf(x - step))
+    rhs = 0.5 * sum(eps[:, None] * dval for eps, dval in zip(rows.T, diffs))
+    norms = [float(np.linalg.norm(r)) for r in rad.values.reshape(len(rows), d) - rhs]
+    return max([0.0, *norms])
 
 
 def rad_identity_residual_grid(f: GridFunction) -> float:
@@ -329,7 +308,8 @@ def rad_identity_residual_grid(f: GridFunction) -> float:
     axes = tuple(range(n))
     # first-order coefficients of h^x: c_j(x) = 2^{-n} sum_eps eps_j f(x+2eps)
     coeff = [np.zeros_like(f.values) for _ in range(n)]
-    for eps in itertools.product((-1, 1), repeat=n):
+    rows = _pattern_rows((-1, 1), n)
+    for eps in rows:
         shifted = np.roll(f.values, tuple(-2 * e for e in eps), axis=axes)
         for j in range(n):
             coeff[j] += eps[j] * shifted
@@ -338,12 +318,10 @@ def rad_identity_residual_grid(f: GridFunction) -> float:
     diffs = []
     for j in range(1, n + 1):
         tjf = edge_average(f, Tj(j)).values
-        diffs.append(
-            0.5 * (np.roll(tjf, -2, axis=j - 1) - np.roll(tjf, 2, axis=j - 1))
-        )
+        diffs.append(0.5 * (np.roll(tjf, -2, axis=j - 1) - np.roll(tjf, 2, axis=j - 1)))
     gap = [c - dlt for c, dlt in zip(coeff, diffs)]
     worst = 0.0
-    for eps in itertools.product((-1, 1), repeat=n):
+    for eps in rows:
         total = sum(e * g for e, g in zip(eps, gap))
         norms = np.sqrt(np.sum(total**2, axis=-1))
         worst = max(worst, float(norms.max()))

@@ -248,6 +248,7 @@ class TestUsageErrors:
         (["run", "smoothness", "--kind", "pisier", "--n", "0"], "ValueError"),
         (["run", "convolution-probe", "--n", "0"], "ValueError"),
         (["run", "scaling-witness", "--m", "0"], "ValueError"),
+        (["run", "convolution-probe", "--m", "1", "--n", "6", "--budget", "4000"], "ValueError"),
     ], ids=["fractional-int", "unknown-flag", "missing-config", "unknown-report",
             "scan-without-sweep", "flag-without-value", "bool-flag-with-value",
             "second-report", "unknown-format", "unknown-command", "unknown-family",
@@ -255,7 +256,8 @@ class TestUsageErrors:
             "two-sweeps", "trace-one-matrix", "no-command",
             "three-letter-cotype-s-zero", "three-letter-cotype-s-negative",
             "rademacher-cotype-s-zero", "rademacher-cotype-s-negative",
-            "smoothness-n-zero", "probe-n-zero", "scaling-witness-m-zero"])
+            "smoothness-n-zero", "probe-n-zero", "scaling-witness-m-zero",
+            "probe-torus-over-budget"])
     def test_exit_one_with_json_error(self, runner, args, error):
         res = runner.invoke(main, args)
         assert res.exit_code == 1

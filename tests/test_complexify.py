@@ -19,8 +19,8 @@ from xplab.complexify import (
     complexification_norm,
     contraction_check,
 )
-from xplab.inequalities import linear_xp_report
-from xplab.lattice import make_sample_plan
+from xplab.inequalities import linear_xp_report, subset_average
+from xplab.lattice import _norm_power, make_sample_plan
 
 
 def plan_for(modulus: int, n: int, k: int = 1):
@@ -121,6 +121,27 @@ class TestBridge:
         assert linear["subset"] == rep.lhs
         assert (k / n) * linear["ell_p"] == rep.rhs_terms["ell_p"]
         assert (k / n) ** (p / 2) * linear["full_rademacher"] == rep.rhs_terms["rademacher"]
+
+    @pytest.mark.parametrize("n,d,k", [(3, 1, 2), (4, 1, 2), (4, 2, 3), (5, 3, 2)])
+    def test_rhs_are_the_sign_matrix_formulas(self, n, d, k):
+        # every sign row of {-1, 1}^n against the coefficients, summed with fsum
+        zmat = np.random.default_rng(n + d).standard_normal((n, d))
+        m, p = 1, 3.5
+        plan = plan_for(2, n, k)
+        rep = bridge_report(zmat.tolist(), m=m, k=k, p=p, plan=plan).extra["intermediates"]
+        signs = np.array(list(itertools.product((-1, 1), repeat=n)))
+
+        def power_sum(sums):
+            return math.fsum(_norm_power(sums, p, p))
+
+        def half_period_rhs(S):
+            cols = [j - 1 for j in S]
+            return (2.0 ** (p + 1.0) * (2 * m)**n / math.pi ** (p - 1.0)) * power_sum(
+                signs[:, cols] @ zmat[cols])
+
+        assert rep["half_period_lower"]["rhs"] == subset_average(half_period_rhs, n, k, plan)
+        assert rep["diagonal_upper"]["rhs"] == (
+            (2.0 * math.pi ** (p + 1.0) / m**p) * power_sum(signs @ zmat))
 
     def test_shift_identity(self):
         # e^{i pi (x+m)/m} - e^{i pi x/m} = -2 e^{i pi x/m}

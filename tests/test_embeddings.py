@@ -85,6 +85,14 @@ class TestDistortion:
         res = distortion(pts, pts, 2.0, 2.0)
         assert res.distortion == pytest.approx(1.0)
 
+    def test_repeated_source_point_with_one_image_is_skipped(self):
+        # points 0 and 1 coincide in source and image; the other pairs have
+        # ratios 1 and 2
+        src = np.abs(np.subtract.outer([0.0, 0.0, 1.0], [0.0, 0.0, 1.0]))
+        img = np.abs(np.subtract.outer([0.0, 0.0, 1.0], [0.0, 0.0, 1.0]))
+        img[1, 2] = img[2, 1] = 2.0
+        assert distortion_from_matrices(src, img) == (2.0, 1.0, 2.0)
+
     def test_collapsed_image_rejected(self):
         src = np.abs(np.subtract.outer([0.0, 1.0], [0.0, 1.0]))
         img = np.zeros((2, 2))

@@ -38,7 +38,7 @@ from xplab.lattice import (
     random_grid_function,
     subset_stream,
 )
-from xplab.lattice import _norm_power
+from xplab.lattice import _norm_power, _pattern_rows
 from xplab.operators import HypercubeFunction
 from xplab.schatten import _schatten_power
 
@@ -316,6 +316,18 @@ class TestSmoothness:
         rep = smoothness_report(h, Pisier(p))
         assert rep.rhs_terms["rad_diff"] == pytest.approx(rad_diff, rel=1e-12)
 
+    def test_pisier_memory_is_bounded_by_the_block(self):
+        # all 2^11 x 2^11 x 2 sign sums at once take 64 MiB; a chunk of the
+        # kernel holds at most 2^15 of them
+        h = HypercubeFunction(11, 2, np.random.default_rng(11).standard_normal((2,) * 11 + (2,)))
+        tracemalloc.start()
+        try:
+            smoothness_report(h, Pisier(4.0))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 4 * 2**20
+
     @settings(max_examples=30, deadline=None)
     @given(seed=st.integers(0, 10**6), n=st.integers(1, 4))
     def test_scalar_enflo_two_constant_at_most_one(self, seed, n):
@@ -436,7 +448,10 @@ class TestLoopReferences:
     """Sign sums and tables built from numpy primitives give the floats of
     the per-pattern and per-point loops, exactly."""
 
-    @pytest.mark.parametrize("n,d,p", [(1, 1, 2.0), (3, 2, 3.0), (5, 3, 4.5)])
+    # (8, 2) and (9, 3) and the probe at M = 8, n = 4 and M = 5, n = 5 hold more
+    # than one block of sign sums, so the kernel takes its chunked path
+    @pytest.mark.parametrize("n,d,p", [(1, 1, 2.0), (3, 2, 3.0), (5, 3, 4.5), (8, 2, 3.0),
+                                       (9, 3, 4.0)])
     def test_pisier_rad_diff(self, n, d, p):
         h = HypercubeFunction(n, d, np.random.default_rng(n).standard_normal((2,) * n + (d,)))
         flips = [h.flip(j).values - h.values for j in range(1, n + 1)]
@@ -445,7 +460,8 @@ class TestLoopReferences:
         rad_diff = smoothness_report(h, Pisier(p)).rhs_terms["rad_diff"]
         assert rad_diff == math.fsum(parts) / len(parts)
 
-    @pytest.mark.parametrize("modulus,n,p", [(4, 1, 2.0), (8, 2, 4.0), (5, 3, 3.5)])
+    @pytest.mark.parametrize("modulus,n,p", [(4, 1, 2.0), (8, 2, 4.0), (5, 3, 3.5), (8, 4, 3.0),
+                                             (5, 5, 2.5)])
     def test_probe_rad(self, modulus, n, p):
         f = random_grid_function(modulus, n, 1, p, seed=n)
         gj = []
@@ -456,6 +472,32 @@ class TestLoopReferences:
         parts = [float(_norm_power(sum(e * g for e, g in zip(eps, gj)), p, p, axis=None))
                  for eps in itertools.product((-1.0, 1.0), repeat=n)]
         assert convolution_probe(f, p).rhs_terms["rad"] == math.fsum(parts) / 2**n
+
+    def test_chunked_kernel_sums_like_the_pattern_loop(self):
+        # 600 sign rows against 16 items of 500 floats, more than one block: a
+        # BLAS product rounds some of these sums differently from the loop
+        items = np.random.default_rng(16).standard_normal((16, 500))
+        rows = _pattern_rows((-1.0, 1.0), 16, np.random.default_rng(600), 600)
+        seen = []
+
+        def record(sums):
+            seen.append(sums[0].copy())
+            return np.zeros(sums.shape[:2])
+
+        inequalities._signed_sum_means(items, [tuple(range(1, 17))], rows, record)
+        loop = [sum(e * x for e, x in zip(eps, items)) for eps in rows]
+        assert len(seen) > 1 and np.array_equal(np.concatenate(seen), loop)
+
+    @pytest.mark.parametrize("block", [1, 700, 5000])
+    def test_chunk_size_does_not_change_the_floats(self, monkeypatch, block):
+        # 256 x 512 Pisier sums and 16 x 4096 probe sums take the chunked path
+        # at every one of these blocks: 1, 1 and 9 rows of Pisier sums a chunk
+        h = HypercubeFunction(8, 2, np.random.default_rng(8).standard_normal((2,) * 8 + (2,)))
+        f = random_grid_function(8, 4, 1, 3.0, seed=4)
+        whole = (smoothness_report(h, Pisier(3.0)).rhs_terms, convolution_probe(f, 3.0).rhs_terms)
+        monkeypatch.setattr(inequalities, "_BLOCK", block)
+        assert (smoothness_report(h, Pisier(3.0)).rhs_terms,
+                convolution_probe(f, 3.0).rhs_terms) == whole
 
     @pytest.mark.parametrize("m,n", [(1, 1), (3, 2), (2, 3)])
     def test_scaling_witness_table(self, m, n):

@@ -1,9 +1,26 @@
-"""Every input check of the inequality and Schatten reports, called from the
-library: each row names the exception and the message it must carry."""
+"""Every input check of the library's reports, operators, grids and
+embeddings, called from the library: each row names the exception and the
+message it must carry."""
 
 import numpy as np
 import pytest
 
+from xplab.complexify import (
+    bridge_report,
+    circular_moment,
+    complexification_norm,
+    contraction_check,
+)
+from xplab.embeddings import (
+    composite_grid_distortion,
+    distortion,
+    distortion_from_matrices,
+    grid_bounds,
+    grid_round_map,
+    rosenthal_distortion,
+    rosenthal_distortion_two_level,
+    schoenberg_embed,
+)
 from xplab.inequalities import (
     BMW,
     Pisier,
@@ -16,8 +33,28 @@ from xplab.inequalities import (
     scaling_witness_report,
     smoothness_report,
 )
-from xplab.lattice import GridFunction, SamplePlan
-from xplab.operators import HypercubeFunction
+from xplab.lattice import (
+    Diagonal,
+    Edge,
+    FixedShift,
+    GridFunction,
+    LatticePoint,
+    SamplePlan,
+    ShiftedSet,
+    gap_moment,
+    geodesic,
+    make_sample_plan,
+    subset_stream,
+)
+from xplab.operators import (
+    DS,
+    Ej,
+    HypercubeFunction,
+    box_average,
+    character,
+    edge_average,
+    rad_identity_residual_grid,
+)
 from xplab.schatten import (
     Holder,
     LambdaFamily,
@@ -112,6 +149,78 @@ CASES = {
     "psd-xp-q": (lambda: psd_xp_report([PSD], 1, 0.5), ValueError, "q must be >= 1"),
     "khinchine-p": (lambda: khinchine_report([np.eye(2)], 1.5, PLAN),
                     ValueError, "p must be >= 2"),
+    # lattice.py
+    "point-modulus": (lambda: LatticePoint((1,), 0), ValueError, "modulus must be positive"),
+    "point-add": (lambda: LatticePoint((1, 2), 4) + (1,), ValueError, "dimension mismatch"),
+    "subset-range": (lambda: gap_moment(grid(4, 2), ShiftedSet((3,), 1), PLAN),
+                     ValueError, r"subset \(3,\) not contained in 1..2"),
+    "grid-shape": (lambda: GridFunction(4, 2, 1, 2.0, np.zeros((4, 1))),
+                   ValueError, r"values shape \(4, 1\) != \(4, 4, 1\)"),
+    "grid-value-p": (lambda: GridFunction(4, 1, 1, 0.5, np.zeros((4, 1))),
+                     ValueError, "value_p must be >= 1"),
+    "grid-shift": (lambda: grid(4, 2).shift((1,)), ValueError, "shift dimension mismatch"),
+    "plan-subset-mode": (lambda: SamplePlan("exhaustive", 1, 0, subset_mode="bogus"),
+                         ValueError, "unknown subset_mode 'bogus'"),
+    "plan-budget": (lambda: SamplePlan("exhaustive", 0, 0), ValueError, "budget must be >= 1"),
+    "make-plan-dimension": (lambda: make_sample_plan(4, 0, 1, 100, 0),
+                            ValueError, "modulus and dimension must be >= 1"),
+    "make-plan-budget": (lambda: make_sample_plan(4, 2, 1, 0, 0),
+                         ValueError, "budget must be >= 1"),
+    "edge-index": (lambda: gap_moment(grid(4, 2), Edge(3), PLAN),
+                   ValueError, "edge index 3 not in 1..2"),
+    "fixed-shift-dimension": (lambda: gap_moment(grid(4, 2), FixedShift((1,)), PLAN),
+                              ValueError, "fixed shift dimension mismatch"),
+    "displacement-spec": (lambda: gap_moment(grid(4, 2), Pisier(2.0), PLAN),
+                          TypeError, "unknown displacement spec"),
+    "geodesic-empty": (lambda: geodesic([]), ValueError, "nonempty integer vector"),
+    "subset-stream-k": (lambda: next(subset_stream(2, 3, PLAN)),
+                        ValueError, r"k=3 out of range for n=2"),
+    # operators.py
+    "box-modulus": (lambda: box_average(grid(6, 1), DS((1,), 1)),
+                    ValueError, "modulus divisible by 4"),
+    "box-radius": (lambda: box_average(grid(4, 1), DS((1,), 3)),
+                   ValueError, "R=3 too large for modulus 4"),
+    "box-kind": (lambda: box_average(grid(4, 1), Ej(1)), TypeError, "unknown box kind"),
+    "edge-kind": (lambda: edge_average(grid(4, 1), DS((1,), 1)),
+                  TypeError, "unknown edge kind"),
+    "edge-average-index": (lambda: edge_average(grid(4, 2), Ej(3)),
+                           ValueError, "index 3 not in 1..2"),
+    "hypercube-shape": (lambda: HypercubeFunction(2, 1, np.zeros((2, 1))),
+                        ValueError, r"values shape \(2, 1\) != \(2, 2, 1\)"),
+    "character-modulus": (lambda: character(LatticePoint((1,), 4)),
+                          ValueError, "characters require modulus divisible by 8"),
+    "identity-grid-modulus": (lambda: rad_identity_residual_grid(grid(4, 1)),
+                              ValueError, "identity requires modulus divisible by 8"),
+    # complexify.py
+    "pair-norm-p": (lambda: complexification_norm([1.0], [0.0], 0.5),
+                    ValueError, "p must be >= 1"),
+    "circular-moment-p": (lambda: circular_moment(0.5), ValueError, "p must be >= 1"),
+    "contraction-p": (lambda: contraction_check([1.0], [[1.0]], 0.5, PLAN),
+                      ValueError, "p must be >= 1"),
+    "contraction-count": (lambda: contraction_check([1.0, 2.0], [[1.0]], 2.0, PLAN),
+                          ValueError, "coefficient/vector count mismatch"),
+    "bridge-p": (lambda: bridge_report([[1.0]], 1, 1, 0.5, PLAN), ValueError, "p must be >= 1"),
+    "bridge-k": (lambda: bridge_report([[1.0]], 1, 2, 2.0, PLAN),
+                 ValueError, r"k=2 out of range for n=1"),
+    # embeddings.py
+    "rosenthal-q": (lambda: rosenthal_distortion(4, 2.0, 4.0),
+                    ValueError, r"require 2 < q <= p"),
+    "rosenthal-n": (lambda: rosenthal_distortion(0, 3.0, 4.0), ValueError, "n must be >= 1"),
+    "two-level-q": (lambda: rosenthal_distortion_two_level(4, 5.0, 4.0),
+                    ValueError, r"require 2 < q <= p"),
+    "coincident-source": (lambda: distortion_from_matrices(np.zeros((2, 2)), 1.0 - np.eye(2)),
+                          ValueError, "coincident source points with distinct images"),
+    "distortion-points": (lambda: distortion(np.zeros((1, 2)), np.zeros((1, 2)), 2.0, 2.0),
+                          ValueError, "at least 2 points"),
+    "schoenberg-q": (lambda: schoenberg_embed(np.eye(2), 1.5), ValueError, "q must be >= 2"),
+    "grid-round-m": (lambda: grid_round_map([0], 1), ValueError, "m must be >= 2"),
+    "grid-bounds-q": (lambda: grid_bounds(4, 4, 4.0, 4.0), ValueError, "require 2 < q < p"),
+    "grid-pair-budget": (lambda: composite_grid_distortion(3, 2, 3.0, 4.0, "rosenthal", budget=10),
+                         ValueError, "16 grid points exceed the pair budget"),
+    "grid-one-point": (lambda: composite_grid_distortion(0, 2, 3.0, 4.0, "rosenthal"),
+                       ValueError, "at least 2 points"),
+    "grid-embedding": (lambda: composite_grid_distortion(1, 2, 3.0, 4.0, "bogus"),
+                       ValueError, "unknown embedding 'bogus'"),
 }
 
 
@@ -120,3 +229,9 @@ def test_bad_input_raises_at_the_report(name):
     call, error, match = CASES[name]
     with pytest.raises(error, match=match):
         call()
+
+
+def test_grid_function_equality_with_another_type_is_not_implemented():
+    # Python then falls back to identity, so a grid never equals a non-grid
+    assert grid(4, 1).__eq__(np.zeros((4, 1))) is NotImplemented
+    assert grid(4, 1) != "grid"

@@ -28,7 +28,7 @@ from xplab.lattice import (
     subset_stream,
 )
 from xplab.inequalities import metric_xp_report
-from xplab.lattice import _law, _spec_tag
+from xplab.lattice import _law, _pattern_rows, _spec_tag
 from xplab.rng import stream
 
 
@@ -290,6 +290,14 @@ class TestExhaustiveDedup:
         report(f, exhaustive_plan(modulus, n, 2))
         # the (d, M**n) table has one axis more than the per-point norms
         assert sum(c.args[0].ndim == n + 1 for c in rolls.call_args_list) == table_rolls
+
+
+@pytest.mark.parametrize("n", range(1, 7))
+def test_pattern_rows_are_the_product_rows_in_c_order(n):
+    rows = _pattern_rows((-1, 1), n)
+    reference = np.array(list(itertools.product((-1, 1), repeat=n)))
+    assert rows.dtype == reference.dtype and np.array_equal(rows, reference)
+    assert rows.flags.c_contiguous
 
 
 class TestGridFunction:
