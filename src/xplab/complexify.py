@@ -158,7 +158,7 @@ def contraction_check(
 
 
 def _lattice_blocks(M: int, r: int, row_size: int):
-    """Z_M^r in itertools.product order, in blocks of about _BLOCK / row_size points."""
+    """Z_M^r in lexicographic order, in blocks of about _BLOCK / row_size points."""
     rows = max(1, _BLOCK // row_size)
     place = M ** np.arange(r - 1, -1, -1)
     for lo in range(0, M**r, rows):

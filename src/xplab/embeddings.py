@@ -290,7 +290,7 @@ def grid_bounds(m: int, n: int, q: float, p: float) -> dict:
 
 
 def _grid_points(m: int, n: int) -> np.ndarray:
-    """The points of {0..m}^n as rows, in ``itertools.product`` order."""
+    """The points of {0..m}^n as rows, in lexicographic order."""
     return np.indices((m + 1,) * n).reshape(n, -1).T.astype(float, order="C")
 
 

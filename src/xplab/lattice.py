@@ -9,7 +9,7 @@ the torus together with the exponent of the ``l_p`` norm used on values.
 x uniform on the torus and the displacement law of a spec: delta = v * eps
 with eps_j uniform on a letter set for j in the support of v, and
 delta' = -delta or 0 (``_law``).  An exhaustive plan takes every sign
-pattern in ``itertools.product`` order.  It sums each distinct displacement
+pattern in lexicographic order.  It sums each distinct displacement
 mod M once over all x, on rolled copies of the table with the value axis
 first (``GridFunction.value_first``, built once per grid function), repeats
 that partial for every pattern that maps to it and combines the pattern
@@ -374,7 +374,7 @@ def _pattern_rows(
     count: int = 0,
 ) -> np.ndarray:
     """Rows of letters^r as a C-contiguous array: all of them in
-    ``itertools.product`` order without ``gen``, ``count`` uniform draws from
+    lexicographic order without ``gen``, ``count`` uniform draws from
     ``gen`` otherwise.  The library's one source of sign patterns."""
     if gen is None:
         index = np.indices((len(letters),) * r).reshape(r, len(letters) ** r).T.copy()
