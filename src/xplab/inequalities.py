@@ -539,7 +539,8 @@ def convolution_probe(f: GridFunction, p: float) -> InequalityReport:
     - E_j' f(x-e_j))|^p (E_j' the product of edge averages off j),
     edge: sum_j sum_x |f(x+e_j)-f(x)|^p}.  implied_constant is a per-instance
     lower bound on the best constant in the conjectured inequality; the
-    report never claims the conjecture's truth value.
+    report never claims the conjecture's truth value.  On Z_4 lhs is 0 for
+    every f, and the note says so in place of pointing to ``extra``.
     """
     n, M = f.dimension, f.modulus
     if n < 1:
@@ -562,13 +563,19 @@ def convolution_probe(f: GridFunction, p: float) -> InequalityReport:
     edge = npoints * math.fsum(
         gap_moment(f, Edge(j), plan, power=p) for j in range(1, n + 1)
     )
+    if M == 4:
+        # 2 eps = -2 eps mod 4, so both smoothed points average the same set
+        note = ("lhs is 0 for every f on Z_4: x+eps+{-1,1}^n and x-eps+{-1,1}^n "
+                "are the same points mod 4, so there is no beta lower bound")
+    else:
+        note = "implied_constant is (rad+edge)/lhs inverted: see extra"
     report = _finalize(
         "convolution_probe",
         {"p": p, "M": M, "n": n},
         lhs,
         {"rad": rad, "edge": edge},
         plan,
-        notes=["implied_constant is (rad+edge)/lhs inverted: see extra"],
+        notes=[note],
     )
     if not report.degenerate and lhs > 0:
         report.extra["beta_lower_bound"] = (rad + edge) / lhs

@@ -24,6 +24,11 @@ one-letter law draws x only).  A one-letter law whose torus has at most
 value at the flat index of its x; every other plan gathers both values of
 each pair as rows of the table flattened to ``(M**n, d)``, one flat row index
 (``np.ravel_multi_index``) per sample.
+
+``subset_stream`` walks the size-k subsets of an exhaustive plan in
+``itertools.combinations`` order.  A sampled plan draws all of its subsets
+from one batch of uniforms: each draw is the positions of the k smallest of
+n i.i.d. uniform doubles, which is a uniform k-subset.
 """
 
 from __future__ import annotations
@@ -489,18 +494,31 @@ def geodesic(w: Sequence[int]) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 
+_SUBSET_BLOCK = 1 << 15  # uniform doubles per block of sampled subsets
+
+
 def subset_stream(
     n: int, k: int, plan: SamplePlan
 ) -> Iterator[tuple[int, ...]]:
-    """Size-k subsets of {1..n}: lexicographic exhaustive, or seeded draws."""
+    """Size-k subsets of {1..n}, each a sorted tuple.
+
+    Exhaustive plans yield every subset in ``itertools.combinations`` order.
+    Sampled plans yield ``plan.subset_count`` (else ``plan.budget``)
+    independent uniform draws from the (seed, "subsets") stream: a draw is
+    the positions, plus 1, of the k smallest of n uniform doubles.  The
+    doubles come from ``gen.random`` in blocks of whole rows of at most
+    ``_SUBSET_BLOCK`` floats; it spends one 64-bit word per double, so the
+    draws do not depend on the block size.
+    """
     if not 1 <= k <= n:
         raise ValueError(f"k={k} out of range for n={n}")
     if plan.subset_mode == "exhaustive":
-        for combo in itertools.combinations(range(1, n + 1), k):
-            yield combo
+        yield from itertools.combinations(range(1, n + 1), k)
         return
     count = plan.subset_count if plan.subset_count is not None else plan.budget
     gen = stream(plan.seed, "subsets")
-    for _ in range(count):
-        draw = gen.choice(n, size=k, replace=False)
-        yield tuple(sorted(int(j) + 1 for j in draw))
+    rows = max(1, _SUBSET_BLOCK // n)
+    for start in range(0, count, rows):
+        uniforms = gen.random((min(rows, count - start), n))
+        smallest = np.argpartition(uniforms, k - 1, axis=1)[:, :k]
+        yield from map(tuple, (np.sort(smallest, axis=1) + 1).tolist())

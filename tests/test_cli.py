@@ -313,6 +313,19 @@ class TestRun:
         assert res.exit_code == 2
         assert json.loads(res.output)["report"]["warnings"]
 
+    @pytest.mark.parametrize("m,note", [
+        ("1", "lhs is 0 for every f on Z_4: x+eps+{-1,1}^n and x-eps+{-1,1}^n "
+              "are the same points mod 4, so there is no beta lower bound"),
+        ("2", "implied_constant is (rad+edge)/lhs inverted: see extra"),
+    ], ids=["z4-structural-zero", "z8"])
+    def test_probe_note(self, runner, m, note):
+        res = runner.invoke(main, ["run", "convolution-probe", "--m", m, "--n", "2",
+                                   "--deterministic"])
+        assert res.exit_code == 0, res.output
+        report = json.loads(res.output)["report"]
+        assert report["notes"] == [note]
+        assert (report["lhs"] == 0.0) == (report["extra"] == {}) == (m == "1")
+
     def test_error_exit_code_and_json(self, runner):
         res = runner.invoke(main, ["run", "linear-xp", "--k", "9"])
         assert res.exit_code == 1

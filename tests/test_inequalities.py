@@ -164,6 +164,43 @@ class TestMonteCarloReuse:
         assert [c.args for c in opened.call_args_list] == [(3, "signs:xp")] * opens
 
 
+class TestSampledSubsetsUnbiased:
+    """Monte-Carlo subset averages land within 6 standard errors of the exact one.
+
+    For a subset S, E(sum_{j in S} eps_j a_j)^4 = 3 (sum_S a^2)^2 - 2 sum_S a^4:
+    the expansion keeps the terms whose sign exponents are all even, a_j^4
+    once and a_i^2 a_j^2 (i != j) in 3 ways.  The standard error is that of
+    a mean of ``budget`` independent draws of (S, eps), the band the benchmark
+    applies to these reports.
+    """
+
+    @staticmethod
+    def exact_mean_and_variance(a: np.ndarray, k: int) -> tuple[float, float]:
+        subsets = np.array(list(itertools.combinations(range(len(a)), k)))
+        sq = a[subsets] ** 2
+        fourth = 3 * sq.sum(axis=1) ** 2 - 2 * (sq**2).sum(axis=1)
+        signs = np.array(list(itertools.product((-1.0, 1.0), repeat=k)))
+        eighth = ((a[subsets] @ signs.T) ** 8).mean(axis=1)
+        mean = math.fsum(fourth) / len(subsets)
+        return mean, math.fsum(eighth) / len(subsets) - mean**2
+
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    @pytest.mark.parametrize("reverse,n,k,budget", [
+        (False, 12, 6, 250), (False, 14, 7, 500), (False, 16, 8, 400),
+        (True, 12, 6, 300), (True, 14, 7, 400), (True, 16, 8, 250),
+    ])
+    def test_p4_subset_average(self, reverse, n, k, budget, seed):
+        a = np.random.default_rng([n, seed]).uniform(-2.0, 2.0, n)
+        plan = make_sample_plan(1, n, k, budget, seed)
+        assert plan.subset_mode == "sampled"
+        if reverse:
+            got = reverse_linear_xp_report(a, k, 4.0, plan).rhs_terms["subset"]
+        else:
+            got = linear_xp_report(a, k, 4.0, plan).lhs
+        mean, variance = self.exact_mean_and_variance(a, k)
+        assert abs(got - mean) <= 6 * math.sqrt(variance / budget)
+
+
 RNG = np.random.default_rng(8)
 SYM = RNG.standard_normal((8, 3, 3))
 
@@ -403,6 +440,16 @@ class TestConvolutionProbe:
         assert rep.extra["beta_lower_bound"] == pytest.approx(
             (rep.rhs_terms["rad"] + rep.rhs_terms["edge"]) / rep.lhs
         )
+
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_lhs_is_zero_on_z4(self, n):
+        # x + eps and x - eps differ by 2 eps = -2 eps mod 4: E averages the
+        # same points at both, in the same order along every axis
+        for seed in range(5):
+            f = random_grid_function(4, n, 1, 3.0, seed=seed)
+            rep = convolution_probe(f, 3.0)
+            assert rep.lhs == 0.0 and rep.rhs_terms["edge"] > 0
+            assert rep.extra == {} and "Z_4" in rep.notes[0]
 
     def test_search_is_deterministic(self):
         a = convolution_search(8, 2, 4.0, trials=5, seed=9)

@@ -1,5 +1,7 @@
 """Lattice primitives: points, displacement moments, plans, geodesics."""
 
+import collections
+import inspect
 import itertools
 import math
 from dataclasses import replace
@@ -27,6 +29,7 @@ from xplab.lattice import (
     random_grid_function,
     subset_stream,
 )
+from xplab import lattice
 from xplab.inequalities import metric_xp_report
 from xplab.lattice import _law, _pattern_rows, _spec_tag
 from xplab.rng import stream
@@ -369,6 +372,52 @@ class TestSubsetStream:
         b = list(subset_stream(10, 3, plan))
         assert a == b
         assert all(len(s) == 3 for s in a)
+
+    @pytest.mark.parametrize("n,k", [(5, 1), (6, 3), (4, 4)])
+    def test_exhaustive_is_every_combination(self, n, k):
+        plan = SamplePlan("exhaustive", 10**6, seed=0)
+        assert list(subset_stream(n, k, plan)) == list(
+            itertools.combinations(range(1, n + 1), k))
+
+    @pytest.mark.parametrize("n,k", [(1, 1), (5, 1), (7, 3), (6, 6), (40, 3)])
+    def test_sampled_rows_are_sorted_distinct_in_range(self, n, k):
+        plan = SamplePlan("monte-carlo", 500, seed=4, subset_mode="sampled",
+                          subset_count=300)
+        draws = list(subset_stream(n, k, plan))
+        assert len(draws) == 300
+        for S in draws:
+            assert type(S) is tuple and all(type(j) is int for j in S)
+            assert list(S) == sorted(set(S)) and len(S) == k
+            assert 1 <= S[0] and S[-1] <= n
+
+    def test_sampled_count_defaults_to_budget(self):
+        plan = SamplePlan("monte-carlo", 70, seed=4, subset_mode="sampled")
+        assert len(list(subset_stream(8, 3, plan))) == 70
+
+    @pytest.mark.parametrize("rows", [1, 3])
+    def test_sampled_independent_of_row_block(self, monkeypatch, rows):
+        # 1-row and 3-row blocks of 9 doubles; 100 rows leave a 1-row last block
+        plan = SamplePlan("monte-carlo", 500, seed=8, subset_mode="sampled",
+                          subset_count=100)
+        whole = list(subset_stream(9, 4, plan))
+        monkeypatch.setattr(lattice, "_SUBSET_BLOCK", rows * 9)
+        assert list(subset_stream(9, 4, plan)) == whole
+
+    def test_sampled_subsets_are_uniform(self):
+        # chi-square over the C(5, 2) = 10 subsets; 27.88 is the 0.999
+        # quantile of chi-square with 9 degrees of freedom
+        draws = 20_000
+        plan = SamplePlan("monte-carlo", draws, seed=12, subset_mode="sampled",
+                          subset_count=draws)
+        counts = collections.Counter(subset_stream(5, 2, plan))
+        assert sorted(counts) == list(itertools.combinations(range(1, 6), 2))
+        expected = draws / 10
+        chi2 = sum((c - expected) ** 2 / expected for c in counts.values())
+        assert chi2 < 27.88
+
+    def test_is_a_generator_function(self):
+        # benchmarks/tracer.py times each step of the stream as its own span
+        assert inspect.isgeneratorfunction(subset_stream)
 
 
 class TestGeodesic:

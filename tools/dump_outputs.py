@@ -36,15 +36,20 @@ ROOT = Path(__file__).resolve().parent.parent
 DRAWS = 3
 # valid sizes of reports whose code neither the benchmark nor the default
 # runs reach: exact counterexample powers, Pisier and probe sign sums at
-# small n and at sizes past one block of sign sums, scaling witnesses, both
-# grid embeddings, a bridge at n = 3, and the verify oracles
+# small n and at sizes past one block of sign sums, the probe on Z_4,
+# scaling witnesses, both grid embeddings, a bridge at n = 3, sampled
+# subsets at the 4,096-draw cap and across two blocks of uniforms, and the
+# verify oracles
 EXTRA = [
+    ["run", "metric-xp", "--m", "1", "--n", "6", "--k", "3", "--budget", "5000"],
+    ["run", "linear-xp", "--n", "40", "--k", "3", "--budget", "1000"],
     *(["run", "psd-counterexample", "--q", q] for q in ("1", "2", "4", "6")),
     *(["run", "smoothness", "--kind", "pisier", "--n", n, "--d", d]
       for n in ("1", "3", "5") for d in ("1", "3")),
     *(["run", "smoothness", "--kind", "pisier", "--n", n, "--d", d]
       for n, d in (("8", "3"), ("9", "1"))),
     *(["run", "convolution-probe", "--n", n] for n in ("1", "2", "3")),
+    ["run", "convolution-probe", "--m", "1", "--n", "2"],
     ["run", "convolution-probe", "--m", "2", "--n", "4"],
     ["run", "bridge", "--n", "3", "--m", "2", "--k", "2", "--budget", "1e7"],
     *(["run", "scaling-witness", "--m", m, "--n", n, "--k", k]
