@@ -506,9 +506,9 @@ def subset_stream(
     Sampled plans yield ``plan.subset_count`` (else ``plan.budget``)
     independent uniform draws from the (seed, "subsets") stream: a draw is
     the positions, plus 1, of the k smallest of n uniform doubles.  The
-    doubles come from ``gen.random`` in blocks of whole rows of at most
-    ``_SUBSET_BLOCK`` floats; it spends one 64-bit word per double, so the
-    draws do not depend on the block size.
+    doubles come from ``gen.random`` in blocks of whole rows, at most
+    ``_SUBSET_BLOCK`` floats or one row; it spends one 64-bit word per
+    double, so the draws do not depend on the block size.
     """
     if not 1 <= k <= n:
         raise ValueError(f"k={k} out of range for n={n}")
