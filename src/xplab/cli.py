@@ -206,22 +206,36 @@ def _vectors(cfg: ExperimentConfig, count: int) -> list:
     return cfg.zs if cfg.zs is not None else np.eye(count).tolist()
 
 
-def _grid_plan(cfg: ExperimentConfig, modulus: int, letters: int = 2):
-    return make_sample_plan(modulus, cfg.n, cfg.k, cfg.budget, cfg.seed, letters)
+def _signed(cfg: ExperimentConfig, report, data, *args, modulus: int = 1,
+            k: int | None = None, letters: int = 2, **kwargs) -> dict:
+    """``report(data, *args, plan, **kwargs)``, its plan sized from the built
+    ``data``, not from ``--m``/``--n``: modulus^n * letters^n terms and C(n, k)
+    subsets (k = ``cfg.k`` unless given) for a grid function's own modulus and
+    dimension, or for n = len(data) coefficients, vectors or matrices."""
+    modulus, n = ((data.modulus, data.dimension) if isinstance(data, GridFunction)
+                  else (modulus, len(data)))
+    plan = make_sample_plan(modulus, n, cfg.k if k is None else k, cfg.budget, cfg.seed, letters)
+    return report(data, *args, plan, **kwargs).to_json_dict()
 
 
-def _signed(cfg: ExperimentConfig, report, items: list, *args, **kwargs) -> dict:
-    """``report(items, *args, plan, **kwargs)``, its sign plan sized from
-    the number of ``items`` (coefficients or matrices), not from ``n``."""
-    plan = make_sample_plan(1, len(items), cfg.k, cfg.budget, cfg.seed)
-    return report(items, *args, plan, **kwargs).to_json_dict()
+def _probe_modulus(cfg: ExperimentConfig, modulus: int, n: int, trials: int = 1) -> int:
+    """``modulus``, once ``trials`` probes of its modulus^n torus points are
+    within the budget.  The 2^n sign patterns summed at each point are not
+    charged: the default budget admits the probe on Z_16^4."""
+    if trials * modulus**n > cfg.budget:
+        raise ValueError(f"{trials} probe(s) of {modulus}^{n} torus points exceed "
+                         f"the budget {cfg.budget}")
+    return modulus
 
 
-def _probe_modulus(cfg: ExperimentConfig) -> int:
-    """4m, once the probe's (4m)^n-point torus is within the budget."""
-    if (4 * cfg.m) ** cfg.n > cfg.budget:
-        raise ValueError(f"probe torus (4m)^n = {4 * cfg.m}^{cfg.n} exceeds the budget {cfg.budget}")
-    return 4 * cfg.m
+def _probe(cfg: ExperimentConfig) -> dict:
+    """The probe, checked against the budget by a ``--function-path`` file's
+    own M and n, and by (4m)^n before a builtin or random table is drawn."""
+    if not cfg.function_path:
+        _probe_modulus(cfg, 4 * cfg.m, cfg.n)
+    f = _grid_function(cfg, 4 * cfg.m)
+    _probe_modulus(cfg, f.modulus, f.dimension)
+    return convolution_probe(f, cfg.p).to_json_dict()
 
 
 def _holder(cfg: ExperimentConfig) -> Holder:
@@ -254,14 +268,13 @@ def _kind(cfg: ExperimentConfig, kinds: dict, family: str, default: str):
 
 
 def _trace(cfg: ExperimentConfig) -> dict:
-    a = random_psd(cfg.d, cfg.seed, purpose="trace:a")
-    b = random_psd(cfg.d, cfg.seed, purpose="trace:b")
     if cfg.matrix_paths:
         mats = _matrices(cfg, 2, "trace")
         if len(mats) != 2:
             raise ValueError("trace report needs exactly two matrices")
-        a, b = mats
-    return trace_inequality_report(a, b, _kind(cfg, _TRACE_KINDS, "trace", "main")).to_json_dict()
+    else:
+        mats = [random_psd(cfg.d, cfg.seed, purpose=f"trace:{x}") for x in "ab"]
+    return trace_inequality_report(*mats, _kind(cfg, _TRACE_KINDS, "trace", "main")).to_json_dict()
 
 
 def _psd_counterexample(cfg: ExperimentConfig) -> dict:
@@ -277,9 +290,8 @@ def _psd_counterexample(cfg: ExperimentConfig) -> dict:
 
 def _cotype(cfg: ExperimentConfig) -> dict:
     three = cfg.variant == "three-letter"
-    M = 2 * cfg.m if three else 8 * cfg.m
-    plan = _grid_plan(cfg, M, letters=3 if three else 2)
-    return cotype_report(_grid_function(cfg, M), cfg.s, cfg.variant, plan).to_json_dict()
+    f = _grid_function(cfg, 2 * cfg.m if three else 8 * cfg.m)
+    return _signed(cfg, cotype_report, f, cfg.s, cfg.variant, k=0, letters=3 if three else 2)
 
 
 def _rosenthal_distortion(cfg: ExperimentConfig) -> dict:
@@ -303,25 +315,24 @@ REPORTS = {
                                      square_function=cfg.square_function),
     "reverse-linear-xp": lambda cfg: _signed(cfg, reverse_linear_xp_report, _coeffs(cfg),
                                              cfg.k, cfg.p),
-    "metric-xp": lambda cfg: metric_xp_report(
-        _grid_function(cfg, 4 * cfg.m), cfg.k, _grid_plan(cfg, 4 * cfg.m)).to_json_dict(),
-    "reverse-metric-xp": lambda cfg: reverse_metric_xp_report(
-        _grid_function(cfg, 8 * cfg.m), cfg.k, _grid_plan(cfg, 8 * cfg.m)).to_json_dict(),
+    "metric-xp": lambda cfg: _signed(cfg, metric_xp_report, _grid_function(cfg, 4 * cfg.m),
+                                     cfg.k),
+    "reverse-metric-xp": lambda cfg: _signed(cfg, reverse_metric_xp_report,
+                                             _grid_function(cfg, 8 * cfg.m), cfg.k),
     "schatten-xp": lambda cfg: _signed(cfg, schatten_xp_report,
                                        _matrices(cfg, cfg.n, "schatten-xp"), cfg.k, cfg.p),
     "psd-xp": lambda cfg: _signed(cfg, psd_xp_report, _matrices(cfg, cfg.n, "psd-xp"),
-                                  cfg.k, cfg.q),
+                                  cfg.k, cfg.q, letters=1),
     "khinchine": lambda cfg: _signed(cfg, khinchine_report,
-                                     _matrices(cfg, cfg.n, "khinchine"), cfg.p),
+                                     _matrices(cfg, cfg.n, "khinchine"), cfg.p, k=0),
     "trace": _trace,
     "psd-counterexample": _psd_counterexample,
     "smoothness": lambda cfg: smoothness_report(
         _hypercube(cfg), _kind(cfg, _SMOOTHNESS_KINDS, "smoothness", "enflo")).to_json_dict(),
     "cotype": _cotype,
-    "convolution-probe": lambda cfg: convolution_probe(
-        _grid_function(cfg, _probe_modulus(cfg)), cfg.p).to_json_dict(),
+    "convolution-probe": _probe,
     "convolution-search": lambda cfg: convolution_search(
-        _probe_modulus(cfg), cfg.n, cfg.p, cfg.trials, cfg.seed),
+        _probe_modulus(cfg, 4 * cfg.m, cfg.n, cfg.trials), cfg.n, cfg.p, cfg.trials, cfg.seed),
     "scaling-witness": lambda cfg: scaling_witness_report(
         cfg.m, cfg.n, cfg.k, cfg.p).to_json_dict(),
     "displacement": lambda cfg: displacement_report(
@@ -340,10 +351,10 @@ REPORTS = {
         "functional": "grid_bounds",
         "params": {"m": cfg.m, "n": cfg.n, "q": cfg.q, "p": cfg.p},
     },
-    "bridge": lambda cfg: bridge_report(
-        _vectors(cfg, cfg.n), cfg.m, cfg.k, cfg.p, _grid_plan(cfg, 2 * cfg.m)).to_json_dict(),
+    "bridge": lambda cfg: _signed(cfg, bridge_report, _vectors(cfg, cfg.n), cfg.m, cfg.k,
+                                  cfg.p, modulus=2 * cfg.m),
     "contraction": lambda cfg: _signed(cfg, contraction_check, _coeffs(cfg),
-                                       _vectors(cfg, len(_coeffs(cfg))), cfg.p),
+                                       _vectors(cfg, len(_coeffs(cfg))), cfg.p, k=0),
     "circular-moment": lambda cfg: {**circular_moment_report(cfg.p),
                                     "functional": "circular_moment"},
 }

@@ -195,7 +195,8 @@ def bridge_report(
     {0,1}^n, and metric.diag is the mean of g.  The half-period terms depend
     on (delta_S, x_S) only and come from one sum over x_S; the metric
     half-period moment is the same sum, since the shift multiplies every
-    term by -2.  The plan budget bounds the number of pair quadratures.
+    term by -2.  The plan must be exhaustive, and its budget bounds the
+    number of pair quadratures.
     """
     if p < 1:
         raise ValueError("p must be >= 1")
@@ -204,9 +205,9 @@ def bridge_report(
     if not 1 <= k <= n:
         raise ValueError(f"k={k} out of range for n={n}")
     M = 2 * m
-    subsets = plan.subset_count if plan.subset_mode == "sampled" else math.comb(n, k)
-    if M**n * 2**n + subsets * M**k + n * (M + 1) > plan.budget:
-        raise ValueError("bridge enumeration exceeds the plan budget")
+    if plan.mode != "exhaustive" or (
+            M**n * 2**n + math.comb(n, k) * M**k + n * (M + 1) > plan.budget):
+        raise ValueError("bridge needs an exhaustive plan whose budget covers its enumeration")
 
     def phase(x: np.ndarray) -> np.ndarray:
         return np.exp(1j * math.pi * x / m)
@@ -245,8 +246,7 @@ def bridge_report(
     edge_rhs = (math.pi ** (p + 1.0) / m**p) * linear_lp
 
     # intermediate 3: diagonal (contraction) upper bound, worst (x, eps)
-    full = _signed_sum_means(zmat, [tuple(range(1, n + 1))], signs, lp_power)[0]
-    diag_rhs = (2.0 * math.pi ** (p + 1.0) / m**p) * (2**n * full)
+    diag_rhs = (2.0 * math.pi ** (p + 1.0) / m**p) * (2**n * linear_full)
     g = np.concatenate([
         _pair_powers((phase(y[:, None, :] + signs) - phase(y)[:, None, :]) @ zmat, p)
         for y in _lattice_blocks(M, n, 2 * (n + d) * len(signs))

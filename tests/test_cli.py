@@ -394,6 +394,21 @@ class TestRun:
         assert report["extra"]["metric"]["gamma"] is None
         assert report["extra"]["linear_constant_from_gamma"] is None
 
+    def test_trace_with_matrix_files_draws_no_matrices(self, runner, tmp_path, monkeypatch):
+        paths = []
+        for name in ("a", "b"):
+            paths.append(str(tmp_path / f"{name}.csv"))
+            np.savetxt(paths[-1], random_psd(3, 1, purpose=name).entries, delimiter=",")
+        (tmp_path / "cfg.json").write_text(json.dumps({"matrix_paths": paths}))
+
+        def no_draw(*args, **kwargs):
+            raise AssertionError("random_psd called with matrix files given")
+
+        monkeypatch.setattr(cli, "random_psd", no_draw)
+        res = runner.invoke(main, ["run", "trace", "--config", str(tmp_path / "cfg.json"),
+                                   "--deterministic"])
+        assert res.exit_code == 0, res.output
+
     def test_three_letter_cotype_budget_counts_three_letters(self, runner):
         # 2^8 points and 3^8 patterns: 1,679,616 terms exceed the budget
         res = runner.invoke(main, [
@@ -402,6 +417,48 @@ class TestRun:
         ])
         assert res.exit_code == 0, res.output
         assert json.loads(res.output)["report"]["plan"]["mode"] == "monte-carlo"
+
+
+class TestPlanSizedFromTheInput:
+    """Each plan counts the input a report runs on (a file's grid, the given
+    vectors) and only the terms it enumerates, whatever ``--m``, ``--n`` and
+    ``--k`` say; the probe and search budget checks count the same way."""
+
+    @pytest.fixture()
+    def workdir(self, runner, tmp_path):
+        with runner.isolated_filesystem(temp_dir=tmp_path):
+            f = random_grid_function(8, 4, 1, 4.0, seed=1)
+            Path("f84.json").write_text(json.dumps(f.to_json_dict()))
+            Path("zs.json").write_text(json.dumps({"zs": [[0.3, -0.2], [0.5, 0.1]]}))
+            yield
+
+    @pytest.mark.parametrize("args,code,fields,same_as", [
+        (["metric-xp", "--function-path", "f84.json", "--m", "2", "--n", "2", "--k", "2",
+          "--budget", "1000"], 2, {"plan.mode": "monte-carlo", "params.n": 4}, None),
+        (["bridge", "--config", "zs.json", "--n", "30"], 0, {"plan.mode": "exhaustive"},
+         ["bridge", "--config", "zs.json", "--n", "2"]),
+        (["khinchine", "--n", "2", "--k", "3"], 0, {"params.n": 2}, None),
+        (["contraction", "--a", "1,2", "--k", "5"], 0, {"params.n": 2}, None),
+        (["cotype", "--n", "2", "--k", "3"], 0, {"plan.mode": "exhaustive"}, None),
+        (["psd-xp", "--n", "21", "--k", "2", "--d", "2"], 0, {"plan.mode": "exhaustive"}, None),
+        (["convolution-probe", "--function-path", "f84.json", "--m", "1", "--n", "2",
+          "--budget", "100"], 1, {}, None),
+        (["convolution-search", "--m", "1", "--n", "8"], 1, {}, None),
+    ], ids=["grid-file-dimension", "bridge-vectors-not-n", "khinchine-unused-k",
+            "contraction-unused-k", "cotype-unused-k", "psd-xp-no-sign-patterns",
+            "probe-grid-file-over-budget", "search-trials-over-budget"])
+    def test_plan_and_budget_check(self, runner, workdir, args, code, fields, same_as):
+        res = runner.invoke(main, ["run", *args, "--deterministic"])
+        assert res.exit_code == code, res.output
+        if code == 1:
+            assert json.loads(res.stderr)["error"] == "ValueError"
+            return
+        report = json.loads(res.stdout)["report"]
+        flat = _flatten(report)
+        assert {key: flat[key] for key in fields} == fields
+        if same_as is not None:
+            other = runner.invoke(main, ["run", *same_as, "--deterministic"])
+            assert report == json.loads(other.stdout)["report"]
 
 
 class TestScan:

@@ -20,7 +20,7 @@ from xplab.complexify import (
     contraction_check,
 )
 from xplab.inequalities import linear_xp_report, subset_average
-from xplab.lattice import _norm_power, make_sample_plan
+from xplab.lattice import SamplePlan, _norm_power, make_sample_plan
 
 
 def plan_for(modulus: int, n: int, k: int = 1):
@@ -157,6 +157,13 @@ class TestBridge:
                 np.eye(2).tolist(), m=2, k=1, p=4.0,
                 plan=make_sample_plan(4, 2, 1, budget=10, seed=0),
             )
+
+    def test_sampled_plan_is_refused(self):
+        # the budget covers the whole enumeration, but a Monte-Carlo plan would
+        # put sampled sign sums beside the exact torus moments
+        plan = SamplePlan("monte-carlo", 10**6, 0, subset_mode="sampled", subset_count=2)
+        with pytest.raises(ValueError, match="exhaustive plan"):
+            bridge_report(np.eye(2).tolist(), m=2, k=1, p=4.0, plan=plan)
 
     def test_budget_counts_every_quadrature(self, monkeypatch):
         # the guard once counted M^n 2^n only, below the pair quadratures the
