@@ -39,13 +39,19 @@ DRAWS = 3
 # small n and at sizes past one block of sign sums, the probe on Z_4,
 # scaling witnesses, both grid embeddings, a bridge at n = 3, sampled
 # subsets at the 4,096-draw cap and across two blocks of uniforms, plan
-# sizes that --k or sign patterns the report never uses would move, and the
-# verify oracles
+# sizes that --k or sign patterns the report never uses would move, psd-xp
+# at integer q, d = 1 and k = n, the lambda family at r = 0, r near 0 and
+# d = 1, and the verify oracles
 EXTRA = [
     ["run", "metric-xp", "--m", "1", "--n", "6", "--k", "3", "--budget", "5000"],
     ["run", "linear-xp", "--n", "40", "--k", "3", "--budget", "1000"],
     ["run", "khinchine", "--n", "2", "--k", "3"],
     ["run", "psd-xp", "--n", "21", "--k", "2", "--d", "2"],
+    ["run", "psd-xp", "--q", "3", "--d", "1"],
+    ["run", "psd-xp", "--q", "3", "--d", "2", "--n", "8", "--k", "2"],
+    ["run", "psd-xp", "--n", "9", "--k", "9"],
+    *(["run", "trace", "--kind", "lambda", *extra]
+      for extra in (["--q", "1.5"], ["--q", "2.000001"], ["--d", "1"])),
     *(["run", "psd-counterexample", "--q", q] for q in ("1", "2", "4", "6")),
     *(["run", "smoothness", "--kind", "pisier", "--n", n, "--d", d]
       for n in ("1", "3", "5") for d in ("1", "3")),
