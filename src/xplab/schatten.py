@@ -1,8 +1,9 @@
 """Symmetric-matrix spectral calculus, Schatten norms, trace inequalities.
 
 Eigensolves use LAPACK through ``numpy.linalg``: ``eigh`` for spectral
-decompositions (reordered to descending eigenvalues) and ``eigvalsh`` where
-only eigenvalues are needed, batched over whole sign-pattern stacks.
+decompositions (reordered to descending eigenvalues), batched over the
+subset sums of ``psd_xp_report``, and ``eigvalsh`` where only eigenvalues
+are needed, batched over whole sign-pattern stacks.
 Fractional matrix powers clip tiny negative eigenvalues attributable to
 roundoff.  The PSD-subadditivity counterexample is evaluated in exact
 rational arithmetic for integer exponents, because the quadratic form of
@@ -19,13 +20,14 @@ from typing import Sequence
 import numpy as np
 
 from .inequalities import (
+    _BLOCK,
     InequalityReport,
     _finalize,
     _xp_moments,
     signed_power_mean,
     subset_average,
 )
-from .lattice import SamplePlan, _norm_power
+from .lattice import SamplePlan, _norm_power, make_sample_plan
 from .rng import stream
 
 __all__ = [
@@ -64,11 +66,16 @@ class SymMatrix:
     @staticmethod
     def from_array(a: np.ndarray) -> "SymMatrix":
         a = np.asarray(a, dtype=float)
+        if a.size == 0:
+            raise ValueError("a matrix must have order >= 1")
         sym = 0.5 * (a + a.T)
-        vals, vecs = np.linalg.eigh(sym)
+        return SymMatrix._from_eigh(sym, *np.linalg.eigh(sym))
+
+    @staticmethod
+    def _from_eigh(sym: np.ndarray, vals: np.ndarray, vecs: np.ndarray) -> "SymMatrix":
+        """The matrix ``sym`` with its ascending ``eigh`` spectrum."""
         vals, vecs = vals[::-1], vecs[:, ::-1]
-        lam_max = float(np.max(np.abs(vals))) if vals.size else 0.0
-        psd = bool(np.min(vals) >= -_PSD_CLIP * max(lam_max, 1.0))
+        psd = bool(vals[-1] >= _clip_floor(vals))
         sym.setflags(write=False)
         vals.setflags(write=False)
         vecs.setflags(write=False)
@@ -84,9 +91,8 @@ class SymMatrix:
         if float(q) == int(q) and q >= 0:
             powered = vals ** int(q)
         else:
-            lam_max = float(np.max(np.abs(vals))) if vals.size else 0.0
             clipped = vals.copy()
-            tiny = (clipped < 0) & (clipped >= -_PSD_CLIP * max(lam_max, 1.0))
+            tiny = (clipped < 0) & (clipped >= _clip_floor(vals))
             clipped[tiny] = 0.0
             if np.any(clipped < 0):
                 raise ValueError(
@@ -94,6 +100,12 @@ class SymMatrix:
                 )
             powered = clipped**q
         return (self.eigenvectors * powered) @ self.eigenvectors.T
+
+
+def _clip_floor(vals: np.ndarray) -> float:
+    """-_PSD_CLIP * max(max |lambda|, 1) for a spectrum sorted descending:
+    eigenvalues above it count as nonnegative roundoff."""
+    return -_PSD_CLIP * max(abs(vals[0]), abs(vals[-1]), 1.0)
 
 
 def _as_sym(a: "SymMatrix | np.ndarray") -> SymMatrix:
@@ -237,12 +249,20 @@ def trace_inequality_report(
         lhs = trace_mixed(msum, ma, q - 1.0)
         v = trace_power(ma, q)
         z = trace_mixed(mb, ma, q - 1.0)
-        lams = list(_LAMBDA_GRID)
-        if r > 0 and v > 0 and z > 0:
-            # closed-form minimizer of v/l^r + z/(1-l)^r
-            lam_star = 1.0 / (1.0 + (z / v) ** (1.0 / (r + 1.0)))
-            lams.append(lam_star)
-        rhs = min(v / lam**r + z / (1.0 - lam) ** r for lam in lams)
+        if r == 0:
+            rhs = v + z  # l^0 = 1 at every grid point
+        else:
+            # one vector pass finds the grid points near the minimum; the
+            # scalar expression, whose pow may differ from numpy's vector
+            # pow in the last bit, is minimized over those points only
+            with np.errstate(divide="ignore", over="ignore"):
+                vec = v / _LAMBDA_GRID**r + z / (1.0 - _LAMBDA_GRID) ** r
+            lams = list(_LAMBDA_GRID[~(vec > vec.min() * (1.0 + 1e-12))])
+            if v > 0 and z > 0:
+                # closed-form minimizer of v/l^r + z/(1-l)^r
+                lam_star = 1.0 / (1.0 + (z / v) ** (1.0 / (r + 1.0)))
+                lams.append(lam_star)
+            rhs = float(min(v / lam**r + z / (1.0 - lam) ** r for lam in lams))
         return _finalize(
             "trace_lambda_family", params, lhs, {"min_over_lambda": rhs}, None,
             extra={"r": r, "v": v, "z": z},
@@ -365,6 +385,8 @@ def psd_counterexample(s: float, q: float, big_k: float) -> PsdCounterexample:
 
 def random_psd(d: int, seed: int, purpose: str = "psd") -> SymMatrix:
     """A = G G^T / d with standard normal G."""
+    if d < 1:
+        raise ValueError("d must be >= 1")
     gen = stream(seed, purpose)
     g = gen.normal(size=(d, d))
     a = g @ g.T / d
@@ -425,6 +447,35 @@ def schatten_xp_report(
     )
 
 
+def _subset_traces(
+    entries: np.ndarray, subsets: Sequence[tuple[int, ...]], q: float
+) -> list[float]:
+    """``trace_power(SymMatrix.from_array(sum(entries[j-1] for j in S)), q)``
+    for each subset S, bit for bit, with one ``eigh`` per block of at most
+    ``_BLOCK`` floats of sums (at least one subset).
+
+    The sums add the matrices column by column onto zeros, the float
+    additions of Python ``sum`` (``np.add.reduce`` over a stack of 1x1
+    matrices sums pairwise from eight terms on).  Each matrix's spectrum is
+    a view of the block with the strides of a single ``eigh``'s, so its
+    powers take the same numpy loops: numpy's pow rounds differently on
+    other layouts.
+    """
+    d = entries.shape[-1]
+    per_block = max(1, _BLOCK // (d * d))
+    traces = []
+    for start in range(0, len(subsets), per_block):
+        idx = np.asarray(subsets[start:start + per_block]) - 1
+        total = np.zeros((len(idx), d, d))
+        for col in idx.T:
+            total += entries[col]
+        sym = 0.5 * (total + np.swapaxes(total, 1, 2))
+        vals, vecs = np.linalg.eigh(sym)
+        traces += [trace_power(SymMatrix._from_eigh(m, w, u), q)
+                   for m, w, u in zip(sym, vals, vecs)]
+    return traces
+
+
 def psd_xp_report(
     mats: Sequence["SymMatrix | np.ndarray"],
     k: int,
@@ -444,13 +495,10 @@ def psd_xp_report(
     if q < 1:
         raise ValueError("q must be >= 1")
     if plan is None:
-        plan = SamplePlan("exhaustive", max(math.comb(n, k), 1), 0)
-
-    def subset_trace(S: tuple[int, ...]) -> float:
-        total = sum(syms[j - 1].entries for j in S)
-        return trace_power(SymMatrix.from_array(total), q)
-
-    lhs = subset_average(subset_trace, n, k, plan)
+        plan = make_sample_plan(1, n, k, math.comb(n, k), 0, letters=1)
+    entries = np.stack([m.entries for m in syms])
+    lhs = subset_average(lambda subsets: _subset_traces(entries, subsets, q), n, k, plan,
+                         batched=True)
     t1 = (k / n) * math.fsum(trace_power(m, q) for m in syms)
     full = SymMatrix.from_array(sum(m.entries for m in syms))
     t2 = (k / n) ** q * trace_power(full, q)

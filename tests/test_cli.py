@@ -249,6 +249,8 @@ class TestUsageErrors:
         (["run", "convolution-probe", "--n", "0"], "ValueError"),
         (["run", "scaling-witness", "--m", "0"], "ValueError"),
         (["run", "convolution-probe", "--m", "1", "--n", "6", "--budget", "4000"], "ValueError"),
+        *((["run", name, "--d", "0"], "ValueError")
+          for name in ("trace", "psd-xp", "schatten-xp", "khinchine")),
     ], ids=["fractional-int", "unknown-flag", "missing-config", "unknown-report",
             "scan-without-sweep", "flag-without-value", "bool-flag-with-value",
             "second-report", "unknown-format", "unknown-command", "unknown-family",
@@ -257,12 +259,19 @@ class TestUsageErrors:
             "three-letter-cotype-s-zero", "three-letter-cotype-s-negative",
             "rademacher-cotype-s-zero", "rademacher-cotype-s-negative",
             "smoothness-n-zero", "probe-n-zero", "scaling-witness-m-zero",
-            "probe-torus-over-budget"])
+            "probe-torus-over-budget", "trace-d-zero", "psd-xp-d-zero",
+            "schatten-xp-d-zero", "khinchine-d-zero"])
     def test_exit_one_with_json_error(self, runner, args, error):
         res = runner.invoke(main, args)
         assert res.exit_code == 1
         assert res.stdout == ""
         assert json.loads(res.stderr)["error"] == error
+
+    @pytest.mark.parametrize("name", ["trace", "psd-xp", "schatten-xp", "khinchine"])
+    def test_matrix_order_zero_is_named(self, runner, name):
+        # not numpy's "zero-size array to reduction operation minimum"
+        res = runner.invoke(main, ["run", name, "--d", "0"])
+        assert json.loads(res.stderr)["message"] == "d must be >= 1"
 
     @pytest.mark.parametrize("args,incomplete,names", [
         ([], "", ["run", "scan", "verify"]),

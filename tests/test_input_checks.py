@@ -62,6 +62,7 @@ from xplab.schatten import (
     MainQge1,
     OpConvex,
     Qlt1,
+    SymMatrix,
     khinchine_report,
     psd_counterexample,
     psd_xp_report,
@@ -147,6 +148,9 @@ CASES = {
                    ValueError, "requires PSD inputs"),
     "psd-xp-k": (lambda: psd_xp_report([PSD], 2, 2.0), ValueError, r"k=2 out of range for n=1"),
     "psd-xp-q": (lambda: psd_xp_report([PSD], 1, 0.5), ValueError, "q must be >= 1"),
+    "random-psd-d": (lambda: random_psd(0, 0), ValueError, "d must be >= 1"),
+    "matrix-order": (lambda: SymMatrix.from_array(np.zeros((0, 0))),
+                     ValueError, "a matrix must have order >= 1"),
     "khinchine-p": (lambda: khinchine_report([np.eye(2)], 1.5, PLAN),
                     ValueError, "p must be >= 2"),
     # lattice.py

@@ -1,12 +1,15 @@
 """Spectral calculus, trace inequalities, matrix-valued moment reports."""
 
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from xplab.inequalities import linear_xp_report
-from xplab.lattice import SamplePlan, make_sample_plan
+from xplab import schatten
+from xplab.lattice import SamplePlan, make_sample_plan, subset_stream
 from xplab.rng import stream
 from xplab.schatten import (
     Holder,
@@ -16,6 +19,7 @@ from xplab.schatten import (
     OpConvex,
     Qlt1,
     SymMatrix,
+    _LAMBDA_GRID,
     _schatten_power,
     eigen_sym,
     khinchine_report,
@@ -255,3 +259,63 @@ class TestMatrixReports:
             1 + 1e-12
         ) or rep.implied_constant <= 1 + 1e-12
         assert rep.lhs == pytest.approx(rep.extra["full_term"], rel=1e-12)
+
+
+def _psd_xp_lhs(mats, k, q, plan):
+    """The per-subset subset average: one ``SymMatrix.from_array`` of the
+    Python ``sum`` of each drawn subset's matrices."""
+    syms = [SymMatrix.from_array(m) for m in mats]
+    subsets = list(subset_stream(len(mats), k, plan))
+    value = {S: trace_power(SymMatrix.from_array(sum(syms[j - 1].entries for j in S)), q)
+             for S in set(subsets)}
+    return math.fsum(value[S] for S in subsets) / len(subsets)
+
+
+def _lambda_min(v, z, r):
+    """The scalar minimum over the whole grid plus the closed-form point."""
+    lams = list(_LAMBDA_GRID)
+    if r > 0 and v > 0 and z > 0:
+        lams.append(1.0 / (1.0 + (z / v) ** (1.0 / (r + 1.0))))
+    return min(v / lam**r + z / (1.0 - lam) ** r for lam in lams)
+
+
+EXHAUSTIVE = SamplePlan("exhaustive", 10**6, 0)
+SAMPLED = SamplePlan("monte-carlo", 500, seed=4, subset_mode="sampled", subset_count=40)
+
+
+class TestBatchedSpectraAreExact:
+    """The batched eigensolves and the vector λ pass give the bits of the
+    per-matrix and scalar code they replace."""
+
+    @pytest.mark.parametrize("d", range(1, 7))
+    @pytest.mark.parametrize("q", [1.0, 2.0, 3.0, 4.0, 1.5, 2.7])
+    @pytest.mark.parametrize("k", [1, 4, 8, 9])
+    def test_psd_xp_matches_per_subset_sums(self, d, q, k):
+        # k >= 8 at d = 1 would show numpy's pairwise summation of a reduce
+        mats = [random_psd(d, 10 * d + k, purpose=f"exact:{j}").entries for j in range(9)]
+        rep = psd_xp_report(mats, k, q)
+        assert rep.lhs == _psd_xp_lhs(mats, k, q, EXHAUSTIVE)
+
+    @pytest.mark.parametrize("q", [2.0, 3.0, 2.7])
+    def test_psd_xp_sampled_plan_matches_per_subset_sums(self, q):
+        mats = [random_psd(3, 5, purpose=f"sampled:{j}").entries for j in range(9)]
+        rep = psd_xp_report(mats, 4, q, SAMPLED)
+        assert rep.lhs == _psd_xp_lhs(mats, 4, q, SAMPLED)
+
+    @pytest.mark.parametrize("plan", [None, SAMPLED], ids=["exhaustive", "sampled"])
+    def test_psd_xp_does_not_depend_on_the_block(self, monkeypatch, plan):
+        mats = [random_psd(4, 6, purpose=f"block:{j}").entries for j in range(8)]
+        whole = [psd_xp_report(mats, 3, q, plan).to_json_dict() for q in (3.0, 2.3)]
+        monkeypatch.setattr(schatten, "_BLOCK", 1)  # one subset per eigh
+        assert [psd_xp_report(mats, 3, q, plan).to_json_dict() for q in (3.0, 2.3)] == whole
+
+    @pytest.mark.parametrize("q", [1.0, 1.3, 1.9, 2.0, 2.0 + 1e-12, 2.0 + 1e-9,
+                                   2.000001, 2.01, 2.5, 3.3, 4.5, 7.0])
+    def test_lambda_family_matches_the_scalar_minimum(self, q):
+        for seed in range(24):
+            d = 1 + seed % 6
+            a = random_psd(d, seed, purpose="exact:a")
+            b = random_psd(d, seed, purpose="exact:b")
+            rep = trace_inequality_report(a, b, LambdaFamily(q))
+            v, z, r = rep.extra["v"], rep.extra["z"], rep.extra["r"]
+            assert rep.rhs_terms["min_over_lambda"] == _lambda_min(v, z, r)
