@@ -273,6 +273,16 @@ class TestUsageErrors:
         res = runner.invoke(main, ["run", name, "--d", "0"])
         assert json.loads(res.stderr)["message"] == "d must be >= 1"
 
+    def test_empty_matrix_file_is_named(self, runner):
+        Path("empty.csv").write_text("")
+        Path("empty.json").write_text(json.dumps({"matrix_paths": ["empty.csv"]}))
+        with pytest.warns(UserWarning, match="no data"):
+            res = runner.invoke(main, ["run", "psd-xp", "--config", "empty.json",
+                                       "--n", "1", "--k", "1"])
+        assert res.exit_code == 1
+        assert json.loads(res.stderr.splitlines()[-1])["message"] == (
+            "a matrix must have order >= 1")
+
     @pytest.mark.parametrize("args,incomplete,names", [
         ([], "", ["run", "scan", "verify"]),
         ([], "ru", ["run"]),

@@ -7,8 +7,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from xplab.inequalities import linear_xp_report
 from xplab import schatten
+from xplab.inequalities import linear_xp_report
 from xplab.lattice import SamplePlan, make_sample_plan, subset_stream
 from xplab.rng import stream
 from xplab.schatten import (
