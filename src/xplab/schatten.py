@@ -203,6 +203,7 @@ class OpConvex:
 
 
 _LAMBDA_GRID = np.arange(1, 1026) / 1026.0
+_TINY = np.finfo(float).tiny  # slack for terms below the normal range
 
 
 def trace_inequality_report(
@@ -249,20 +250,24 @@ def trace_inequality_report(
         lhs = trace_mixed(msum, ma, q - 1.0)
         v = trace_power(ma, q)
         z = trace_mixed(mb, ma, q - 1.0)
-        if r == 0:
-            rhs = v + z  # l^0 = 1 at every grid point
-        else:
-            # one vector pass finds the grid points near the minimum; the
-            # scalar expression, whose pow may differ from numpy's vector
-            # pow in the last bit, is minimized over those points only
-            with np.errstate(divide="ignore", over="ignore"):
-                vec = v / _LAMBDA_GRID**r + z / (1.0 - _LAMBDA_GRID) ** r
-            lams = list(_LAMBDA_GRID[~(vec > vec.min() * (1.0 + 1e-12))])
-            if v > 0 and z > 0:
-                # closed-form minimizer of v/l^r + z/(1-l)^r
-                lam_star = 1.0 / (1.0 + (z / v) ** (1.0 / (r + 1.0)))
-                lams.append(lam_star)
-            rhs = float(min(v / lam**r + z / (1.0 - lam) ** r for lam in lams))
+        # one vector pass finds the grid points near the minimum; the scalar
+        # expression, whose pow may differ from numpy's vector pow in the
+        # last bit, is minimized over those points only.  The band is sized
+        # by the terms, not by their sum, which z's roundoff can make
+        # negative or cancel; a NaN or infinite minimum keeps every point.
+        with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+            head = v / _LAMBDA_GRID**r
+            tail = z / (1.0 - _LAMBDA_GRID) ** r
+            vec = head + tail
+            size = np.abs(head) + np.abs(tail)
+            i = vec.argmin()
+            band = 1e-12 * (size + size[i]) + _TINY
+            lams = list(_LAMBDA_GRID[~(vec - vec[i] > band)])
+        if r > 0 and v > 0 and z > 0:
+            # closed-form minimizer of v/l^r + z/(1-l)^r
+            lam_star = 1.0 / (1.0 + (z / v) ** (1.0 / (r + 1.0)))
+            lams.append(lam_star)
+        rhs = float(min(v / lam**r + z / (1.0 - lam) ** r for lam in lams))
         return _finalize(
             "trace_lambda_family", params, lhs, {"min_over_lambda": rhs}, None,
             extra={"r": r, "v": v, "z": z},

@@ -319,3 +319,20 @@ class TestBatchedSpectraAreExact:
             rep = trace_inequality_report(a, b, LambdaFamily(q))
             v, z, r = rep.extra["v"], rep.extra["z"], rep.extra["r"]
             assert rep.rhs_terms["min_over_lambda"] == _lambda_min(v, z, r)
+
+    @pytest.mark.parametrize("q", [2.5, 3.0])
+    def test_lambda_family_on_orthogonal_ranges(self, q):
+        # rank-1 projections with orthogonal ranges: z = tr(B^{q-1} A) is
+        # roundoff of either sign, and with a small A the minimum is negative
+        pairs = [(np.array([[0.5, 0.5], [0.5, 0.5]]), np.array([[0.5, -0.5], [-0.5, 0.5]]))]
+        for theta in np.linspace(0.01, 3.1, 40):
+            u = np.array([np.cos(theta), np.sin(theta)])
+            w = np.array([-u[1], u[0]])
+            pairs += [(s * np.outer(u, u), np.outer(w, w)) for s in (1.0, 1e-4, 1e-8, 1e-12)]
+        minima = []
+        for a, b in pairs:
+            rep = trace_inequality_report(a, b, LambdaFamily(q))
+            v, z, r = rep.extra["v"], rep.extra["z"], rep.extra["r"]
+            minima.append(rep.rhs_terms["min_over_lambda"])
+            assert minima[-1] == _lambda_min(v, z, r)
+        assert min(minima) < 0
