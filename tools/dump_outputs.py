@@ -37,7 +37,9 @@ DRAWS = 3
 # valid sizes of reports whose code neither the benchmark nor the default
 # runs reach: exact counterexample powers, Pisier and probe sign sums at
 # small n and at sizes past one block of sign sums, the probe on Z_4,
-# scaling witnesses, both grid embeddings, a bridge at n = 3, sampled
+# scaling witnesses, both grid embeddings, bridges at n = 3 (the second
+# takes its diagonal's Z_16^3 in 12 blocks), a scaling witness and a
+# displacement over a budget of 1,000 terms, sampled
 # subsets at the 4,096-draw cap and across two blocks of uniforms, plan
 # sizes that --k or sign patterns the report never uses would move, psd-xp
 # at integer q, d = 1 and k = n, the lambda family at r = 0, r near 0 and
@@ -60,7 +62,10 @@ EXTRA = [
     *(["run", "convolution-probe", "--n", n] for n in ("1", "2", "3")),
     ["run", "convolution-probe", "--m", "1", "--n", "2"],
     ["run", "convolution-probe", "--m", "2", "--n", "4"],
-    ["run", "bridge", "--n", "3", "--m", "2", "--k", "2", "--budget", "1e7"],
+    *(["run", "bridge", "--n", "3", "--m", m, "--k", "2", "--budget", "1e7"]
+      for m in ("2", "8")),
+    ["run", "scaling-witness", "--m", "2", "--n", "5", "--k", "2", "--budget", "1000"],
+    ["run", "displacement", "--m", "2", "--n", "4", "--k", "2", "--budget", "1000"],
     *(["run", "scaling-witness", "--m", m, "--n", n, "--k", k]
       for m, n, k in (("1", "1", "1"), ("3", "2", "2"), ("4", "3", "2"))),
     *(["run", "grid-distortion", "--which", which, "--m", m, "--n", "2"]
