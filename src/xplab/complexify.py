@@ -27,7 +27,6 @@ from typing import Sequence
 import numpy as np
 
 from .inequalities import (
-    _BLOCK,
     InequalityReport,
     _as_vectors,
     _finalize,
@@ -36,7 +35,7 @@ from .inequalities import (
     signed_power_mean,
     subset_average,
 )
-from .lattice import SamplePlan, _norm_power, _pattern_rows
+from .lattice import SamplePlan, _blocks, _norm_power, _pattern_rows
 
 __all__ = [
     "complexification_norm",
@@ -55,8 +54,8 @@ def _pair_powers(w: np.ndarray, p: float) -> np.ndarray:
     """||(Re w, Im w)||^p for each complex d-vector on the last axis of ``w``.
 
     2π · mean_θ sum_i |cos θ Re w_i - sin θ Im w_i|^p over the
-    ``DEFAULT_NODES`` periodic trapezoid nodes, in blocks of at most
-    ``_BLOCK`` float64 elements.
+    ``DEFAULT_NODES`` periodic trapezoid nodes, over the ``_blocks`` slices
+    of the vectors: at most ``_BLOCK`` float64 elements, or one vector.
     """
     w = np.asarray(w, dtype=complex)
     d = w.shape[-1]
@@ -64,14 +63,13 @@ def _pair_powers(w: np.ndarray, p: float) -> np.ndarray:
     theta = 2.0 * math.pi * np.arange(DEFAULT_NODES) / DEFAULT_NODES
     cos, sin = np.cos(theta)[:, None], np.sin(theta)[:, None]
     out = np.empty(len(flat))
-    rows = max(1, _BLOCK // (DEFAULT_NODES * max(d, 1)))
-    for lo in range(0, len(flat), rows):
-        block = flat[lo:lo + rows, None, :]
-        vals = cos * block.real
-        vals -= sin * block.imag
+    for block in _blocks(len(flat), DEFAULT_NODES * max(d, 1)):
+        pairs = flat[block, None, :]
+        vals = cos * pairs.real
+        vals -= sin * pairs.imag
         np.abs(vals, out=vals)
         np.power(vals, p, out=vals)
-        out[lo:lo + rows] = vals.reshape(len(vals), -1).sum(axis=1)
+        out[block] = vals.reshape(len(vals), -1).sum(axis=1)
     return (2.0 * math.pi / DEFAULT_NODES) * out.reshape(w.shape[:-1])
 
 
@@ -157,15 +155,6 @@ def contraction_check(
 # ---------------------------------------------------------------------------
 
 
-def _lattice_blocks(M: int, r: int, row_size: int):
-    """Z_M^r in lexicographic order, in blocks of about _BLOCK / row_size points."""
-    rows = max(1, _BLOCK // row_size)
-    place = M ** np.arange(r - 1, -1, -1)
-    for lo in range(0, M**r, rows):
-        index = np.arange(lo, min(lo + rows, M**r))
-        yield index[:, None] // place % M
-
-
 def bridge_report(
     zs: Sequence[Sequence[float]], m: int, k: int, p: float, plan: SamplePlan
 ) -> InequalityReport:
@@ -223,13 +212,14 @@ def bridge_report(
     # intermediate 1: half-period lower bound, averaged over subsets
     def half_period_lhs(S: tuple[int, ...]) -> float:
         cols = [j - 1 for j in S]
-        total = [
-            _pair_powers(phase(x) @ zmat[cols], p)
-            for x in _lattice_blocks(M, len(cols), 2 * (len(cols) + d))
-        ]
+        # groups of M points differing in the last coordinate: a lone point's
+        # product would take numpy's matrix-vector kernel, which rounds apart
+        x = _pattern_rows(np.arange(M), len(cols)).reshape(-1, M, len(cols))
+        total = [_pair_powers(phase(x[block]) @ zmat[cols], p)
+                 for block in _blocks(len(x), 2 * M * (len(cols) + d))]
         # with delta_S = +1: 2^|S| signs and (2M)^{n-|S|} free coordinates
         # give the same term
-        return 2**n * M ** (n - len(cols)) * math.fsum(np.concatenate(total))
+        return 2**n * M ** (n - len(cols)) * math.fsum(np.concatenate(total, axis=None))
 
     # a sum over all 2^n sign rows repeats each row of the |S| columns 2^(n-|S|)
     # times, so its math.fsum is 2^n times the kernel's mean over those rows
@@ -247,9 +237,10 @@ def bridge_report(
 
     # intermediate 3: diagonal (contraction) upper bound, worst (x, eps)
     diag_rhs = (2.0 * math.pi ** (p + 1.0) / m**p) * (2**n * linear_full)
+    y = _pattern_rows(np.arange(M), n)
     g = np.concatenate([
-        _pair_powers((phase(y[:, None, :] + signs) - phase(y)[:, None, :]) @ zmat, p)
-        for y in _lattice_blocks(M, n, 2 * (n + d) * len(signs))
+        _pair_powers((phase(y[block, None, :] + signs) - phase(y[block, None, :])) @ zmat, p)
+        for block in _blocks(len(y), 2 * (n + d) * len(signs))
     ])
     rows = g.reshape((M,) * n + (len(signs),))
     for axis in range(n):

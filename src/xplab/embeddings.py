@@ -15,7 +15,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .lattice import _norm_power
+from .lattice import _norm_power, _pattern_rows
 from .schatten import eigen_sym
 
 __all__ = [
@@ -289,11 +289,6 @@ def grid_bounds(m: int, n: int, q: float, p: float) -> dict:
 # ---------------------------------------------------------------------------
 
 
-def _grid_points(m: int, n: int) -> np.ndarray:
-    """The points of {0..m}^n as rows, in lexicographic order."""
-    return np.indices((m + 1,) * n).reshape(n, -1).T.astype(float, order="C")
-
-
 def composite_grid_distortion(
     m: int, n: int, q: float, p: float, which: str, budget: int = 200_000
 ) -> EmbeddingResult:
@@ -311,7 +306,7 @@ def composite_grid_distortion(
         raise ValueError(f"{count} grid points exceed the pair budget")
     if count < 2:
         raise ValueError("need equal-length lists of at least 2 points")
-    pts = _grid_points(m, n)
+    pts = _pattern_rows(np.arange(m + 1.0), n)
     if which == "rosenthal":
         image = rosenthal_embed(pts, q)
         d_image = rosenthal_target_norm(image[:, None, :] - image[None, :, :], p)

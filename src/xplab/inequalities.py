@@ -15,6 +15,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
+from . import lattice
 from .lattice import (
     Diagonal,
     Edge,
@@ -24,9 +25,11 @@ from .lattice import (
     ShiftedSet,
     SymmetricDiagonal,
     ThreeLetterDiagonal,
+    _blocks,
     _norm_power,
     _pattern_rows,
     gap_moment,
+    make_sample_plan,
     random_grid_function,
     subset_stream,
 )
@@ -54,7 +57,6 @@ __all__ = [
 ]
 
 DEGENERACY_TOL = 1e-14
-_BLOCK = 1 << 15  # float64 elements per block of sign sums or quadrature terms
 
 
 # ---------------------------------------------------------------------------
@@ -149,13 +151,13 @@ def _signed_sum_means(
     size), the mean over the sign rows eps of ``patterns`` of
     ``power_fn(sum_{j in S} eps_j items[j-1])``.
 
-    If one subset's sums fit in ``_BLOCK`` floats (or in ``patterns.size``),
-    the subsets' items are stacked (u, |S|, ...) and summed by one
-    ``np.matmul`` per block of at most ``_BLOCK`` sums (at least one subset),
-    with the floats of one ``tensordot`` per subset whatever the block.
-    Otherwise each subset adds eps_j items[j-1] in j order over chunks of at
-    most ``_BLOCK`` sums (at least one sign row): the floats of a loop over
-    the patterns, whatever the chunk.  ``power_fn`` maps each (u, batch, ...)
+    If one subset's sums fit in ``lattice._BLOCK`` floats (or in
+    ``patterns.size``), the subsets' items are stacked (u, |S|, ...) and
+    summed by one ``np.matmul`` per ``_blocks`` slice of the subsets, with
+    the floats of one ``tensordot`` per subset whatever the block.
+    Otherwise each subset adds eps_j items[j-1] in j order over the
+    ``_blocks`` slices of the sign rows: the floats of a loop over the
+    patterns, whatever the chunk.  ``power_fn`` maps each (u, batch, ...)
     array of sums to one float per sum; ``math.fsum`` combines a subset's.
     """
     coeffs = np.asarray(items, dtype=float)
@@ -166,18 +168,16 @@ def _signed_sum_means(
         return np.asarray(power_fn(sums.reshape(sums.shape[:2] + coeffs.shape[1:])), dtype=float)
 
     means = []
-    if size <= max(_BLOCK, patterns.size):
-        per_block = max(1, _BLOCK // size)
-        for start in range(0, len(subsets), per_block):
-            stack = flat[np.asarray(subsets[start:start + per_block]) - 1]  # (u, s, D)
+    if size <= max(lattice._BLOCK, patterns.size):
+        for block in _blocks(len(subsets), size):
+            stack = flat[np.asarray(subsets[block]) - 1]  # (u, s, D)
             vals = powers(np.matmul(patterns, stack))
             means.extend(math.fsum(row.tolist()) / len(row) for row in vals)
         return means
-    rows = max(1, _BLOCK // flat.shape[1])
     for S in subsets:
         vals = []
-        for start in range(0, len(patterns), rows):
-            chunk = patterns[start:start + rows]
+        for block in _blocks(len(patterns), flat.shape[1]):
+            chunk = patterns[block]
             sums = chunk[:, :1] * flat[S[0] - 1]
             for col, j in enumerate(S[1:], 1):
                 sums += chunk[:, col, None] * flat[j - 1]
@@ -548,7 +548,7 @@ def convolution_probe(f: GridFunction, p: float) -> InequalityReport:
     if f.value_dim != 1:
         raise ValueError("convolution_probe requires scalar values")
     npoints = M**n
-    plan = SamplePlan("exhaustive", max(npoints * 2**n, 1), 0)
+    plan = make_sample_plan(M, n, 0, npoints * 2**n, 0)
     lhs = npoints * gap_moment(edge_average(f, CalE()), SymmetricDiagonal(), plan, power=p)
     # one (n,) + table array, so that the kernel does not copy it
     edge_diffs = np.empty((n,) + f.values.shape)
@@ -626,9 +626,9 @@ def scaling_witness_report(m: int, n: int, k: int, p: float) -> InequalityReport
     M = 2 * m
     # g(x) concatenates the (cos, sin) pairs of x's residues
     circle = np.array([[math.cos(math.pi * c / m), math.sin(math.pi * c / m)] for c in range(M)])
-    values = np.moveaxis(circle[np.indices((M,) * n)], 0, -2).reshape((M,) * n + (2 * n,))
+    values = circle[_pattern_rows(np.arange(M), n)].reshape((M,) * n + (2 * n,))
     f = GridFunction(M, n, 2 * n, 2.0, values)
-    plan = SamplePlan("exhaustive", max(M**n * 2**n, 1), 0)
+    plan = make_sample_plan(M, n, k, M**n * 2**n, 0)
     shifted = subset_average(
         lambda S: gap_moment(f, ShiftedSet(S, m), plan, power=p), n, k, plan
     )
@@ -673,7 +673,7 @@ def displacement_report(
     avg = box_average(f, DS(S, R))
     diff = f.values - avg.values
     lhs = math.fsum(_norm_power(diff, f.value_p, p).ravel().tolist())
-    plan = SamplePlan("exhaustive", max(npoints * 2**n, 1), 0)
+    plan = make_sample_plan(M, n, 0, npoints * 2**n, 0)
     diag = R**p * npoints * gap_moment(f, Diagonal(), plan, power=p)
     set_term = npoints * gap_moment(f, ShiftedSet(S, 1), plan, power=p)
     return _finalize(

@@ -29,6 +29,11 @@ each pair as rows of the table flattened to ``(M**n, d)``, one flat row index
 ``itertools.combinations`` order.  A sampled plan draws all of its subsets
 from one batch of uniforms: each draw is the positions of the k smallest of
 n i.i.d. uniform doubles, which is a uniform k-subset.
+
+Every finite sum of the library is enumerated by ``_pattern_rows`` (signs,
+Z_M^n, {0..m}^n), planned by ``make_sample_plan`` and blocked by ``_blocks``:
+a loop over items of ``size`` floats takes slices of at most
+``_BLOCK // size`` items and at least one, so one constant bounds them all.
 """
 
 from __future__ import annotations
@@ -388,6 +393,18 @@ def _pattern_rows(
     return np.asarray(letters)[index]
 
 
+_BLOCK = 1 << 15  # float64 elements per block of any enumerated finite sum
+
+
+def _blocks(count: int, size: int) -> Iterator[slice]:
+    """Consecutive slices of ``range(count)`` that cover it, each holding at
+    most ``_BLOCK // size`` items and at least one: the library's one block
+    rule for items of ``size`` floats each.  ``_BLOCK`` is read per call."""
+    step = max(1, _BLOCK // size)
+    for start in range(0, count, step):
+        yield slice(start, min(start + step, count))
+
+
 def gap_moment_estimate(
     f: GridFunction,
     spec: DisplacementSpec,
@@ -494,9 +511,6 @@ def geodesic(w: Sequence[int]) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 
-_SUBSET_BLOCK = 1 << 15  # uniform doubles per block of sampled subsets
-
-
 def subset_stream(
     n: int, k: int, plan: SamplePlan
 ) -> Iterator[tuple[int, ...]]:
@@ -506,9 +520,9 @@ def subset_stream(
     Sampled plans yield ``plan.subset_count`` (else ``plan.budget``)
     independent uniform draws from the (seed, "subsets") stream: a draw is
     the positions, plus 1, of the k smallest of n uniform doubles.  The
-    doubles come from ``gen.random`` in blocks of whole rows, at most
-    ``_SUBSET_BLOCK`` floats or one row; it spends one 64-bit word per
-    double, so the draws do not depend on the block size.
+    doubles come from ``gen.random`` in the ``_blocks`` of n-float rows, at
+    most ``_BLOCK`` floats or one row; it spends one 64-bit word per double,
+    so the draws do not depend on the block size.
     """
     if not 1 <= k <= n:
         raise ValueError(f"k={k} out of range for n={n}")
@@ -517,8 +531,7 @@ def subset_stream(
         return
     count = plan.subset_count if plan.subset_count is not None else plan.budget
     gen = stream(plan.seed, "subsets")
-    rows = max(1, _SUBSET_BLOCK // n)
-    for start in range(0, count, rows):
-        uniforms = gen.random((min(rows, count - start), n))
+    for block in _blocks(count, n):
+        uniforms = gen.random((block.stop - block.start, n))
         smallest = np.argpartition(uniforms, k - 1, axis=1)[:, :k]
         yield from map(tuple, (np.sort(smallest, axis=1) + 1).tolist())

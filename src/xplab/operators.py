@@ -256,8 +256,8 @@ def character(y: LatticePoint) -> GridFunction:
         raise ValueError("characters require modulus divisible by 8")
     m = M // 8
     n = y.dimension
-    # <x, y> in exact integer arithmetic
-    phase = math.pi * np.tensordot(y.coords, np.indices((M,) * n), axes=1) / (4.0 * m)
+    # <x, y> in exact integer arithmetic, x over the rows of Z_M^n
+    phase = math.pi * (_pattern_rows(np.arange(M), n) @ y.coords).reshape((M,) * n) / (4.0 * m)
     table = np.stack([np.cos(phase), np.sin(phase)], axis=-1)
     return GridFunction(M, n, 2, 2.0, table)
 

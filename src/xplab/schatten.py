@@ -20,14 +20,13 @@ from typing import Sequence
 import numpy as np
 
 from .inequalities import (
-    _BLOCK,
     InequalityReport,
     _finalize,
     _xp_moments,
     signed_power_mean,
     subset_average,
 )
-from .lattice import SamplePlan, _norm_power, make_sample_plan
+from .lattice import SamplePlan, _blocks, _norm_power, make_sample_plan
 from .rng import stream
 
 __all__ = [
@@ -456,8 +455,8 @@ def _subset_traces(
     entries: np.ndarray, subsets: Sequence[tuple[int, ...]], q: float
 ) -> list[float]:
     """``trace_power(SymMatrix.from_array(sum(entries[j-1] for j in S)), q)``
-    for each subset S, bit for bit, with one ``eigh`` per block of at most
-    ``_BLOCK`` floats of sums (at least one subset).
+    for each subset S, bit for bit, with one ``eigh`` per ``_blocks`` slice
+    of the subsets (at most ``_BLOCK`` floats of sums, at least one subset).
 
     The sums add the matrices column by column onto zeros, the float
     additions of Python ``sum`` (``np.add.reduce`` over a stack of 1x1
@@ -467,10 +466,9 @@ def _subset_traces(
     other layouts.
     """
     d = entries.shape[-1]
-    per_block = max(1, _BLOCK // (d * d))
     traces = []
-    for start in range(0, len(subsets), per_block):
-        idx = np.asarray(subsets[start:start + per_block]) - 1
+    for block in _blocks(len(subsets), d * d):
+        idx = np.asarray(subsets[block]) - 1
         total = np.zeros((len(idx), d, d))
         for col in idx.T:
             total += entries[col]

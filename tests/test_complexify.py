@@ -9,9 +9,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from xplab import complexify
+from xplab import complexify, lattice
 from xplab.complexify import (
-    _BLOCK,
     bridge_report,
     circular_moment,
     circular_moment_report,
@@ -20,7 +19,7 @@ from xplab.complexify import (
     contraction_check,
 )
 from xplab.inequalities import linear_xp_report, subset_average
-from xplab.lattice import SamplePlan, _norm_power, make_sample_plan
+from xplab.lattice import _BLOCK, SamplePlan, _norm_power, make_sample_plan
 
 
 def plan_for(modulus: int, n: int, k: int = 1):
@@ -186,6 +185,15 @@ class TestBridge:
         with pytest.raises(ValueError, match="budget"):
             bridge_report(zs, m=2, k=2, p=4.0,
                           plan=make_sample_plan(4, 3, 2, budget=used - 1, seed=0))
+
+    @pytest.mark.parametrize("block", [1, 1000])
+    def test_block_size_does_not_change_the_report(self, monkeypatch, block):
+        # the diagonal walks the 512 points of Z_8^3 in 512 blocks, then in 43
+        zs = [[0.7, -0.2], [-0.4, 0.5], [1.1, 0.3]]
+        plan = make_sample_plan(8, 3, 2, budget=10**7, seed=0)
+        whole = bridge_report(zs, m=4, k=2, p=3.3, plan=plan).to_json_dict()
+        monkeypatch.setattr(lattice, "_BLOCK", block)
+        assert bridge_report(zs, m=4, k=2, p=3.3, plan=plan).to_json_dict() == whole
 
     def test_memory_is_bounded_by_the_block(self):
         # 3 MiB is 12 blocks; at n=5 the diagonal's coefficient arrays for

@@ -11,7 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from xplab import inequalities
+from xplab import inequalities, lattice
 from xplab.inequalities import (
     BMW,
     Enflo,
@@ -260,7 +260,7 @@ class TestBatchedSubsets:
         plan, (items, power_fn) = self.PLANS[plan_name], self.ITEMS[item_name]
         whole = _xp_moments(items, 4, power_fn, plan)
         rows = 2**4 if plan.mode == "exhaustive" else plan.budget
-        monkeypatch.setattr(inequalities, "_BLOCK", per_block * rows * np.size(items[0]))
+        monkeypatch.setattr(lattice, "_BLOCK", per_block * rows * np.size(items[0]))
         assert _xp_moments(items, 4, power_fn, plan) == whole
 
     def test_memory_is_bounded_by_the_block(self):
@@ -275,7 +275,7 @@ class TestBatchedSubsets:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak < 8 * inequalities._BLOCK * 8
+        assert peak < 8 * lattice._BLOCK * 8
 
 
 class TestMetricXp:
@@ -542,7 +542,7 @@ class TestLoopReferences:
         h = HypercubeFunction(8, 2, np.random.default_rng(8).standard_normal((2,) * 8 + (2,)))
         f = random_grid_function(8, 4, 1, 3.0, seed=4)
         whole = (smoothness_report(h, Pisier(3.0)).rhs_terms, convolution_probe(f, 3.0).rhs_terms)
-        monkeypatch.setattr(inequalities, "_BLOCK", block)
+        monkeypatch.setattr(lattice, "_BLOCK", block)
         assert (smoothness_report(h, Pisier(3.0)).rhs_terms,
                 convolution_probe(f, 3.0).rhs_terms) == whole
 

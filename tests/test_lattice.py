@@ -400,7 +400,7 @@ class TestSubsetStream:
         plan = SamplePlan("monte-carlo", 500, seed=8, subset_mode="sampled",
                           subset_count=100)
         whole = list(subset_stream(9, 4, plan))
-        monkeypatch.setattr(lattice, "_SUBSET_BLOCK", rows * 9)
+        monkeypatch.setattr(lattice, "_BLOCK", rows * 9)
         assert list(subset_stream(9, 4, plan)) == whole
 
     def test_sampled_subsets_are_uniform(self):
@@ -418,6 +418,34 @@ class TestSubsetStream:
     def test_is_a_generator_function(self):
         # benchmarks/tracer.py times each step of the stream as its own span
         assert inspect.isgeneratorfunction(subset_stream)
+
+
+class TestBlocks:
+    """``_blocks`` is the one block rule of every bounded-memory loop."""
+
+    @pytest.mark.parametrize("count,size,block,lengths", [
+        (0, 1, 8, []),
+        (0, 9, 8, []),
+        (1, 1, 8, [1]),
+        (8, 1, 8, [8]),
+        (9, 1, 8, [8, 1]),
+        (17, 2, 8, [4, 4, 4, 4, 1]),
+        (10, 3, 8, [2, 2, 2, 2, 2]),
+        (11, 3, 8, [2, 2, 2, 2, 2, 1]),
+        (5, 9, 8, [1, 1, 1, 1, 1]),
+        (3, (1 << 15) + 1, 1 << 15, [1, 1, 1]),
+        (70_000, 1, 1 << 15, [1 << 15, 1 << 15, 70_000 - (1 << 16)]),
+    ], ids=["empty", "empty-large-items", "one", "one-full-block", "uneven-last",
+            "two-floats-uneven", "three-floats-even", "three-floats-uneven",
+            "items-above-block", "items-above-default-block", "default-block"])
+    def test_slices_cover_the_range(self, monkeypatch, count, size, block, lengths):
+        monkeypatch.setattr(lattice, "_BLOCK", block)
+        slices = list(lattice._blocks(count, size))
+        parts = [range(count)[s] for s in slices]
+        assert [len(part) for part in parts] == lengths
+        assert [i for part in parts for i in part] == list(range(count))
+        assert all(s.step is None and 1 <= s.stop - s.start <= max(1, block // size)
+                   for s in slices)
 
 
 class TestGeodesic:

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from xplab import schatten
+from xplab import lattice
 from xplab.inequalities import linear_xp_report
 from xplab.lattice import SamplePlan, make_sample_plan, subset_stream
 from xplab.rng import stream
@@ -306,7 +306,7 @@ class TestBatchedSpectraAreExact:
     def test_psd_xp_does_not_depend_on_the_block(self, monkeypatch, plan):
         mats = [random_psd(4, 6, purpose=f"block:{j}").entries for j in range(8)]
         whole = [psd_xp_report(mats, 3, q, plan).to_json_dict() for q in (3.0, 2.3)]
-        monkeypatch.setattr(schatten, "_BLOCK", 1)  # one subset per eigh
+        monkeypatch.setattr(lattice, "_BLOCK", 1)  # one subset per eigh
         assert [psd_xp_report(mats, 3, q, plan).to_json_dict() for q in (3.0, 2.3)] == whole
 
     @pytest.mark.parametrize("q", [1.0, 1.3, 1.9, 2.0, 2.0 + 1e-12, 2.0 + 1e-9,
