@@ -167,6 +167,8 @@ def _grid_function(cfg: ExperimentConfig, modulus: int) -> GridFunction:
     if cfg.function_path:
         with open(cfg.function_path, encoding="utf-8") as fh:
             return GridFunction.from_json_dict(json.load(fh))
+    if cfg.n < 1:
+        raise ValueError("n must be >= 1")
     name = (cfg.function or {}).get("family", "random")
     if name == "random":
         return random_grid_function(modulus, cfg.n, cfg.d, cfg.p, cfg.seed)
@@ -218,24 +220,33 @@ def _signed(cfg: ExperimentConfig, report, data, *args, modulus: int = 1,
     return report(data, *args, plan, **kwargs).to_json_dict()
 
 
-def _probe_modulus(cfg: ExperimentConfig, modulus: int, n: int, trials: int = 1) -> int:
-    """``modulus``, once ``trials`` probes of its modulus^n torus points are
-    within the budget.  The 2^n sign patterns summed at each point are not
-    charged: the default budget admits the probe on Z_16^4."""
-    if trials * modulus**n > cfg.budget:
-        raise ValueError(f"{trials} probe(s) of {modulus}^{n} torus points exceed "
-                         f"the budget {cfg.budget}")
+def _probe_modulus(cfg: ExperimentConfig, modulus: int, n: int, copies: int = 1) -> int:
+    """``modulus``, once ``copies`` terms at each of its modulus^n torus points
+    are within the budget: ``--trials`` probes for the search, the 2^n sign
+    patterns of a report whose library-built plan is exhaustive.  One
+    probe's 2^n sign patterns are not charged: the default budget admits
+    the probe on Z_16^4."""
+    if copies * modulus**n > cfg.budget:
+        raise ValueError(f"{copies} x {modulus}^{n} terms exceed the budget {cfg.budget}")
     return modulus
 
 
-def _probe(cfg: ExperimentConfig) -> dict:
-    """The probe, checked against the budget by a ``--function-path`` file's
-    own M and n, and by (4m)^n before a builtin or random table is drawn."""
+def _budgeted_function(cfg: ExperimentConfig, modulus: int, letters: int = 1) -> GridFunction:
+    """``_grid_function``, checked against the budget for letters^n terms at
+    each torus point: by modulus^n before a builtin or random table is
+    drawn, and by a ``--function-path`` file's own M and n."""
     if not cfg.function_path:
-        _probe_modulus(cfg, 4 * cfg.m, cfg.n)
-    f = _grid_function(cfg, 4 * cfg.m)
-    _probe_modulus(cfg, f.modulus, f.dimension)
-    return convolution_probe(f, cfg.p).to_json_dict()
+        _probe_modulus(cfg, modulus, cfg.n, letters**cfg.n)
+    f = _grid_function(cfg, modulus)
+    _probe_modulus(cfg, f.modulus, f.dimension, letters**f.dimension)
+    return f
+
+
+def _scaling_witness(cfg: ExperimentConfig) -> dict:
+    """The witness, once its (2m)^n points times 2^n sign patterns are
+    within the budget."""
+    _probe_modulus(cfg, 2 * cfg.m, cfg.n, 2**cfg.n)
+    return scaling_witness_report(cfg.m, cfg.n, cfg.k, cfg.p).to_json_dict()
 
 
 def _holder(cfg: ExperimentConfig) -> Holder:
@@ -330,13 +341,13 @@ REPORTS = {
     "smoothness": lambda cfg: smoothness_report(
         _hypercube(cfg), _kind(cfg, _SMOOTHNESS_KINDS, "smoothness", "enflo")).to_json_dict(),
     "cotype": _cotype,
-    "convolution-probe": _probe,
+    "convolution-probe": lambda cfg: convolution_probe(
+        _budgeted_function(cfg, 4 * cfg.m), cfg.p).to_json_dict(),
     "convolution-search": lambda cfg: convolution_search(
         _probe_modulus(cfg, 4 * cfg.m, cfg.n, cfg.trials), cfg.n, cfg.p, cfg.trials, cfg.seed),
-    "scaling-witness": lambda cfg: scaling_witness_report(
-        cfg.m, cfg.n, cfg.k, cfg.p).to_json_dict(),
+    "scaling-witness": _scaling_witness,
     "displacement": lambda cfg: displacement_report(
-        _grid_function(cfg, 4 * cfg.m),
+        _budgeted_function(cfg, 4 * cfg.m, letters=2),
         tuple(int(v) for v in (cfg.subset or range(1, cfg.k + 1))), cfg.R, cfg.p,
     ).to_json_dict(),
     "rosenthal-distortion": _rosenthal_distortion,

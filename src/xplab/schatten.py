@@ -212,6 +212,7 @@ def trace_inequality_report(
 ) -> InequalityReport:
     """Evaluate one trace inequality instance on a PSD pair."""
     ma, mb = _as_sym(a), _as_sym(b)
+    _matrix_stack([ma, mb])
     if not (ma.psd and mb.psd):
         raise ValueError("trace inequalities require PSD inputs")
     d = ma.order
@@ -263,9 +264,11 @@ def trace_inequality_report(
             band = 1e-12 * (size + size[i]) + _TINY
             lams = list(_LAMBDA_GRID[~(vec - vec[i] > band)])
         if r > 0 and v > 0 and z > 0:
-            # closed-form minimizer of v/l^r + z/(1-l)^r
+            # closed-form minimizer of v/l^r + z/(1-l)^r, unless it rounds to
+            # an end of (0, 1), where a term divides by zero
             lam_star = 1.0 / (1.0 + (z / v) ** (1.0 / (r + 1.0)))
-            lams.append(lam_star)
+            if 0.0 < lam_star < 1.0:
+                lams.append(lam_star)
         rhs = float(min(v / lam**r + z / (1.0 - lam) ** r for lam in lams))
         return _finalize(
             "trace_lambda_family", params, lhs, {"min_over_lambda": rhs}, None,
@@ -499,7 +502,7 @@ def psd_xp_report(
         raise ValueError("q must be >= 1")
     if plan is None:
         plan = make_sample_plan(1, n, k, math.comb(n, k), 0, letters=1)
-    entries = np.stack([m.entries for m in syms])
+    entries = np.stack(_matrix_stack(syms))
     lhs = subset_average(lambda subsets: _subset_traces(entries, subsets, q), n, k, plan,
                          batched=True)
     t1 = (k / n) * math.fsum(trace_power(m, q) for m in syms)

@@ -221,6 +221,8 @@ class TestUsageErrors:
         with runner.isolated_filesystem(temp_dir=tmp_path):
             np.savetxt("a.csv", random_psd(3, 1, purpose="a").entries, delimiter=",")
             Path("one-matrix.json").write_text(json.dumps({"matrix_paths": ["a.csv"]}))
+            np.savetxt("b.csv", random_psd(2, 1, purpose="b").entries, delimiter=",")
+            Path("two-orders.json").write_text(json.dumps({"matrix_paths": ["b.csv", "a.csv"]}))
             yield
 
     @pytest.mark.parametrize("args,error", [
@@ -272,6 +274,17 @@ class TestUsageErrors:
         # not numpy's "zero-size array to reduction operation minimum"
         res = runner.invoke(main, ["run", name, "--d", "0"])
         assert json.loads(res.stderr)["message"] == "d must be >= 1"
+
+    @pytest.mark.parametrize("args,message", [
+        (["run", "trace", "--config", "two-orders.json"], "all matrices must have equal shape"),
+        (["run", "psd-xp", "--config", "two-orders.json"], "all matrices must have equal shape"),
+        (["run", "metric-xp", "--family", "cosine", "--n", "0"], "n must be >= 1"),
+    ], ids=["trace-two-orders", "psd-xp-two-orders", "cosine-n-zero"])
+    def test_bad_input_is_named(self, runner, args, message):
+        # not numpy's broadcast, stack or scalar-array message
+        res = runner.invoke(main, args)
+        assert res.exit_code == 1
+        assert json.loads(res.stderr) == {"error": "ValueError", "message": message}
 
     def test_empty_matrix_file_is_named(self, runner):
         Path("empty.csv").write_text("")
@@ -463,9 +476,22 @@ class TestPlanSizedFromTheInput:
         (["convolution-probe", "--function-path", "f84.json", "--m", "1", "--n", "2",
           "--budget", "100"], 1, {}, None),
         (["convolution-search", "--m", "1", "--n", "8"], 1, {}, None),
+        # (2m)^n points times 2^n sign patterns: 4^2 * 4 = 64 terms
+        (["scaling-witness", "--m", "2", "--n", "2", "--budget", "63"], 1, {}, None),
+        (["scaling-witness", "--m", "2", "--n", "5", "--k", "2", "--budget", "1000"], 1, {},
+         None),
+        # (4m)^n points times 2^n sign patterns: 4^2 * 4 = 64 terms
+        (["displacement", "--m", "1", "--n", "2", "--budget", "63"], 1, {}, None),
+        (["displacement", "--m", "2", "--n", "4", "--k", "2", "--budget", "1000"], 1, {}, None),
+        # the file's 8^4 points times 2^4 sign patterns
+        (["displacement", "--function-path", "f84.json", "--m", "1", "--n", "2",
+          "--budget", "1000"], 1, {}, None),
     ], ids=["grid-file-dimension", "bridge-vectors-not-n", "khinchine-unused-k",
             "contraction-unused-k", "cotype-unused-k", "psd-xp-no-sign-patterns",
-            "probe-grid-file-over-budget", "search-trials-over-budget"])
+            "probe-grid-file-over-budget", "search-trials-over-budget",
+            "witness-terms-over-budget", "witness-large-torus-over-budget",
+            "displacement-terms-over-budget", "displacement-large-torus-over-budget",
+            "displacement-grid-file-over-budget"])
     def test_plan_and_budget_check(self, runner, workdir, args, code, fields, same_as):
         res = runner.invoke(main, ["run", *args, "--deterministic"])
         assert res.exit_code == code, res.output

@@ -142,6 +142,10 @@ CASES = {
                            ValueError, "require s > 0 and q > 0"),
     "matrix-shapes": (lambda: schatten_xp_report([np.eye(2), np.eye(3)], 1, 4.0, PLAN),
                       ValueError, "equal shape"),
+    "trace-matrix-shapes": (lambda: trace_inequality_report(PSD, np.eye(3), MainQge1(2.0)),
+                            ValueError, "equal shape"),
+    "psd-xp-matrix-shapes": (lambda: psd_xp_report([PSD, np.eye(3)], 1, 2.0),
+                             ValueError, "equal shape"),
     "schatten-xp-p": (lambda: schatten_xp_report([np.eye(2)], 1, 1.5, PLAN),
                       ValueError, "p must be >= 2"),
     "psd-xp-psd": (lambda: psd_xp_report([INDEFINITE], 1, 2.0),

@@ -336,3 +336,26 @@ class TestBatchedSpectraAreExact:
             minima.append(rep.rhs_terms["min_over_lambda"])
             assert minima[-1] == _lambda_min(v, z, r)
         assert min(minima) < 0
+
+    @pytest.mark.parametrize("q", [2.5, 3.0, 3.647968, 4.2])
+    def test_lambda_family_when_the_closed_form_point_rounds_to_one(self, q):
+        # A = u u^T and a tiny B = 1e-12 w w^T with w orthogonal to u: z is
+        # roundoff far below v, so λ* rounds to 1.0 for about half the angles
+        # and only the points inside (0, 1) enter the minimum
+        rounded = 0
+        for theta in np.linspace(0.01, 3.1, 60):
+            u = np.array([np.cos(theta), np.sin(theta)])
+            w = np.array([-u[1], u[0]])
+            rep = trace_inequality_report(np.outer(u, u), 1e-12 * np.outer(w, w),
+                                          LambdaFamily(q))
+            v, z, r = rep.extra["v"], rep.extra["z"], rep.extra["r"]
+            lams = list(_LAMBDA_GRID)
+            if r > 0 and v > 0 and z > 0:
+                lam_star = 1.0 / (1.0 + (z / v) ** (1.0 / (r + 1.0)))
+                if 0.0 < lam_star < 1.0:
+                    lams.append(lam_star)
+                else:
+                    rounded += 1
+            assert rep.rhs_terms["min_over_lambda"] == min(
+                v / lam**r + z / (1.0 - lam) ** r for lam in lams)
+        assert rounded > 0
