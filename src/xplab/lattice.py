@@ -385,7 +385,8 @@ def _pattern_rows(
 ) -> np.ndarray:
     """Rows of letters^r as a C-contiguous array: all of them in
     lexicographic order without ``gen``, ``count`` uniform draws from
-    ``gen`` otherwise.  The library's one source of sign patterns."""
+    ``gen`` otherwise.  The library's one enumeration of a product set:
+    sign patterns, and with ``np.arange`` letters torus and grid points."""
     if gen is None:
         index = np.indices((len(letters),) * r).reshape(r, len(letters) ** r).T.copy()
     else:

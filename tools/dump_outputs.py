@@ -38,7 +38,7 @@ DRAWS = 3
 # runs reach: exact counterexample powers, Pisier and probe sign sums at
 # small n and at sizes past one block of sign sums, the probe on Z_4,
 # scaling witnesses, both grid embeddings, bridges at n = 3 (the second
-# takes its diagonal's Z_16^3 in 12 blocks), a scaling witness and a
+# takes its diagonal's Z_16^3 in 13 blocks), a scaling witness and a
 # displacement over a budget of 1,000 terms, sampled
 # subsets at the 4,096-draw cap and across two blocks of uniforms, plan
 # sizes that --k or sign patterns the report never uses would move, psd-xp
