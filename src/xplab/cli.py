@@ -221,11 +221,13 @@ def _signed(cfg: ExperimentConfig, report, data, *args, modulus: int = 1,
 
 
 def _probe_modulus(cfg: ExperimentConfig, modulus: int, n: int, copies: int = 1) -> int:
-    """``modulus``, once ``copies`` terms at each of its modulus^n torus points
-    are within the budget: ``--trials`` probes for the search, the 2^n sign
-    patterns of a report whose library-built plan is exhaustive.  One
-    probe's 2^n sign patterns are not charged: the default budget admits
-    the probe on Z_16^4."""
+    """``modulus``, once n >= 1 and ``copies`` terms at each of its modulus^n
+    torus points are within the budget: ``--trials`` probes for the search,
+    the 2^n sign patterns of a report whose library-built plan is
+    exhaustive.  One probe's 2^n sign patterns are not charged: the default
+    budget admits the probe on Z_16^4."""
+    if n < 1:
+        raise ValueError("n must be >= 1")
     if copies * modulus**n > cfg.budget:
         raise ValueError(f"{copies} x {modulus}^{n} terms exceed the budget {cfg.budget}")
     return modulus

@@ -279,9 +279,13 @@ class TestUsageErrors:
         (["run", "trace", "--config", "two-orders.json"], "all matrices must have equal shape"),
         (["run", "psd-xp", "--config", "two-orders.json"], "all matrices must have equal shape"),
         (["run", "metric-xp", "--family", "cosine", "--n", "0"], "n must be >= 1"),
-    ], ids=["trace-two-orders", "psd-xp-two-orders", "cosine-n-zero"])
+        *((["run", name, "--m", "0", "--n", "-1"], "n must be >= 1")
+          for name in ("convolution-search", "scaling-witness")),
+    ], ids=["trace-two-orders", "psd-xp-two-orders", "cosine-n-zero",
+            "search-negative-n", "witness-negative-n"])
     def test_bad_input_is_named(self, runner, args, message):
-        # not numpy's broadcast, stack or scalar-array message
+        # not numpy's broadcast, stack or scalar-array message, nor the
+        # ZeroDivisionError of 0 ** -1 in the budget check
         res = runner.invoke(main, args)
         assert res.exit_code == 1
         assert json.loads(res.stderr) == {"error": "ValueError", "message": message}
