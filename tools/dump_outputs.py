@@ -38,7 +38,8 @@ DRAWS = 3
 # runs reach: exact counterexample powers, Pisier and probe sign sums at
 # small n and at sizes past one block of sign sums, the probe on Z_4,
 # scaling witnesses, both grid embeddings, bridges at n = 3 (the second
-# takes its diagonal's Z_16^3 in 13 blocks), a scaling witness and a
+# takes its diagonal's Z_16^3 in 13 blocks) and at d = n = 4, a sampled
+# metric-xp at d = 9 (sums of 8 or more value terms), a scaling witness and a
 # displacement over a budget of 1,000 terms, sampled
 # subsets at the 4,096-draw cap and across two blocks of uniforms, plan
 # sizes that --k or sign patterns the report never uses would move, psd-xp
@@ -46,6 +47,7 @@ DRAWS = 3
 # d = 1, and the verify oracles
 EXTRA = [
     ["run", "metric-xp", "--m", "1", "--n", "6", "--k", "3", "--budget", "5000"],
+    ["run", "metric-xp", "--m", "1", "--n", "6", "--k", "3", "--d", "9", "--budget", "5000"],
     ["run", "linear-xp", "--n", "40", "--k", "3", "--budget", "1000"],
     ["run", "khinchine", "--n", "2", "--k", "3"],
     ["run", "psd-xp", "--n", "21", "--k", "2", "--d", "2"],
@@ -64,6 +66,7 @@ EXTRA = [
     ["run", "convolution-probe", "--m", "2", "--n", "4"],
     *(["run", "bridge", "--n", "3", "--m", m, "--k", "2", "--budget", "1e7"]
       for m in ("2", "8")),
+    ["run", "bridge", "--n", "4", "--m", "2", "--k", "2"],
     ["run", "scaling-witness", "--m", "2", "--n", "5", "--k", "2", "--budget", "1000"],
     ["run", "displacement", "--m", "2", "--n", "4", "--k", "2", "--budget", "1000"],
     *(["run", "scaling-witness", "--m", m, "--n", n, "--k", k]
