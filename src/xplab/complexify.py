@@ -50,26 +50,32 @@ DEFAULT_NODES = 512
 _MOMENT_TOL = 1e-10  # relative change that stops circular_moment's refinement
 
 
+_THETA = 2.0 * math.pi * np.arange(DEFAULT_NODES) / DEFAULT_NODES
+_COS, _SIN = np.cos(_THETA), np.sin(_THETA)
+
+
 def _pair_powers(w: np.ndarray, p: float) -> np.ndarray:
     """||(Re w, Im w)||^p for each complex d-vector on the last axis of ``w``.
 
     2π · mean_θ sum_i |cos θ Re w_i - sin θ Im w_i|^p over the
     ``DEFAULT_NODES`` periodic trapezoid nodes, over the ``_blocks`` slices
     of the vectors: at most ``_BLOCK`` float64 elements, or one vector.
+    A block is laid out (pairs, d, nodes), the long node axis innermost:
+    numpy pays per row of a short innermost axis, and d is 1-6 in the
+    reports.  Each pair's sum runs over its values in node-major order
+    (node, then i), so every float is that of a (nodes, d) layout.
     """
     w = np.asarray(w, dtype=complex)
     d = w.shape[-1]
     flat = w.reshape(math.prod(w.shape[:-1]), d)
-    theta = 2.0 * math.pi * np.arange(DEFAULT_NODES) / DEFAULT_NODES
-    cos, sin = np.cos(theta)[:, None], np.sin(theta)[:, None]
     out = np.empty(len(flat))
     for block in _blocks(len(flat), DEFAULT_NODES * max(d, 1)):
-        pairs = flat[block, None, :]
-        vals = cos * pairs.real
-        vals -= sin * pairs.imag
+        pairs = flat[block, :, None]
+        vals = pairs.real * _COS
+        vals -= pairs.imag * _SIN
         np.abs(vals, out=vals)
         np.power(vals, p, out=vals)
-        out[block] = vals.reshape(len(vals), -1).sum(axis=1)
+        out[block] = vals.transpose(0, 2, 1).reshape(len(vals), -1).sum(axis=1)
     return (2.0 * math.pi / DEFAULT_NODES) * out.reshape(w.shape[:-1])
 
 

@@ -260,6 +260,8 @@ def _as_vectors(a: Sequence[float] | np.ndarray) -> np.ndarray:
         arr = arr[:, None]
     if arr.ndim != 2 or arr.shape[0] == 0:
         raise ValueError("coefficients must be a nonempty vector or list of vectors")
+    if arr.shape[1] == 0:
+        raise ValueError(f"vectors must not be empty: got {len(arr)} vectors of length 0")
     return arr
 
 

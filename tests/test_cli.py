@@ -223,6 +223,7 @@ class TestUsageErrors:
             Path("one-matrix.json").write_text(json.dumps({"matrix_paths": ["a.csv"]}))
             np.savetxt("b.csv", random_psd(2, 1, purpose="b").entries, delimiter=",")
             Path("two-orders.json").write_text(json.dumps({"matrix_paths": ["b.csv", "a.csv"]}))
+            Path("empty-zs.json").write_text(json.dumps({"zs": [[], []]}))
             yield
 
     @pytest.mark.parametrize("args,error", [
@@ -281,11 +282,16 @@ class TestUsageErrors:
         (["run", "metric-xp", "--family", "cosine", "--n", "0"], "n must be >= 1"),
         *((["run", name, "--m", "0", "--n", "-1"], "n must be >= 1")
           for name in ("convolution-search", "scaling-witness")),
+        *((["run", name, "--config", "empty-zs.json", "--a", "1,1"],
+           "vectors must not be empty: got 2 vectors of length 0")
+          for name in ("bridge", "contraction")),
     ], ids=["trace-two-orders", "psd-xp-two-orders", "cosine-n-zero",
-            "search-negative-n", "witness-negative-n"])
+            "search-negative-n", "witness-negative-n", "bridge-empty-vectors",
+            "contraction-empty-vectors"])
     def test_bad_input_is_named(self, runner, args, message):
         # not numpy's broadcast, stack or scalar-array message, nor the
-        # ZeroDivisionError of 0 ** -1 in the budget check
+        # ZeroDivisionError of 0 ** -1 in the budget check or of a block of
+        # empty vectors
         res = runner.invoke(main, args)
         assert res.exit_code == 1
         assert json.loads(res.stderr) == {"error": "ValueError", "message": message}

@@ -71,6 +71,24 @@ class TestPairNorm:
             3 * complexification_norm(u, v, 4.0)
         )
 
+    @pytest.mark.parametrize("block", [1, 1000, _BLOCK])
+    @pytest.mark.parametrize("d", [1, 2, 3, 5, 9])
+    def test_kernel_equals_the_node_major_layout(self, monkeypatch, block, d):
+        # the (nodes, d) layout of each pair, summed over one flat row in
+        # node-major order, bit for bit, at one pair per block and at 64
+        monkeypatch.setattr(lattice, "_BLOCK", block)
+        rng = np.random.default_rng(d)
+        w = rng.normal(size=(5, 30, d)) + 1j * rng.normal(size=(5, 30, d))
+        nodes = complexify.DEFAULT_NODES
+        theta = 2.0 * math.pi * np.arange(nodes) / nodes
+        vals = np.cos(theta)[:, None] * w.real[..., None, :]
+        vals -= np.sin(theta)[:, None] * w.imag[..., None, :]
+        vals = np.power(np.abs(vals), 3.3)
+        want = (2.0 * math.pi / nodes) * vals.reshape(5, 30, nodes * d).sum(axis=-1)
+        got = complexify._pair_powers(w, 3.3)
+        assert got.shape == (5, 30)
+        assert (got == want).all()
+
     def test_moment_factor_on_real_vectors(self):
         # ||(z, 0)||^p = (circular p-moment) ||z||_p^p by rotation invariance
         z = np.array([0.7, -1.3, 0.2])

@@ -95,6 +95,8 @@ CASES = {
                      ValueError, r"k=3 out of range for n=2"),
     "empty-coefficients": (lambda: linear_xp_report([], 1, 4.0, PLAN),
                            ValueError, "nonempty vector"),
+    "empty-vectors": (lambda: bridge_report([[], []], 1, 1, 4.0, PLAN),
+                      ValueError, "got 2 vectors of length 0"),
     "linear-p": (lambda: linear_xp_report([1.0], 1, 1.5, PLAN), ValueError, "p must be >= 2"),
     "reverse-linear-p": (lambda: reverse_linear_xp_report([1.0], 1, 1.5, PLAN),
                          ValueError, "p must be >= 2"),

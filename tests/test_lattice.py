@@ -55,6 +55,25 @@ def exhaustive_plan(modulus: int, n: int, k: int = 1) -> SamplePlan:
     return make_sample_plan(modulus, n, k, budget=10**7, seed=0)
 
 
+# value dimensions of the Monte-Carlo reference checks; d = 2 keeps the case's
+# own id.  The references sum each difference over a last axis of d floats,
+# which numpy may add pairwise from d = 8 on, while the kernel adds its value
+# axis in order: below 8 the two agree bit for bit, from 8 on to 1e-15.
+VALUE_DIMS = (2, 1, 3, 7, 8, 12)
+
+
+def over_value_dims(cases: list, ids: list[str]) -> list:
+    return [pytest.param(*case, d, id=name if d == 2 else f"{name}-d={d}")
+            for d in VALUE_DIMS for case, name in zip(cases, ids)]
+
+
+def assert_pinned(got: tuple[float, ...], want: tuple[float, ...], d: int) -> None:
+    if d < 8:
+        assert got == want
+    else:
+        assert got == pytest.approx(want, rel=1e-15, abs=0.0)
+
+
 class TestLatticePoint:
     def test_canonical_residues(self):
         assert LatticePoint((-1, 9), 8).coords == (7, 1)
@@ -113,7 +132,7 @@ class TestGapMoment:
         exact = gap_moment(f, spec, exhaustive_plan(8, 2))
         assert abs(est.value - exact) < 6 * est.stderr
 
-    @pytest.mark.parametrize("modulus,n,spec,delta", [
+    @pytest.mark.parametrize("modulus,n,spec,delta,d", over_value_dims([
         (6, 3, Edge(2), lambda eps: np.array([0, 1, 0])),
         (6, 3, Diagonal(), lambda eps: eps),
         (6, 3, SymmetricDiagonal(), lambda eps: eps),
@@ -123,25 +142,26 @@ class TestGapMoment:
         (7, 3, SymmetricDiagonal(), lambda eps: eps),
         (4, 2, ShiftedSet((2,), 9), lambda eps: eps * np.array([0, 9])),
         (4, 2, ShiftedSet((1, 2), -4), lambda eps: eps * -4),
-    ], ids=["Edge", "Diagonal", "SymmetricDiagonal", "ShiftedSet", "FixedShift",
-            "n=1", "odd-M", "ShiftedSet-t>M", "ShiftedSet-t=-M"])
-    def test_monte_carlo_stream_is_pinned(self, modulus, n, spec, delta):
+    ], ["Edge", "Diagonal", "SymmetricDiagonal", "ShiftedSet", "FixedShift",
+        "n=1", "odd-M", "ShiftedSet-t>M", "ShiftedSet-t=-M"]))
+    def test_monte_carlo_stream_is_pinned(self, modulus, n, spec, delta, d):
         # the draws of the spec's stream: x first, then +-1 over all n
         # coordinates, which a spec without random signs leaves unused; the
-        # reference gathers with a tuple of n index arrays
-        f = random_grid_function(modulus, n, 2, 3.0, seed=4)
+        # reference gathers with a tuple of n index arrays, value axis last
+        f = random_grid_function(modulus, n, d, 3.0, seed=4)
         plan = SamplePlan("monte-carlo", 999, seed=8)
         gen = stream(8, "gap:" + _spec_tag(spec))
         x = gen.integers(0, modulus, size=(999, n))
         eps = gen.integers(0, 2, size=(999, n)) * 2 - 1
-        d = delta(eps)
-        right = -d if isinstance(spec, SymmetricDiagonal) else 0 * d
-        diff = (f.values[tuple(((x + d) % modulus).T)]
+        shift = delta(eps)
+        right = -shift if isinstance(spec, SymmetricDiagonal) else 0 * shift
+        diff = (f.values[tuple(((x + shift) % modulus).T)]
                 - f.values[tuple(((x + right) % modulus).T)])
         samples = np.sum(np.abs(diff) ** 3.0, axis=-1)
         est = gap_moment_estimate(f, spec, plan)
-        assert est.value == float(np.mean(samples))
-        assert est.stderr == float(np.std(samples, ddof=1) / np.sqrt(999))
+        assert_pinned((est.value, est.stderr),
+                      (float(np.mean(samples)), float(np.std(samples, ddof=1) / np.sqrt(999))),
+                      d)
 
 
 class TestFixedShiftPerPoint:
@@ -151,7 +171,8 @@ class TestFixedShiftPerPoint:
     @staticmethod
     def direct_gather(f: GridFunction, v: tuple[int, ...], power: float, budget: int,
                       tag: str) -> tuple[float, float]:
-        # the draws of the spec's stream (x only) gathered pair by pair
+        # the draws of the spec's stream (x only) gathered pair by pair, value
+        # axis last
         gen = stream(9, "gap:" + tag)
         x = gen.integers(0, f.modulus, size=(budget, f.dimension))
         diff = (f.values[tuple(((x + np.asarray(v)) % f.modulus).T)]
@@ -161,22 +182,21 @@ class TestFixedShiftPerPoint:
             samples = (samples ** (1.0 / f.value_p)) ** power
         return float(np.mean(samples)), float(np.std(samples, ddof=1) / np.sqrt(budget))
 
-    @pytest.mark.parametrize("spec,v", [(Edge(2), (0, 1, 0)),
-                                        (FixedShift((2, 0, -1)), (2, 0, -1))],
-                             ids=["Edge", "FixedShift"])
+    @pytest.mark.parametrize("spec,v,d", over_value_dims(
+        [(Edge(2), (0, 1, 0)), (FixedShift((2, 0, -1)), (2, 0, -1))], ["Edge", "FixedShift"]))
     @pytest.mark.parametrize("power", [3.0, 2.0], ids=["power=value_p", "power=2"])
     @pytest.mark.parametrize("budget,rolls", [(4**3 - 1, 0), (4**3, 1), (4 * 4**3, 1)],
                              ids=["below-points", "points", "4x-points"])
-    def test_equals_direct_gather(self, monkeypatch, spec, v, power, budget, rolls):
-        f = random_grid_function(4, 3, 2, 3.0, seed=6)
+    def test_equals_direct_gather(self, monkeypatch, spec, v, d, power, budget, rolls):
+        f = random_grid_function(4, 3, d, 3.0, seed=6)
         counted = mock.Mock(wraps=np.roll)
         monkeypatch.setattr(np, "roll", counted)
         est = gap_moment_estimate(f, spec, SamplePlan("monte-carlo", budget, seed=9),
                                   power=power)
         assert counted.call_count == rolls
         assert est.count == budget
-        assert (est.value, est.stderr) == self.direct_gather(f, v, power, budget,
-                                                             _spec_tag(spec))
+        assert_pinned((est.value, est.stderr),
+                      self.direct_gather(f, v, power, budget, _spec_tag(spec)), d)
 
 
 def per_pattern_reference(f: GridFunction, spec, power: float) -> tuple[float, int]:
