@@ -50,6 +50,7 @@ DEFAULT_NODES = 512
 _MOMENT_TOL = 1e-10  # relative change that stops circular_moment's refinement
 
 
+# the trapezoid nodes of every pair quadrature, evaluated once
 _THETA = 2.0 * math.pi * np.arange(DEFAULT_NODES) / DEFAULT_NODES
 _COS, _SIN = np.cos(_THETA), np.sin(_THETA)
 
@@ -61,8 +62,8 @@ def _pair_powers(w: np.ndarray, p: float) -> np.ndarray:
     ``DEFAULT_NODES`` periodic trapezoid nodes, over the ``_blocks`` slices
     of the vectors: at most ``_BLOCK`` float64 elements, or one vector.
     A block is laid out (pairs, d, nodes), the long node axis innermost:
-    numpy pays per row of a short innermost axis, and d is 1-6 in the
-    reports.  Each pair's sum runs over its values in node-major order
+    numpy pays per row of a short innermost axis, and d is small (1-3 in
+    the benchmark's bridges).  Each pair's sum runs over its values in node-major order
     (node, then i), so every float is that of a (nodes, d) layout.
     """
     w = np.asarray(w, dtype=complex)

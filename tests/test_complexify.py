@@ -75,7 +75,8 @@ class TestPairNorm:
     @pytest.mark.parametrize("d", [1, 2, 3, 5, 9])
     def test_kernel_equals_the_node_major_layout(self, monkeypatch, block, d):
         # the (nodes, d) layout of each pair, summed over one flat row in
-        # node-major order, bit for bit, at one pair per block and at 64
+        # node-major order, bit for bit: one pair per block at _BLOCK 1 and
+        # 1000, several at the default
         monkeypatch.setattr(lattice, "_BLOCK", block)
         rng = np.random.default_rng(d)
         w = rng.normal(size=(5, 30, d)) + 1j * rng.normal(size=(5, 30, d))
