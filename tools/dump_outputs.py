@@ -11,7 +11,7 @@ closed-form template of ``benchmarks/workloads.py`` (read, never written).
 It then runs each report of ``xplab.cli.REPORTS`` at its default parameters
 three ways, which the benchmark does not: ``run NAME --deterministic`` in
 JSON and in CSV, and ``scan NAME --sweep seed --values 1,2``; then the
-``EXTRA`` sizes and ``verify all``.
+``EXTRA`` sizes, ``verify all`` and the ``USAGE`` rows as given.
 xplab is imported from ``DIR`` (default: ``src/`` of this checkout), config
 files go to a temporary directory, and ``OUT.json`` maps each command's key
 to ``[exit code, stdout, stderr]``.
@@ -74,6 +74,13 @@ EXTRA = [
     *(["run", "grid-distortion", "--which", which, "--m", m, "--n", "2"]
       for which in ("rosenthal", "schoenberg") for m in ("2", "3")),
 ]
+# help, version and usage errors of the entry point, run without
+# --deterministic
+USAGE = [
+    ["--help"], ["--version"], ["run", "--help"], ["scan", "--help"], ["verify", "--help"],
+    [], ["nosuch"], ["verify"], ["verify", "bogus"], ["verify", "inequalities", "extra"],
+    ["verify", "--bogus"], ["--bogus", "run"],
+]
 
 
 def commands(directory: Path) -> dict[str, list[str]]:
@@ -103,6 +110,7 @@ def commands(directory: Path) -> dict[str, list[str]]:
                  (f"cli-scan-seed/{name}", ["scan", name, "--sweep", "seed", "--values", "1,2"])]
     jobs += [("extra/" + " ".join(argv[1:]), [*argv, "--deterministic"]) for argv in EXTRA]
     jobs.append(("extra/verify all", ["verify", "all"]))
+    jobs += [("usage/" + " ".join(argv), argv) for argv in USAGE]
     return dict(jobs)
 
 
