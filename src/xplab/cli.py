@@ -5,7 +5,8 @@ flags or a JSON config file, writes a versioned ``xp-report/1`` JSON
 document, and exits 0 on success, 2 when the report carries hypothesis
 warnings, and 1 on error.  ``xplab verify SUITE`` runs the named invariant
 suite and prints a check table.  ``xplab scan REPORT --sweep NAME --values
-...`` sweeps exactly one parameter and emits a CSV curve.
+...`` sweeps exactly one parameter and emits a CSV curve.  Usage errors
+exit 1 too, with a JSON error on stderr.
 """
 
 from __future__ import annotations
@@ -15,11 +16,11 @@ import io
 import json
 import math
 import sys
+import textwrap
 import time
 from dataclasses import dataclass, fields
 from typing import NoReturn
 
-import click
 import numpy as np
 
 from . import __version__
@@ -474,19 +475,23 @@ _FLAG_HELP = {
 }
 
 
-def _flag_help(flags: dict) -> str:
-    """The report names and the flag list, one line per row of ``flags``,
-    that ``--help`` prints."""
-    lines = [f"Reports: {', '.join(sorted(REPORTS))}.", "", "\b",
-             "Flags (--flag VALUE or --flag=VALUE; a bool flag takes no value):"]
+def _help(prog: str, command: str) -> str:
+    """The ``--help`` text of ``command``: its usage line, its description
+    and, for run and scan, the report names and one line per flag."""
+    fn, usage, flags = _COMMANDS[command]
+    lines = [f"Usage: {prog} {command} {usage}", "", fn.__doc__]
+    if flags:
+        lines += ["", textwrap.fill(f"Reports: {', '.join(sorted(REPORTS))}.", 79,
+                                    break_on_hyphens=False),
+                  "", "Flags (--flag VALUE or --flag=VALUE; a bool flag takes no value):"]
     for flag, (_, cast) in flags.items():
         metavar = {int: "INTEGER", float: "FLOAT"}.get(cast, "TEXT")
         usage = flag if cast is None else f"{flag} {metavar}"
         lines.append(f"  {usage:<22} {_FLAG_HELP.get(flag, '')}".rstrip())
-    return "\n".join(lines)
+    return "\n".join(lines) + "\n"
 
 
-def _parse(tokens: tuple, flags: dict) -> tuple[str | None, dict]:
+def _parse(tokens: list, flags: dict) -> tuple[str | None, dict]:
     """The report name and the ``key -> value`` of each flag in ``tokens``.
 
     A flag is ``--flag value`` or ``--flag=value``, a bool flag takes no
@@ -521,109 +526,104 @@ def _parse(tokens: tuple, flags: dict) -> tuple[str | None, dict]:
     return report, options
 
 
-def _fail(exc: Exception) -> NoReturn:
-    """Write ``exc`` to stderr as a JSON error and exit 1."""
-    payload = {"error": type(exc).__name__, "message": str(exc)}
-    click.echo(json.dumps(payload, sort_keys=True), file=sys.stderr)
-    sys.exit(1)
-
-
-def _execute(tokens: tuple, flags: dict, render, *required: str, **defaults) -> None:
+def _execute(tokens: list, flags: dict, render, *required: str, **defaults) -> NoReturn:
     """Parse ``tokens`` against ``flags``, load the config over ``defaults``,
     render it with ``render(cfg, *values of the required flags)``, write the
-    text to ``cfg.out`` or stdout, and exit with the rendered exit code (1
-    with a JSON error on stderr when anything fails)."""
-    if "--help" in tokens:  # after the report name, where click stops looking
-        ctx = click.get_current_context()
-        click.echo(ctx.get_help(), file=sys.stdout)
-        ctx.exit()
-    try:
-        report, options = _parse(tokens, flags)
-        missing = [f"--{key}" for key in required if key not in options]
-        if missing:
-            raise ValueError(f"missing flag {', '.join(missing)}")
-        cfg = _load_config(options, defaults)
-        cfg.subcommand = report or cfg.subcommand
-        if cfg.subcommand not in REPORTS:
-            raise ValueError(f"unknown report {cfg.subcommand!r}")
-        text, code = render(cfg, *(options[key] for key in required))
-        if cfg.out:
-            with open(cfg.out, "w", encoding="utf-8") as fh:
-                fh.write(text)
-        else:
-            # Every echo here names its stream: without file=, click caches the
-            # resolved stream in a WeakKeyDictionary whose value is the stream
-            # itself, so each swapped-in sys.stdout would be kept for good.
-            click.echo(text, nl=False, file=sys.stdout)
-    except Exception as exc:  # noqa: BLE001 - single process boundary
-        _fail(exc)
+    text to ``cfg.out`` or stdout, and exit with the rendered exit code."""
+    report, options = _parse(tokens, flags)
+    missing = [f"--{key}" for key in required if key not in options]
+    if missing:
+        raise ValueError(f"missing flag {', '.join(missing)}")
+    cfg = _load_config(options, defaults)
+    cfg.subcommand = report or cfg.subcommand
+    if cfg.subcommand not in REPORTS:
+        raise ValueError(f"unknown report {cfg.subcommand!r}")
+    text, code = render(cfg, *(options[key] for key in required))
+    if cfg.out:
+        with open(cfg.out, "w", encoding="utf-8") as fh:
+            fh.write(text)
+    else:
+        sys.stdout.write(text)
     sys.exit(code)
 
 
-class _Commands(click.Group):
-    """A subcommand group whose missing or unknown subcommand is a usage error
-    like any other: exit 1 with a JSON error, not click's exit 2.  Shell
-    completion parses resiliently and is left to click, as its own checks are."""
-
-    def parse_args(self, ctx: click.Context, args: list[str]) -> list[str]:
-        if not args and not ctx.resilient_parsing:
-            _fail(ValueError(f"missing command; choose one of "
-                             f"{', '.join(self.list_commands(ctx))}"))
-        return super().parse_args(ctx, args)
-
-    def get_command(self, ctx: click.Context, name: str) -> click.Command:
-        command = super().get_command(ctx, name)
-        if command is None and not ctx.resilient_parsing:
-            _fail(ValueError(f"unknown command {name!r}"))
-        return command
-
-
-@click.group(cls=_Commands)
-@click.version_option(__version__)
-def main() -> None:
-    """Numerical laboratory for torus, hypercube and Schatten inequalities."""
-
-
-# run and scan hand their tokens to _parse.  Unknown options are kept as
-# tokens, and option matching stops at the first bare token (the report
-# name), so click does not look up each flag against an option table.
-_TOKENS = {"ignore_unknown_options": True, "allow_interspersed_args": False}
-
-
-@main.command(context_settings=_TOKENS, epilog=_flag_help(_RUN_FLAGS))
-@click.argument("tokens", nargs=-1, type=click.UNPROCESSED, metavar="REPORT [FLAGS]...")
-def run(tokens: tuple) -> None:
+def _run(tokens: list) -> NoReturn:
     """Execute one report and write an xp-report/1 JSON document."""
     _execute(tokens, _RUN_FLAGS, _document_text)
 
 
-@main.command(context_settings=_TOKENS, epilog=_flag_help(_SCAN_FLAGS))
-@click.argument("tokens", nargs=-1, type=click.UNPROCESSED, metavar="REPORT [FLAGS]...")
-def scan(tokens: tuple) -> None:
+def _scan(tokens: list) -> NoReturn:
     """Sweep exactly one parameter and write one CSV row per value."""
     _execute(tokens, _SCAN_FLAGS, _scan_text, "sweep", "values", format="csv")
 
 
-@main.command()
-@click.argument("suite", required=False, metavar="{" + "|".join([*sorted(SUITES), "all"]) + "}")
-def verify(suite: str | None) -> None:
+def _verify(tokens: list) -> NoReturn:
     """Run a named invariant suite and print a check table."""
+    suite, _ = _parse(tokens, {})
+    choices = f"choose one of {', '.join(sorted(SUITES))} or all"
+    if suite is None:
+        raise ValueError(f"missing suite; {choices}")
     if suite != "all" and suite not in SUITES:
-        _fail(ValueError(f"unknown suite {suite!r}; choose one of "
-                         f"{', '.join(sorted(SUITES))} or all"))
-    names = sorted(SUITES) if suite == "all" else [suite]
+        raise ValueError(f"unknown suite {suite!r}; {choices}")
     failed = 0
-    click.echo(f"{'check':<48} {'status':<6} {'observed':>14} {'threshold':>12}",
-               file=sys.stdout)
-    for name in names:
+    sys.stdout.write(f"{'check':<48} {'status':<6} {'observed':>14} {'threshold':>12}\n")
+    for name in sorted(SUITES) if suite == "all" else [suite]:
         for check, ok, observed, threshold in SUITES[name]():
-            status = "pass" if ok else "FAIL"
             failed += not ok
-            click.echo(f"{name + ': ' + check:<48} {status:<6} "
-                       f"{observed:>14.6g} {threshold:>12.6g}", file=sys.stdout)
+            sys.stdout.write(f"{name + ': ' + check:<48} {'pass' if ok else 'FAIL':<6} "
+                             f"{observed:>14.6g} {threshold:>12.6g}\n")
     if failed:
-        click.echo(f"{failed} check(s) failed", file=sys.stderr)
-        sys.exit(1)
+        sys.stdout.flush()  # the table first where both streams go to one file
+        sys.stderr.write(f"{failed} check(s) failed\n")
+    sys.exit(1 if failed else 0)
+
+
+# command -> (its function, its usage after the name, the flags its --help lists)
+_COMMANDS = {
+    "run": (_run, "REPORT [FLAGS]...", _RUN_FLAGS),
+    "scan": (_scan, "REPORT [FLAGS]...", _SCAN_FLAGS),
+    "verify": (_verify, "{" + "|".join([*sorted(SUITES), "all"]) + "}", {}),
+}
+
+
+class _Main:
+    """Numerical laboratory for torus, hypercube and Schatten inequalities.
+
+    ``main()`` runs ``sys.argv[1:]``; ``main.main`` takes the arguments of
+    click's ``Command.main``, for in-process callers and click's test runner.
+    Every path ends in ``SystemExit``, whatever ``standalone_mode`` is."""
+
+    name = "xplab"  # the test runner's program name
+
+    def __call__(self) -> NoReturn:
+        self.main()
+
+    def main(self, args=None, prog_name="xplab", standalone_mode=True) -> NoReturn:
+        tokens = list(sys.argv[1:] if args is None else args)
+        command = tokens[0] if tokens else None
+        try:
+            if command == "--version":
+                sys.stdout.write(f"{prog_name}, version {__version__}\n")
+            elif command == "--help":
+                sys.stdout.write(f"Usage: {prog_name} [--version | --help | COMMAND [ARGS]...]"
+                                 f"\n\n{self.__doc__.splitlines()[0]}\n\nCommands:\n")
+                sys.stdout.writelines(f"  {name:<7} {fn.__doc__}\n"
+                                      for name, (fn, _, _) in _COMMANDS.items())
+            elif command not in _COMMANDS:
+                raise ValueError(f"unknown command {command!r}" if tokens else
+                                 f"missing command; choose one of {', '.join(_COMMANDS)}")
+            elif "--help" in tokens:  # anywhere after the command
+                sys.stdout.write(_help(prog_name, command))
+            else:
+                _COMMANDS[command][0](tokens[1:])
+        except Exception as exc:  # noqa: BLE001 - the one process boundary
+            payload = {"error": type(exc).__name__, "message": str(exc)}
+            sys.stderr.write(json.dumps(payload, sort_keys=True) + "\n")
+            sys.exit(1)
+        sys.exit(0)
+
+
+main = _Main()
 
 
 if __name__ == "__main__":

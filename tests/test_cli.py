@@ -5,16 +5,18 @@ import csv
 import gc
 import io
 import json
+import os
+import subprocess
+import sys
 import weakref
 from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
 import pytest
-from click.shell_completion import ShellComplete
 from click.testing import CliRunner
 
-from xplab import cli
+from xplab import __version__, cli
 from xplab.cli import REPORTS, ExperimentConfig, _flatten, main
 from xplab.lattice import random_grid_function
 from xplab.schatten import random_psd
@@ -254,6 +256,10 @@ class TestUsageErrors:
         (["run", "convolution-probe", "--m", "1", "--n", "6", "--budget", "4000"], "ValueError"),
         *((["run", name, "--d", "0"], "ValueError")
           for name in ("trace", "psd-xp", "schatten-xp", "khinchine")),
+        (["verify"], "ValueError"),
+        (["verify", "inequalities", "extra"], "ValueError"),
+        (["verify", "--bogus"], "ValueError"),
+        (["--bogus", "run"], "ValueError"),
     ], ids=["fractional-int", "unknown-flag", "missing-config", "unknown-report",
             "scan-without-sweep", "flag-without-value", "bool-flag-with-value",
             "second-report", "unknown-format", "unknown-command", "unknown-family",
@@ -263,7 +269,8 @@ class TestUsageErrors:
             "rademacher-cotype-s-zero", "rademacher-cotype-s-negative",
             "smoothness-n-zero", "probe-n-zero", "scaling-witness-m-zero",
             "probe-torus-over-budget", "trace-d-zero", "psd-xp-d-zero",
-            "schatten-xp-d-zero", "khinchine-d-zero"])
+            "schatten-xp-d-zero", "khinchine-d-zero", "verify-without-suite",
+            "verify-extra-argument", "verify-unknown-flag", "unknown-group-flag"])
     def test_exit_one_with_json_error(self, runner, args, error):
         res = runner.invoke(main, args)
         assert res.exit_code == 1
@@ -285,9 +292,11 @@ class TestUsageErrors:
         *((["run", name, "--config", "empty-zs.json", "--a", "1,1"],
            "vectors must not be empty: got 2 vectors of length 0")
           for name in ("bridge", "contraction")),
+        (["verify"], "missing suite; choose one of complexify, embeddings, geodesic, "
+                     "inequalities, lattice, operators, trace or all"),
     ], ids=["trace-two-orders", "psd-xp-two-orders", "cosine-n-zero",
             "search-negative-n", "witness-negative-n", "bridge-empty-vectors",
-            "contraction-empty-vectors"])
+            "contraction-empty-vectors", "verify-without-suite"])
     def test_bad_input_is_named(self, runner, args, message):
         # not numpy's broadcast, stack or scalar-array message, nor the
         # ZeroDivisionError of 0 ** -1 in the budget check or of a block of
@@ -305,15 +314,6 @@ class TestUsageErrors:
         assert res.exit_code == 1
         assert json.loads(res.stderr.splitlines()[-1])["message"] == (
             "a matrix must have order >= 1")
-
-    @pytest.mark.parametrize("args,incomplete,names", [
-        ([], "", ["run", "scan", "verify"]),
-        ([], "ru", ["run"]),
-        (["nosuch"], "--", ["--version", "--help"]),
-    ], ids=["first-word", "partial-word", "after-unknown-command"])
-    def test_shell_completion_is_not_a_usage_error(self, args, incomplete, names):
-        completion = ShellComplete(main, {}, "xplab", "_XPLAB_COMPLETE")
-        assert [c.value for c in completion.get_completions(args, incomplete)] == names
 
 
 class TestRun:
@@ -662,9 +662,9 @@ class TestVerify:
 class TestOutputStreams:
     """A report written to a swapped-in stream must not keep that stream alive.
 
-    click caches the stream it resolves for ``echo`` without ``file=`` in a
-    WeakKeyDictionary whose value is the stream itself, so an in-process
-    caller that captures each report in a fresh buffer would leak every one.
+    The CLI looks up ``sys.stdout`` and ``sys.stderr`` at each write and keeps
+    no reference to them, or an in-process caller that captures each report
+    in a fresh buffer would leak every one.
     """
 
     @pytest.mark.parametrize("args,redirect", [
@@ -684,6 +684,51 @@ class TestOutputStreams:
         del buf
         gc.collect()
         assert ref() is None
+
+
+class TestEntryPoint:
+    """The in-process call of the benchmark worker and the dump tool, the
+    import of the console script, and the help and version answers."""
+
+    @pytest.mark.parametrize("args,code", [
+        (["run", "linear-xp", "--a", "1,1", "--deterministic"], 0),
+        (["run", "metric-xp", "--m", "1", "--n", "2", "--k", "1", "--deterministic"], 2),
+        (["run", "linear-xp", "--k", "9"], 1),
+        (["verify", "geodesic"], 0),
+        (["--help"], 0), (["--version"], 0), (["run", "--help"], 0), (["verify", "--help"], 0),
+    ], ids=["report", "warnings", "error", "verify", "help", "version", "run-help",
+            "verify-help"])
+    def test_every_path_raises_system_exit(self, args, code):
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err), \
+                pytest.raises(SystemExit) as exit_info:
+            main.main(args=args, prog_name="xplab", standalone_mode=False)
+        assert exit_info.value.code == code, err.getvalue()
+        assert (err if code == 1 else out).getvalue()
+
+    def test_import_loads_no_click(self):
+        src = Path(cli.__file__).resolve().parent.parent
+        result = subprocess.run(
+            [sys.executable, "-c", "import sys, xplab.cli; assert 'click' not in sys.modules"],
+            env={**os.environ, "PYTHONPATH": str(src)}, capture_output=True, text=True,
+            timeout=60)
+        assert result.returncode == 0, result.stderr
+
+    def test_help_lists_every_command(self, runner):
+        res = runner.invoke(main, ["--help"])
+        assert res.exit_code == 0
+        assert {"run", "scan", "verify"} <= set(res.stdout.split())
+
+    def test_version(self, runner):
+        assert runner.invoke(main, ["--version"]).stdout == f"xplab, version {__version__}\n"
+
+    @pytest.mark.parametrize("command", ["run", "scan"])
+    def test_help_names_every_report_whole(self, runner, command):
+        text = runner.invoke(main, [command, "--help"]).stdout
+        assert text.startswith(f"Usage: xplab {command} REPORT [FLAGS]...\n")
+        assert cli._COMMANDS[command][0].__doc__ in text and "\b" not in text
+        words = text.replace(",", " ").replace(".", " ").split()
+        assert [name for name in REPORTS if name not in words] == []
 
 
 def test_every_report_has_builder():
