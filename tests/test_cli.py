@@ -722,6 +722,13 @@ class TestEntryPoint:
     def test_version(self, runner):
         assert runner.invoke(main, ["--version"]).stdout == f"xplab, version {__version__}\n"
 
+    def test_console_script_reads_argv(self, monkeypatch, capsys):
+        monkeypatch.setattr(sys, "argv", ["xplab", "verify", "bogus"])
+        with pytest.raises(SystemExit) as exit_info:
+            main()
+        assert exit_info.value.code == 1
+        assert "'bogus'" in json.loads(capsys.readouterr().err)["message"]
+
     @pytest.mark.parametrize("command", ["run", "scan"])
     def test_help_names_every_report_whole(self, runner, command):
         text = runner.invoke(main, [command, "--help"]).stdout
