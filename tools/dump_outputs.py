@@ -39,8 +39,9 @@ DRAWS = 3
 # small n and at sizes past one block of sign sums, the probe on Z_4,
 # scaling witnesses, both grid embeddings, bridges at n = 3 (the second
 # takes its diagonal's Z_16^3 in 13 blocks) and at d = n = 4, a sampled
-# metric-xp at d = 9 (sums of 8 or more value terms), a scaling witness and a
-# displacement over a budget of 1,000 terms, sampled
+# metric-xp at d = 9 (sums of 8 or more value terms), Monte-Carlo gathers of
+# a mirror law and of three letters over more than one block of samples, a
+# scaling witness and a displacement over a budget of 1,000 terms, sampled
 # subsets at the 4,096-draw cap and across two blocks of uniforms, plan
 # sizes that --k or sign patterns the report never uses would move, psd-xp
 # at integer q, d = 1 and k = n, the lambda family at r = 0, r near 0 and
@@ -48,6 +49,9 @@ DRAWS = 3
 EXTRA = [
     ["run", "metric-xp", "--m", "1", "--n", "6", "--k", "3", "--budget", "5000"],
     ["run", "metric-xp", "--m", "1", "--n", "6", "--k", "3", "--d", "9", "--budget", "5000"],
+    ["run", "reverse-metric-xp", "--m", "1", "--n", "4", "--d", "2", "--k", "2", "--budget", "5e4"],
+    ["run", "cotype", "--variant", "three-letter", "--m", "4", "--n", "4", "--d", "3",
+     "--budget", "1e5"],
     ["run", "linear-xp", "--n", "40", "--k", "3", "--budget", "1000"],
     ["run", "khinchine", "--n", "2", "--k", "3"],
     ["run", "psd-xp", "--n", "21", "--k", "2", "--d", "2"],
