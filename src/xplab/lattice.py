@@ -18,13 +18,23 @@ under every law: under a mirror law they give one difference up to sign, and
 otherwise the per-point norms of -delta are those of delta rolled by delta,
 bit for bit.  The zero displacement needs no pass.
 
-A Monte Carlo plan draws ``budget`` pairs (x, eps) from a seeded stream (a
-one-letter law draws x only).  A one-letter law whose torus has at most
-``budget`` points evaluates the norm once per point of a rolled
-``value_first`` and gathers each sample's value at the flat index of its x;
-every other plan gathers both values of each pair as columns of
+A Monte Carlo plan draws ``budget`` pairs (x, eps) from a seeded stream:
+every x first, as int32, then the signs (a one-letter law draws x only).  A
+one-letter law whose torus has at most ``budget`` points evaluates the norm
+once per point of a rolled ``value_first`` and gathers each sample's value
+at the flat index of its x.  Every other plan walks the samples in
+``_blocks``: per block it draws the signs, forms x + delta (and x - delta
+under a mirror law) in intp, gathers both values of each pair as columns of
 ``value_first`` flattened to ``(d, M**n)``, one flat index
-(``np.ravel_multi_index``) per sample, and sums each norm over axis 0.
+(``np.ravel_multi_index``) per sample, and sums each norm over axis 0 into
+one ``samples`` array.  It holds 4n + 8 bytes per sample (x and the sample)
+and one block besides.  Neither the block size nor the int32 dtype moves a
+bit of the estimate: numpy makes an int32 and an int64 below 2**32 from the
+same 32-bit words and keeps the unused half of a 64-bit word in the stream
+between calls, so the draws are those of whole int64 draws, and the axis-0
+sums and ``np.mean``/``np.std`` see the same floats.  int32 holds x in
+[0, M) at every M below 2**31, and a table with M = 2**30 already takes
+8 GiB.
 
 Layout rule: the long axis (torus points, samples, quadrature nodes) is
 innermost and the value axis outer.  numpy pays per row of a short innermost
@@ -395,11 +405,14 @@ def _pattern_rows(
     """Rows of letters^r as a C-contiguous array: all of them in
     lexicographic order without ``gen``, ``count`` uniform draws from
     ``gen`` otherwise.  The library's one enumeration of a product set:
-    sign patterns, and with ``np.arange`` letters torus and grid points."""
+    sign patterns, and with ``np.arange`` letters torus and grid points.  The
+    index into ``letters`` is the smallest unsigned dtype that holds
+    ``len(letters)``, or int32 for draws; the rows take the letters' dtype."""
     if gen is None:
-        index = np.indices((len(letters),) * r).reshape(r, len(letters) ** r).T.copy()
+        index = np.indices((len(letters),) * r, dtype=np.min_scalar_type(len(letters)))
+        index = index.reshape(r, len(letters) ** r).T.copy()
     else:
-        index = gen.integers(0, len(letters), size=(count, r))
+        index = gen.integers(0, len(letters), size=(count, r), dtype=np.int32)
     return np.asarray(letters)[index]
 
 
@@ -461,23 +474,29 @@ def gap_moment_estimate(
 
     gen = stream(plan.seed, "gap:" + _spec_tag(spec))
     count = plan.budget
-    x = gen.integers(0, M, size=(count, n))
+    x = gen.integers(0, M, size=(count, n), dtype=np.int32)
     shape, table = (M,) * n, f.value_first.reshape(f.value_dim, M**n)
     if len(letters) == 1 and M**n <= count:
         # delta = v is fixed, so a sample's value depends on x alone: one
         # norm per torus point, gathered at the drawn points
+        index = np.ravel_multi_index(x.T, shape)
+        del x
         axes = tuple(range(1, n + 1))
         diff = np.roll(f.value_first, tuple(-v), axis=axes).reshape(table.shape)
         diff -= table
         per_point = _norm_power(diff, f.value_p, power, axis=0)
-        samples = per_point.take(np.ravel_multi_index(x.T, shape))
+        samples = per_point.take(index)
     else:
-        # a one-letter law has delta = v: no sign draw, the stream's last, is needed
-        delta = v * _pattern_rows(letters, n, gen, count) if len(letters) > 1 else v
-        diff = table.take(np.ravel_multi_index((x + delta).T, shape, mode="wrap"), axis=1)
-        right_x = (x - delta).T if mirror else x.T
-        diff -= table.take(np.ravel_multi_index(right_x, shape, mode="wrap"), axis=1)
-        samples = _norm_power(diff, f.value_p, power, axis=0)
+        # the signs, the stream's last draw, follow every x block by block; a
+        # one-letter law draws none
+        samples = np.empty(count)
+        for block in _blocks(count, n + f.value_dim):
+            xb = x[block].astype(np.intp)
+            delta = v * _pattern_rows(letters, n, gen, len(xb)) if len(letters) > 1 else v
+            diff = table.take(np.ravel_multi_index((xb + delta).T, shape, mode="wrap"), axis=1)
+            right = (xb - delta).T if mirror else xb.T
+            diff -= table.take(np.ravel_multi_index(right, shape, mode="wrap"), axis=1)
+            samples[block] = _norm_power(diff, f.value_p, power, axis=0)
     mean = float(np.mean(samples))
     stderr = float(np.std(samples, ddof=1) / math.sqrt(count)) if count > 1 else 0.0
     return GapEstimate(mean, stderr, count, "monte-carlo")

@@ -4,6 +4,7 @@ import collections
 import inspect
 import itertools
 import math
+import tracemalloc
 from dataclasses import replace
 from unittest import mock
 
@@ -199,6 +200,58 @@ class TestFixedShiftPerPoint:
                       self.direct_gather(f, v, power, budget, _spec_tag(spec)), d)
 
 
+
+class TestBlockedGather:
+    """The Monte-Carlo gather draws x whole as int32 and the signs block by
+    block after it; every estimate is the same at any block size."""
+
+    @pytest.mark.parametrize("spec,modulus", [
+        (FixedShift((2, 0, -1)), 5),  # 125 points <= budget: one norm per point
+        (Edge(2), 11),  # 1331 points > budget: gathered pair by pair
+        (Diagonal(), 11), (ThreeLetterDiagonal(), 11), (SymmetricDiagonal(), 11),
+    ], ids=["FixedShift-per-point", "Edge", "Diagonal", "ThreeLetterDiagonal",
+            "SymmetricDiagonal"])
+    def test_estimate_does_not_depend_on_the_block(self, monkeypatch, spec, modulus):
+        # n = 3 signs per sample: a block of one sample ends in the middle of a
+        # 64-bit word of the stream
+        f = random_grid_function(modulus, 3, 2, 3.0, seed=2)
+        plan = SamplePlan("monte-carlo", 999, seed=4)
+        want = gap_moment_estimate(f, spec, plan)
+        for block in (1, 7 * (3 + 2), 100 * (3 + 2) + 1):
+            monkeypatch.setattr(lattice, "_BLOCK", block)
+            assert gap_moment_estimate(f, spec, plan) == want, block
+
+    @pytest.mark.parametrize("modulus", [2, 3, 16, 17, 1000])
+    def test_int32_draws_are_the_int64_draws(self, modulus):
+        # numpy draws both dtypes below 2**32 from the same 32-bit words; an
+        # odd count leaves half a 64-bit word buffered in the stream
+        narrow, wide = stream(3, "draws"), stream(3, "draws")
+        x = narrow.integers(0, modulus, size=(999, 3), dtype=np.int32)
+        assert x.dtype == np.int32
+        assert np.array_equal(x, wide.integers(0, modulus, size=(999, 3)))
+        assert self.position(narrow) == self.position(wide)
+
+    @staticmethod
+    def position(gen: np.random.Generator) -> tuple:
+        state = gen.bit_generator.state
+        return (state["state"]["counter"].tolist(), state["buffer"].tolist(),
+                state["buffer_pos"], state["has_uint32"], state["uinteger"])
+
+    def test_memory_is_x_and_the_samples(self):
+        # 4e5 samples on Z_16^4: x takes 6.4 MB as int32, the samples and
+        # np.std's deviations 3.2 MB each, a block under 1 MB; the whole int64
+        # draws and gather took 41.6 MB
+        f = random_grid_function(16, 4, 2, 4.0, seed=3)
+        plan = SamplePlan("monte-carlo", 400_000, seed=1)
+        tracemalloc.start()
+        try:
+            gap_moment_estimate(f, Diagonal(), plan)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 16 * 2**20
+
+
 def per_pattern_reference(f: GridFunction, spec, power: float) -> tuple[float, int]:
     """Exhaustive gap moment with one roll per sign pattern, value axis last."""
     n, M, values = f.dimension, f.modulus, f.values
@@ -315,11 +368,13 @@ class TestExhaustiveDedup:
         assert sum(c.args[0].ndim == n + 1 for c in rolls.call_args_list) == table_rolls
 
 
-@pytest.mark.parametrize("n", range(1, 7))
-def test_pattern_rows_are_the_product_rows_in_c_order(n):
-    rows = _pattern_rows((-1, 1), n)
-    reference = np.array(list(itertools.product((-1, 1), repeat=n)))
-    assert rows.dtype == reference.dtype and np.array_equal(rows, reference)
+@pytest.mark.parametrize("letters,n", [((-1, 1), n) for n in range(1, 7)]
+                         + [(np.arange(300), 2), (np.arange(3.0), 0)])
+def test_pattern_rows_are_the_product_rows_in_c_order(letters, n):
+    # 300 letters take a uint16 index; none at all give one empty row
+    rows = _pattern_rows(letters, n)
+    reference = np.array(list(itertools.product(letters, repeat=n)))
+    assert rows.dtype == np.asarray(letters).dtype and np.array_equal(rows, reference)
     assert rows.flags.c_contiguous
 
 
