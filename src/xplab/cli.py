@@ -15,6 +15,7 @@ import csv
 import io
 import json
 import math
+import os
 import sys
 import textwrap
 import time
@@ -526,10 +527,10 @@ def _parse(tokens: list, flags: dict) -> tuple[str | None, dict]:
     return report, options
 
 
-def _execute(tokens: list, flags: dict, render, *required: str, **defaults) -> NoReturn:
+def _execute(tokens: list, flags: dict, render, *required: str, **defaults) -> int:
     """Parse ``tokens`` against ``flags``, load the config over ``defaults``,
     render it with ``render(cfg, *values of the required flags)``, write the
-    text to ``cfg.out`` or stdout, and exit with the rendered exit code."""
+    text to ``cfg.out`` or stdout, and return the rendered exit code."""
     report, options = _parse(tokens, flags)
     missing = [f"--{key}" for key in required if key not in options]
     if missing:
@@ -544,20 +545,20 @@ def _execute(tokens: list, flags: dict, render, *required: str, **defaults) -> N
             fh.write(text)
     else:
         sys.stdout.write(text)
-    sys.exit(code)
+    return code
 
 
-def _run(tokens: list) -> NoReturn:
+def _run(tokens: list) -> int:
     """Execute one report and write an xp-report/1 JSON document."""
-    _execute(tokens, _RUN_FLAGS, _document_text)
+    return _execute(tokens, _RUN_FLAGS, _document_text)
 
 
-def _scan(tokens: list) -> NoReturn:
+def _scan(tokens: list) -> int:
     """Sweep exactly one parameter and write one CSV row per value."""
-    _execute(tokens, _SCAN_FLAGS, _scan_text, "sweep", "values", format="csv")
+    return _execute(tokens, _SCAN_FLAGS, _scan_text, "sweep", "values", format="csv")
 
 
-def _verify(tokens: list) -> NoReturn:
+def _verify(tokens: list) -> int:
     """Run a named invariant suite and print a check table."""
     suite, _ = _parse(tokens, {})
     choices = f"choose one of {', '.join(sorted(SUITES))} or all"
@@ -575,7 +576,7 @@ def _verify(tokens: list) -> NoReturn:
     if failed:
         sys.stdout.flush()  # the table first where both streams go to one file
         sys.stderr.write(f"{failed} check(s) failed\n")
-    sys.exit(1 if failed else 0)
+    return 1 if failed else 0
 
 
 # command -> (its function, its usage after the name, the flags its --help lists)
@@ -601,6 +602,7 @@ class _Main:
     def main(self, args=None, prog_name="xplab", standalone_mode=True) -> NoReturn:
         tokens = list(sys.argv[1:] if args is None else args)
         command = tokens[0] if tokens else None
+        code = 0
         try:
             if command == "--version":
                 sys.stdout.write(f"{prog_name}, version {__version__}\n")
@@ -615,12 +617,19 @@ class _Main:
             elif "--help" in tokens:  # anywhere after the command
                 sys.stdout.write(_help(prog_name, command))
             else:
-                _COMMANDS[command][0](tokens[1:])
+                code = _COMMANDS[command][0](tokens[1:])
+            sys.stdout.flush()  # a closed pipe fails here, not at exit
+        except BrokenPipeError:
+            # the reader of stdout is gone (``xplab verify all | head -1``):
+            # the rest goes to devnull, so the flush at exit cannot fail again,
+            # and the exit is Python's 1 for EPIPE, with nothing on stderr
+            os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+            sys.exit(1)
         except Exception as exc:  # noqa: BLE001 - the one process boundary
             payload = {"error": type(exc).__name__, "message": str(exc)}
             sys.stderr.write(json.dumps(payload, sort_keys=True) + "\n")
             sys.exit(1)
-        sys.exit(0)
+        sys.exit(code)
 
 
 main = _Main()

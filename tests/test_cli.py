@@ -714,6 +714,23 @@ class TestEntryPoint:
             timeout=60)
         assert result.returncode == 0, result.stderr
 
+    def test_closed_stdout_exits_one_silently(self):
+        # 2,000 scan rows (about 140 KB) outgrow the pipe, so the buffered
+        # stdout of a pipe writes again after the reader has taken one line and
+        # closed it, and fails with EPIPE (an unbuffered one could stop short
+        # with a partial write instead)
+        src = Path(cli.__file__).resolve().parent.parent
+        env = {key: value for key, value in os.environ.items() if key != "PYTHONUNBUFFERED"}
+        argv = [sys.executable, "-m", "xplab.cli", "scan", "linear-xp", "--a", "1,1",
+                "--n", "2", "--k", "1", "--sweep", "seed",
+                "--values", ",".join(map(str, range(2000)))]
+        with subprocess.Popen(argv, env={**env, "PYTHONPATH": str(src)}, bufsize=0,
+                              stdout=subprocess.PIPE, stderr=subprocess.PIPE) as proc:
+            assert proc.stdout.readline().startswith(b"sweep,value,")
+            proc.stdout.close()
+            assert proc.wait(timeout=60) == 1
+            assert proc.stderr.read() == b""
+
     def test_help_lists_every_command(self, runner):
         res = runner.invoke(main, ["--help"])
         assert res.exit_code == 0
