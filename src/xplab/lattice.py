@@ -18,23 +18,23 @@ under every law: under a mirror law they give one difference up to sign, and
 otherwise the per-point norms of -delta are those of delta rolled by delta,
 bit for bit.  The zero displacement needs no pass.
 
-A Monte Carlo plan draws ``budget`` pairs (x, eps) from a seeded stream:
-every x first, as int32, then the signs (a one-letter law draws x only).  A
-one-letter law whose torus has at most ``budget`` points evaluates the norm
-once per point of a rolled ``value_first`` and gathers each sample's value
-at the flat index of its x.  Every other plan walks the samples in
-``_blocks``: per block it draws the signs, forms x + delta (and x - delta
-under a mirror law) in intp, gathers both values of each pair as columns of
-``value_first`` flattened to ``(d, M**n)``, one flat index
-(``np.ravel_multi_index``) per sample, and sums each norm over axis 0 into
-one ``samples`` array.  It holds 4n + 8 bytes per sample (x and the sample)
-and one block besides.  Neither the block size nor the int32 dtype moves a
-bit of the estimate: numpy makes an int32 and an int64 below 2**32 from the
-same 32-bit words and keeps the unused half of a 64-bit word in the stream
-between calls, so the draws are those of whole int64 draws, and the axis-0
-sums and ``np.mean``/``np.std`` see the same floats.  int32 holds x in
-[0, M) at every M below 2**31, and a table with M = 2**30 already takes
-8 GiB.
+A Monte Carlo plan draws ``budget`` pairs (x, eps) from a seeded stream,
+every x before any sign (a one-letter law draws x only), and fills one
+``samples`` array block by block (``_blocks``).  A one-letter law whose
+torus has at most ``budget`` points evaluates the norm once per point of a
+rolled ``value_first`` and gathers each sample's value at the flat index of
+its x, drawn per block: it holds 8 bytes per sample.  Every other plan draws
+x whole as int32; per block it draws the signs, forms x + delta (and
+x - delta under a mirror law) in intp, gathers both values of each pair as
+columns of ``value_first`` flattened to ``(d, M**n)``, one flat index
+(``np.ravel_multi_index``) per sample, and sums each norm over axis 0: it
+holds 4n + 8 bytes per sample.  Neither the block size nor the int32 dtype
+moves a bit of the estimate: numpy makes an int32 and an int64 below 2**32
+from the same 32-bit words and keeps the unused half of a 64-bit word in
+the stream between calls, so the draws are those of whole int64 draws, and
+the axis-0 sums and ``np.mean``/``np.std`` see the same floats.  int32
+holds x in [0, M) at every M below 2**31, and a table with M = 2**30
+already takes 8 GiB.
 
 Layout rule: the long axis (torus points, samples, quadrature nodes) is
 innermost and the value axis outer.  numpy pays per row of a short innermost
@@ -405,15 +405,21 @@ def _pattern_rows(
     """Rows of letters^r as a C-contiguous array: all of them in
     lexicographic order without ``gen``, ``count`` uniform draws from
     ``gen`` otherwise.  The library's one enumeration of a product set:
-    sign patterns, and with ``np.arange`` letters torus and grid points.  The
-    index into ``letters`` is the smallest unsigned dtype that holds
-    ``len(letters)``, or int32 for draws; the rows take the letters' dtype."""
-    if gen is None:
-        index = np.indices((len(letters),) * r, dtype=np.min_scalar_type(len(letters)))
-        index = index.reshape(r, len(letters) ** r).T.copy()
-    else:
-        index = gen.integers(0, len(letters), size=(count, r), dtype=np.int32)
-    return np.asarray(letters)[index]
+    sign patterns, and with ``np.arange`` letters torus and grid points.
+    Without ``gen`` the rows are the head rows of letters^(r // 2) times the
+    tail rows of the rest, written in two broadcast passes: no index array,
+    and only the rows are held."""
+    if gen is not None:
+        return np.asarray(letters)[gen.integers(0, len(letters), size=(count, r))]
+    letters = np.asarray(letters)
+    if r <= 1:
+        return letters[:, None].copy() if r else np.empty((1, 0), letters.dtype)
+    h = r // 2
+    head, tail = _pattern_rows(letters, h), _pattern_rows(letters, r - h)
+    rows = np.empty((len(head), len(tail), r), letters.dtype)
+    rows[:, :, :h] = head[:, None]
+    rows[:, :, h:] = tail
+    return rows.reshape(-1, r)
 
 
 _BLOCK = 1 << 15  # float64 elements per block of any enumerated finite sum
@@ -474,22 +480,22 @@ def gap_moment_estimate(
 
     gen = stream(plan.seed, "gap:" + _spec_tag(spec))
     count = plan.budget
-    x = gen.integers(0, M, size=(count, n), dtype=np.int32)
     shape, table = (M,) * n, f.value_first.reshape(f.value_dim, M**n)
+    samples = np.empty(count)
     if len(letters) == 1 and M**n <= count:
         # delta = v is fixed, so a sample's value depends on x alone: one
-        # norm per torus point, gathered at the drawn points
-        index = np.ravel_multi_index(x.T, shape)
-        del x
+        # norm per torus point, gathered at the points drawn block by block
         axes = tuple(range(1, n + 1))
         diff = np.roll(f.value_first, tuple(-v), axis=axes).reshape(table.shape)
         diff -= table
         per_point = _norm_power(diff, f.value_p, power, axis=0)
-        samples = per_point.take(index)
+        for block in _blocks(count, n):
+            x = gen.integers(0, M, size=(block.stop - block.start, n))
+            samples[block] = per_point.take(np.ravel_multi_index(x.T, shape))
     else:
-        # the signs, the stream's last draw, follow every x block by block; a
-        # one-letter law draws none
-        samples = np.empty(count)
+        # every x comes before the signs, the stream's last draw, which follow
+        # block by block; a one-letter law draws none
+        x = gen.integers(0, M, size=(count, n), dtype=np.int32)
         for block in _blocks(count, n + f.value_dim):
             xb = x[block].astype(np.intp)
             delta = v * _pattern_rows(letters, n, gen, len(xb)) if len(letters) > 1 else v

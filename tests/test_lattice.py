@@ -202,8 +202,9 @@ class TestFixedShiftPerPoint:
 
 
 class TestBlockedGather:
-    """The Monte-Carlo gather draws x whole as int32 and the signs block by
-    block after it; every estimate is the same at any block size."""
+    """A Monte-Carlo plan fills its samples block by block: the per-point
+    path draws x per block, the gather draws x whole as int32 and the signs
+    per block after it.  Every estimate is the same at any block size."""
 
     @pytest.mark.parametrize("spec,modulus", [
         (FixedShift((2, 0, -1)), 5),  # 125 points <= budget: one norm per point
@@ -237,19 +238,22 @@ class TestBlockedGather:
         return (state["state"]["counter"].tolist(), state["buffer"].tolist(),
                 state["buffer_pos"], state["has_uint32"], state["uinteger"])
 
-    def test_memory_is_x_and_the_samples(self):
-        # 4e5 samples on Z_16^4: x takes 6.4 MB as int32, the samples and
-        # np.std's deviations 3.2 MB each, a block under 1 MB; the whole int64
-        # draws and gather took 41.6 MB
+    @pytest.mark.parametrize("spec,mib", [
+        (FixedShift((8, 0, 0, 0)), 10), (Diagonal(), 16), (SymmetricDiagonal(), 16),
+    ], ids=["FixedShift-per-point", "Diagonal", "SymmetricDiagonal"])
+    def test_memory_is_x_and_the_samples(self, spec, mib):
+        # 4e5 samples on Z_16^4: the samples and np.std's deviations take
+        # 3.2 MB each, the gather's int32 x 6.4 MB, a block under 1 MB; whole
+        # int64 draws and gathers took 20.8, 41.6 and 54.4 MB
         f = random_grid_function(16, 4, 2, 4.0, seed=3)
         plan = SamplePlan("monte-carlo", 400_000, seed=1)
         tracemalloc.start()
         try:
-            gap_moment_estimate(f, Diagonal(), plan)
+            gap_moment_estimate(f, spec, plan)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak < 16 * 2**20
+        assert peak < mib * 2**20
 
 
 def per_pattern_reference(f: GridFunction, spec, power: float) -> tuple[float, int]:
@@ -368,14 +372,14 @@ class TestExhaustiveDedup:
         assert sum(c.args[0].ndim == n + 1 for c in rolls.call_args_list) == table_rolls
 
 
-@pytest.mark.parametrize("letters,n", [((-1, 1), n) for n in range(1, 7)]
-                         + [(np.arange(300), 2), (np.arange(3.0), 0)])
+@pytest.mark.parametrize("letters,n", [((-1, 1), n) for n in range(1, 8)]
+                         + [(np.arange(300), 2), (np.arange(5.0), 1), (np.arange(3.0), 0)])
 def test_pattern_rows_are_the_product_rows_in_c_order(letters, n):
-    # 300 letters take a uint16 index; none at all give one empty row
+    # rows of an odd r split into unequal halves; r = 0 gives one empty row
     rows = _pattern_rows(letters, n)
     reference = np.array(list(itertools.product(letters, repeat=n)))
     assert rows.dtype == np.asarray(letters).dtype and np.array_equal(rows, reference)
-    assert rows.flags.c_contiguous
+    assert rows.flags.c_contiguous and not np.shares_memory(rows, letters)
 
 
 class TestGridFunction:
