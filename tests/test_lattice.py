@@ -200,7 +200,6 @@ class TestFixedShiftPerPoint:
                       self.direct_gather(f, v, power, budget, _spec_tag(spec)), d)
 
 
-
 class TestBlockedGather:
     """A Monte-Carlo plan fills its samples block by block: the per-point
     path draws x per block, the gather draws x whole as int32 and the signs
@@ -372,8 +371,10 @@ class TestExhaustiveDedup:
         assert sum(c.args[0].ndim == n + 1 for c in rolls.call_args_list) == table_rolls
 
 
-@pytest.mark.parametrize("letters,n", [((-1, 1), n) for n in range(1, 8)]
-                         + [(np.arange(300), 2), (np.arange(5.0), 1), (np.arange(3.0), 0)])
+@pytest.mark.parametrize("letters,n", [pytest.param((-1, 1), n, id=str(n)) for n in range(1, 8)] + [
+    pytest.param(np.arange(300), 2, id="300-letters"),
+    pytest.param(np.arange(5.0), 1, id="one-column"), pytest.param(np.arange(3.0), 0, id="no-column"),
+])
 def test_pattern_rows_are_the_product_rows_in_c_order(letters, n):
     # rows of an odd r split into unequal halves; r = 0 gives one empty row
     rows = _pattern_rows(letters, n)
