@@ -136,17 +136,19 @@ _JSON_TYPES = {"bool": bool, "str": str, "list | None": (list, type(None)),
 def _checked(name: str, kind: str, value):
     """The stored form of ``value`` for config field ``name`` of type ``kind``.
 
-    int fields take integral numbers, float fields any number, and the other
-    fields only their own JSON type (so ``"false"`` is not a bool).
+    int fields take integral numbers, float fields any finite number, and the
+    other fields only their own JSON type (so ``"false"`` is not a bool).
     """
     number = isinstance(value, (int, float)) and not isinstance(value, bool)
     if kind == "int" and number and (isinstance(value, int) or value.is_integer()):
         return int(value)
-    if kind == "float" and number:
+    # false for nan, infinities and ints past the largest float
+    if kind == "float" and number and abs(value) <= sys.float_info.max:
         return float(value)
     if kind in _JSON_TYPES and isinstance(value, _JSON_TYPES[kind]):
         return value
-    raise ValueError(f"config field {name!r} must be {kind}, got {value!r}")
+    wanted = "a finite float" if kind == "float" else kind
+    raise ValueError(f"config field {name!r} must be {wanted}, got {value!r}")
 
 
 def _load_config(options: dict, defaults: dict) -> ExperimentConfig:
@@ -438,10 +440,16 @@ def _scan_text(cfg: ExperimentConfig, name: str, values_csv: str) -> tuple[str, 
     if ";" in values_csv:
         raise ValueError("exactly one swept parameter is allowed")
     if values_csv.startswith("geom:"):
-        _, lo, hi, count = values_csv.split(":")
-        values = list(np.geomspace(float(lo), float(hi), int(count)))
+        spec = values_csv.split(":")[1:]
+        if len(spec) != 3 or not spec[2].isdecimal() or int(spec[2]) < 1:
+            raise ValueError(f"sweep values {values_csv!r} are not geom:start:stop:count "
+                             "with count >= 1")
+        with np.errstate(invalid="ignore"):  # ends of two signs give nan
+            values = list(np.geomspace(float(spec[0]), float(spec[1]), int(spec[2])))
     else:
         values = [float(v) for v in values_csv.split(",")]
+    if not all(map(math.isfinite, values)):
+        raise ValueError(f"sweep values {values_csv!r} include a non-finite value")
     rows = []
     for value in values:
         cast = int(round(value)) if kind == "int" else value

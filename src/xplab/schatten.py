@@ -4,8 +4,11 @@ Eigensolves use LAPACK through ``numpy.linalg``: ``eigh`` for spectral
 decompositions (reordered to descending eigenvalues), batched over the
 subset sums of ``psd_xp_report``, and ``eigvalsh`` where only eigenvalues
 are needed, batched over whole sign-pattern stacks.
-Fractional matrix powers clip tiny negative eigenvalues attributable to
-roundoff.  The PSD-subadditivity counterexample is evaluated in exact
+One private function, ``_eig_power``, raises a spectrum to a power: the
+spectral A^q of ``SymMatrix.power`` and the traces of ``trace_power``,
+which are sums of the powered eigenvalues with no matrix formed.  At
+fractional q it clips tiny negative eigenvalues attributable to roundoff.
+The PSD-subadditivity counterexample is evaluated in exact
 rational arithmetic for integer exponents, because the quadratic form of
 interest is a ~1e-12 cancellation of O(1) entries.
 """
@@ -68,17 +71,11 @@ class SymMatrix:
         if a.size == 0:
             raise ValueError("a matrix must have order >= 1")
         sym = 0.5 * (a + a.T)
-        return SymMatrix._from_eigh(sym, *np.linalg.eigh(sym))
-
-    @staticmethod
-    def _from_eigh(sym: np.ndarray, vals: np.ndarray, vecs: np.ndarray) -> "SymMatrix":
-        """The matrix ``sym`` with its ascending ``eigh`` spectrum."""
+        vals, vecs = np.linalg.eigh(sym)
         vals, vecs = vals[::-1], vecs[:, ::-1]
-        psd = bool(vals[-1] >= _clip_floor(vals))
-        sym.setflags(write=False)
-        vals.setflags(write=False)
-        vecs.setflags(write=False)
-        return SymMatrix(sym, vals, vecs, psd)
+        for arr in (sym, vals, vecs):
+            arr.setflags(write=False)
+        return SymMatrix(sym, vals, vecs, bool(vals[-1] >= _clip_floor(vals)))
 
     @property
     def order(self) -> int:
@@ -86,25 +83,25 @@ class SymMatrix:
 
     def power(self, q: float) -> np.ndarray:
         """Spectral A^q; fractional q requires (numerically) PSD input."""
-        vals = self.eigenvalues
-        if float(q) == int(q) and q >= 0:
-            powered = vals ** int(q)
-        else:
-            clipped = vals.copy()
-            tiny = (clipped < 0) & (clipped >= _clip_floor(vals))
-            clipped[tiny] = 0.0
-            if np.any(clipped < 0):
-                raise ValueError(
-                    f"fractional power {q} of a matrix with negative eigenvalue"
-                )
-            powered = clipped**q
-        return (self.eigenvectors * powered) @ self.eigenvectors.T
+        return (self.eigenvectors * _eig_power(self.eigenvalues, q)) @ self.eigenvectors.T
 
 
 def _clip_floor(vals: np.ndarray) -> float:
     """-_PSD_CLIP * max(max |lambda|, 1) for a spectrum sorted descending:
     eigenvalues above it count as nonnegative roundoff."""
     return -_PSD_CLIP * max(abs(vals[0]), abs(vals[-1]), 1.0)
+
+
+def _eig_power(vals: np.ndarray, q: float) -> np.ndarray:
+    """lambda^q of a spectrum sorted descending.  Unless q is an integer >= 0,
+    eigenvalues in [_clip_floor, 0) become 0 and any lower one is an error."""
+    if float(q) == int(q) and q >= 0:
+        return vals ** int(q)
+    clipped = vals.copy()
+    clipped[(clipped < 0) & (clipped >= _clip_floor(vals))] = 0.0
+    if np.any(clipped < 0):
+        raise ValueError(f"fractional power {q} of a matrix with negative eigenvalue")
+    return clipped**q
 
 
 def _as_sym(a: "SymMatrix | np.ndarray") -> SymMatrix:
@@ -132,11 +129,8 @@ def schatten_norm(a: "SymMatrix | np.ndarray", p: float) -> float:
 
 
 def trace_power(a: "SymMatrix | np.ndarray", q: float) -> float:
-    """tr(A^q) by eigenvalues (PSD required for fractional q)."""
-    m = _as_sym(a)
-    if float(q) == int(q) and q >= 0:
-        return float(np.sum(m.eigenvalues ** int(q)))
-    return float(np.trace(m.power(q)))
+    """tr(A^q), the sum of lambda^q (PSD required for fractional q)."""
+    return float(np.sum(_eig_power(_as_sym(a).eigenvalues, q)))
 
 
 def trace_mixed(
@@ -464,9 +458,9 @@ def _subset_traces(
     The sums add the matrices column by column onto zeros, the float
     additions of Python ``sum`` (``np.add.reduce`` over a stack of 1x1
     matrices sums pairwise from eight terms on).  Each matrix's spectrum is
-    a view of the block with the strides of a single ``eigh``'s, so its
-    powers take the same numpy loops: numpy's pow rounds differently on
-    other layouts.
+    a reversed row of the block, with the strides of ``SymMatrix.eigenvalues``,
+    so its powers take the same numpy loops: numpy's pow rounds differently
+    on other layouts.
     """
     d = entries.shape[-1]
     traces = []
@@ -475,10 +469,8 @@ def _subset_traces(
         total = np.zeros((len(idx), d, d))
         for col in idx.T:
             total += entries[col]
-        sym = 0.5 * (total + np.swapaxes(total, 1, 2))
-        vals, vecs = np.linalg.eigh(sym)
-        traces += [trace_power(SymMatrix._from_eigh(m, w, u), q)
-                   for m, w, u in zip(sym, vals, vecs)]
+        vals, _ = np.linalg.eigh(0.5 * (total + np.swapaxes(total, 1, 2)))
+        traces += [float(np.sum(_eig_power(w[::-1], q))) for w in vals]
     return traces
 
 
@@ -506,8 +498,7 @@ def psd_xp_report(
     lhs = subset_average(lambda subsets: _subset_traces(entries, subsets, q), n, k, plan,
                          batched=True)
     t1 = (k / n) * math.fsum(trace_power(m, q) for m in syms)
-    full = SymMatrix.from_array(sum(m.entries for m in syms))
-    t2 = (k / n) ** q * trace_power(full, q)
+    t2 = (k / n) ** q * trace_power(sum(m.entries for m in syms), q)
     rhs = max(t1, t2)
     return _finalize(
         "psd_xp",
@@ -536,9 +527,8 @@ def khinchine_report(
         raise ValueError("p must be >= 2")
     power = _schatten_power(p, all(np.array_equal(m, m.T) for m in arrs))
     lhs = signed_power_mean(arrs, tuple(range(1, n + 1)), power, plan)
-    col = SymMatrix.from_array(sum(m.T @ m for m in arrs))
-    row = SymMatrix.from_array(sum(m @ m.T for m in arrs))
-    rhs = trace_power(col, p / 2.0) + trace_power(row, p / 2.0)
+    rhs = (trace_power(sum(m.T @ m for m in arrs), p / 2.0)
+           + trace_power(sum(m @ m.T for m in arrs), p / 2.0))
     report = _finalize(
         "khinchine",
         {"p": p, "n": n, "d": arrs[0].shape[0]},

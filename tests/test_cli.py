@@ -5,6 +5,7 @@ import csv
 import gc
 import io
 import json
+import math
 import os
 import subprocess
 import sys
@@ -87,6 +88,11 @@ class TestConfigTypes:
         assert cfg.p == 4.0 and type(cfg.p) is float
         with pytest.raises(ValueError, match="'p'"):
             ExperimentConfig.from_dict({"p": "4"})
+        # any finite one: the JSON writer would emit NaN or Infinity
+        for value in (math.nan, math.inf, -math.inf, 10**400):
+            with pytest.raises(ValueError, match="'p' must be a finite float"):
+                ExperimentConfig.from_dict({"p": value})
+        assert ExperimentConfig.from_dict({"p": 10**300}).p == 1e300
 
 
 # One flag and value per scalar config field, with the value the config echo
@@ -226,6 +232,7 @@ class TestUsageErrors:
             np.savetxt("b.csv", random_psd(2, 1, purpose="b").entries, delimiter=",")
             Path("two-orders.json").write_text(json.dumps({"matrix_paths": ["b.csv", "a.csv"]}))
             Path("empty-zs.json").write_text(json.dumps({"zs": [[], []]}))
+            Path("nan-p.json").write_text('{"p": NaN}')  # Python's json reads NaN
             yield
 
     @pytest.mark.parametrize("args,error", [
@@ -294,9 +301,28 @@ class TestUsageErrors:
           for name in ("bridge", "contraction")),
         (["verify"], "missing suite; choose one of complexify, embeddings, geodesic, "
                      "inequalities, lattice, operators, trace or all"),
+        # non-finite numbers: not a NaN or Infinity in the JSON, nor
+        # OverflowError from the int cast of a swept int field
+        (["run", "linear-xp", "--p", "nan", "--deterministic"],
+         "config field 'p' must be a finite float, got nan"),
+        (["run", "linear-xp", "--p", "inf"], "config field 'p' must be a finite float, got inf"),
+        (["run", "linear-xp", "--config", "nan-p.json"],
+         "config field 'p' must be a finite float, got nan"),
+        (["scan", "linear-xp", "--sweep", "p", "--values", "2,nan"],
+         "sweep values '2,nan' include a non-finite value"),
+        (["scan", "linear-xp", "--sweep", "p", "--values", "inf"],
+         "sweep values 'inf' include a non-finite value"),
+        (["scan", "linear-xp", "--sweep", "budget", "--values", "1e400"],
+         "sweep values '1e400' include a non-finite value"),
+        (["scan", "linear-xp", "--sweep", "p", "--values", "geom:2:4:0"],
+         "sweep values 'geom:2:4:0' are not geom:start:stop:count with count >= 1"),
+        (["scan", "linear-xp", "--sweep", "p", "--values", "geom:2:4"],
+         "sweep values 'geom:2:4' are not geom:start:stop:count with count >= 1"),
     ], ids=["trace-two-orders", "psd-xp-two-orders", "cosine-n-zero",
             "search-negative-n", "witness-negative-n", "bridge-empty-vectors",
-            "contraction-empty-vectors", "verify-without-suite"])
+            "contraction-empty-vectors", "verify-without-suite", "run-p-nan", "run-p-inf",
+            "config-p-nan", "scan-nan", "scan-inf", "scan-int-overflow", "geom-count-zero",
+            "geom-two-fields"])
     def test_bad_input_is_named(self, runner, args, message):
         # not numpy's broadcast, stack or scalar-array message, nor the
         # ZeroDivisionError of 0 ** -1 in the budget check or of a block of

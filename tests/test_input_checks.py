@@ -70,6 +70,7 @@ from xplab.schatten import (
     schatten_norm,
     schatten_xp_report,
     trace_inequality_report,
+    trace_power,
 )
 
 PLAN = SamplePlan("exhaustive", 10**6, 0)
@@ -157,6 +158,10 @@ CASES = {
     "random-psd-d": (lambda: random_psd(0, 0), ValueError, "d must be >= 1"),
     "matrix-order": (lambda: SymMatrix.from_array(np.zeros((0, 0))),
                      ValueError, "a matrix must have order >= 1"),
+    "power-negative-eigenvalue": (lambda: SymMatrix.from_array(INDEFINITE).power(0.5),
+                                  ValueError, "fractional power 0.5 of a matrix with negative"),
+    "trace-power-negative-eigenvalue": (lambda: trace_power(INDEFINITE, 0.5), ValueError,
+                                        "fractional power 0.5 of a matrix with negative"),
     "khinchine-p": (lambda: khinchine_report([np.eye(2)], 1.5, PLAN),
                     ValueError, "p must be >= 2"),
     # lattice.py

@@ -117,6 +117,25 @@ class TestNorms:
         assert trace_power(a, 3.0) == pytest.approx(9.0)
 
 
+class TestSpectralPower:
+    """``_eig_power`` behind ``trace_power``: the sum of the powered
+    eigenvalues, against the trace of the matrix power it replaced."""
+
+    @pytest.mark.parametrize("d", range(1, 9))
+    @pytest.mark.parametrize("q", [0.5, 1.5, 2.7, 3.3])
+    def test_fractional_trace_is_the_trace_of_the_power(self, d, q):
+        for seed in range(5):
+            m = random_psd(d, seed, purpose="eig-power")
+            assert trace_power(m, q) == pytest.approx(np.trace(m.power(q)), rel=1e-13, abs=0)
+
+    @pytest.mark.parametrize("q", [0, 1, 2.0, 3, 4.0])
+    def test_integral_trace_sums_the_integer_powers(self, q):
+        for d in range(1, 9):
+            m = random_psd(d, d, purpose="eig-power")
+            assert trace_power(m, q) == float(np.sum(m.eigenvalues ** q))
+            assert trace_power(m.entries, q) == trace_power(m, q)
+
+
 class TestTraceInequalities:
     @pytest.mark.parametrize("kind", [
         MainQge1(2.7), Qlt1(0.5), LambdaFamily(2.5), LiebThirring(1.5),

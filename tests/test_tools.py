@@ -42,6 +42,31 @@ def test_moved_float_is_named_and_exits_one(tmp_path):
     assert lines[-1] == "1 of 2 commands identical"
 
 
+def test_largest_move_is_reported_before_the_count(tmp_path):
+    before = {"a/0": [0, report(0.25), ""], "b/0": [0, report(2.0), ""],
+              "c/0": [0, json.dumps({"kind": "x", "lhs": 1.0}), ""]}
+    after = {"a/0": [0, report(0.25000000000000006), ""],
+             "b/0": [0, report(2.0000000000000018), ""],
+             "c/0": [0, json.dumps({"kind": "y", "lhs": 1.0}), ""]}
+    (tmp_path / "a.json").write_text(json.dumps(before), encoding="utf-8")
+    (tmp_path / "b.json").write_text(json.dumps(after), encoding="utf-8")
+    result = compare(tmp_path / "a.json", tmp_path / "b.json")
+    assert result.returncode == 1
+    # the string field of c/0 is named but is not a numeric move
+    assert "  kind: 'x' -> 'y'" in result.stdout.splitlines()
+    assert result.stdout.splitlines()[-2:] == [
+        "2 numeric fields moved, the largest by 8.88e-16 relative", "0 of 3 commands identical"]
+
+
+def test_no_move_line_when_only_strings_moved(tmp_path):
+    for name, kind in (("a.json", "x"), ("b.json", "y")):
+        dump = {"c/0": [0, json.dumps({"kind": kind, "lhs": 1.0}), ""]}
+        (tmp_path / name).write_text(json.dumps(dump), encoding="utf-8")
+    result = compare(tmp_path / "a.json", tmp_path / "b.json")
+    assert result.returncode == 1
+    assert result.stdout.splitlines() == ["c/0:", "  kind: 'x' -> 'y'", "0 of 1 commands identical"]
+
+
 def load(name: str, path: Path):
     spec = importlib.util.spec_from_file_location(name, path)
     module = importlib.util.module_from_spec(spec)

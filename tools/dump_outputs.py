@@ -17,8 +17,9 @@ files go to a temporary directory, and ``OUT.json`` maps each command's key
 to ``[exit code, stdout, stderr]``.
 
 The second form prints every key whose entry differs and, for JSON reports,
-each field that moved, with its relative difference for numbers.  It exits 1
-if any entry differs.
+each field that moved, with its relative difference for numbers; then, if
+numbers moved, how many and the largest relative move.  It exits 1 if any
+entry differs.
 """
 
 from __future__ import annotations
@@ -149,11 +150,13 @@ def _leaves(obj, prefix: str = "") -> dict:
     return {prefix[:-1]: obj}
 
 
-def _field_changes(before: str, after: str) -> list[str]:
+def _field_changes(before: str, after: str) -> list[tuple[str, float | None]]:
+    """(line, relative move) per moved field; the move is None for a field
+    that is not a float on both sides."""
     try:
         a, b = _leaves(json.loads(before)), _leaves(json.loads(after))
     except json.JSONDecodeError:
-        return ["stdout differs (not JSON)"]
+        return [("stdout differs (not JSON)", None)]
     changes = []
     for name in sorted(set(a) | set(b)):
         x, y = a.get(name), b.get(name)
@@ -161,16 +164,16 @@ def _field_changes(before: str, after: str) -> list[str]:
             continue
         if all(isinstance(v, float) for v in (x, y)):
             rel = abs(x - y) / max(abs(x), abs(y))
-            changes.append(f"{name}: {x!r} -> {y!r} (relative {rel:.2e})")
+            changes.append((f"{name}: {x!r} -> {y!r} (relative {rel:.2e})", rel))
         else:
-            changes.append(f"{name}: {x!r} -> {y!r}")
+            changes.append((f"{name}: {x!r} -> {y!r}", None))
     return changes
 
 
 def compare(before_path: Path, after_path: Path) -> int:
     before = json.loads(before_path.read_text(encoding="utf-8"))
     after = json.loads(after_path.read_text(encoding="utf-8"))
-    differing = 0
+    differing, moves = 0, []
     for key in sorted(set(before) | set(after)):
         x, y = before.get(key), after.get(key)
         if x == y:
@@ -185,8 +188,12 @@ def compare(before_path: Path, after_path: Path) -> int:
         if x[2] != y[2]:
             print("  stderr differs")
         if x[1] != y[1]:
-            for change in _field_changes(x[1], y[1]):
+            for change, rel in _field_changes(x[1], y[1]):
                 print(f"  {change}")
+                if rel is not None:
+                    moves.append(rel)
+    if moves:
+        print(f"{len(moves)} numeric fields moved, the largest by {max(moves):.2e} relative")
     total = len(set(before) | set(after))
     print(f"{total - differing} of {total} commands identical")
     return 1 if differing else 0
