@@ -5,9 +5,12 @@ the two-sided smoothing operator ``Tj``, torus characters, the hypercube
 Rademacher projection, and the residual of the projection identity relating
 ``Rad`` of a local difference function to the ``Tj`` family.
 
-All supports here are product sets, so every box/edge average factors into a
-composition of one-dimensional averages along axes; averages are computed by
-direct summation (no FFT), which is exact and fast at desk scale.
+All supports here are product sets, so every box and edge kind is one
+translate table ``{axis: offsets}``, averaged one axis at a time by direct
+summation (no FFT), which is exact and fast at desk scale.  A box takes the
+even translates on S (or T) and the odd ones off S; R is odd, so the even
+translates of [-R, R] and of (-R, R) are the same and ``DS`` and ``DeltaT``
+need no open/closed distinction.  An edge kind takes +-1 (+-2 for ``Tj``).
 """
 
 from __future__ import annotations
@@ -18,7 +21,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .lattice import GridFunction, LatticePoint, _check_subset, _pattern_rows
+from .lattice import GridFunction, LatticePoint, _blocks, _check_subset, _pattern_rows
 
 __all__ = [
     "DS",
@@ -109,7 +112,7 @@ class Tj:
 
 
 # ---------------------------------------------------------------------------
-# box averages
+# box and edge averages: one translate table each
 # ---------------------------------------------------------------------------
 
 
@@ -121,14 +124,11 @@ def _axis_average(values: np.ndarray, axis: int, offsets: Sequence[int]) -> np.n
     return acc / len(offsets)
 
 
-def _even_offsets(R: int, closed: bool) -> list[int]:
-    """Even integers of [-R, R] (closed) or (-R, R) (open); R odd in use."""
-    top = R if closed else R - 1
-    return [y for y in range(-top, top + 1) if y % 2 == 0]
-
-
-def _odd_offsets(R: int) -> list[int]:
-    return [y for y in range(-R, R + 1) if y % 2 != 0]
+def _translated(values: np.ndarray, table: dict[int, Sequence[int]]) -> np.ndarray:
+    """Average over the product of per-axis translate sets, axes in order."""
+    for axis in sorted(table):
+        values = _axis_average(values, axis, table[axis])
+    return values
 
 
 def _check_box(f: GridFunction, R: int) -> None:
@@ -150,45 +150,26 @@ def box_average(f: GridFunction, kind: DS | BoxA | Bj | DeltaT) -> GridFunction:
     if not isinstance(kind, (DS, DeltaT)):
         raise TypeError(f"unknown box kind {kind!r}")
     _check_box(f, kind.R)
-    values = f.values
-    if isinstance(kind, DS):
-        S = set(_check_subset(kind.S, n))
-        for axis in range(n):
-            offsets = (_even_offsets(kind.R, closed=True) if (axis + 1) in S
-                       else _odd_offsets(kind.R))
-            values = _axis_average(values, axis, offsets)
-    else:
-        T = set(_check_subset(kind.T, n))
-        for axis in range(n):
-            offsets = _even_offsets(kind.R, closed=False) if (axis + 1) in T else [0]
-            values = _axis_average(values, axis, offsets)
-    return f.with_values(values)
-
-
-# ---------------------------------------------------------------------------
-# edge averages
-# ---------------------------------------------------------------------------
+    even, odd = range(1 - kind.R, kind.R, 2), range(-kind.R, kind.R + 1, 2)
+    table = dict.fromkeys(range(n), odd) if isinstance(kind, DS) else {}
+    for j in _check_subset(kind.S if isinstance(kind, DS) else kind.T, n):
+        table[j - 1] = even
+    return f.with_values(_translated(f.values, table))
 
 
 def edge_average(f: GridFunction, kind: Ej | CalEj | CalE | Tj) -> GridFunction:
     """Apply an edge averaging / smoothing operator."""
     n = f.dimension
-    values = f.values
-    if isinstance(kind, Ej):
-        axes, offsets = [kind.j - 1], [-1, 1]
-    elif isinstance(kind, CalEj):
-        axes, offsets = [a for a in range(n) if a != kind.j - 1], [-1, 1]
-    elif isinstance(kind, CalE):
-        axes, offsets = list(range(n)), [-1, 1]
-    elif isinstance(kind, Tj):
-        axes, offsets = [a for a in range(n) if a != kind.j - 1], [-2, 2]
-    else:
+    if not isinstance(kind, (Ej, CalEj, CalE, Tj)):
         raise TypeError(f"unknown edge kind {kind!r}")
-    if isinstance(kind, (Ej, CalEj, Tj)) and not 1 <= kind.j <= n:
+    if not isinstance(kind, CalE) and not 1 <= kind.j <= n:
         raise ValueError(f"index {kind.j} not in 1..{n}")
-    for axis in axes:
-        values = _axis_average(values, axis, offsets)
-    return f.with_values(values)
+    if isinstance(kind, Ej):
+        axes = [kind.j - 1]
+    else:
+        axes = [a for a in range(n) if isinstance(kind, CalE) or a != kind.j - 1]
+    steps = [-2, 2] if isinstance(kind, Tj) else [-1, 1]
+    return f.with_values(_translated(f.values, dict.fromkeys(axes, steps)))
 
 
 # ---------------------------------------------------------------------------
@@ -300,29 +281,25 @@ def rad_identity_residual_grid(f: GridFunction) -> float:
 
     Equals ``max_x rad_identity_residual(f, x)`` but computes each term of
     the identity once for the whole grid with axis rolls, so the exhaustive
-    sweep costs O(n 2^n M^n) instead of per-point operator rebuilds.
+    sweep costs O(n 2^n M^n d) time and O(n M^n d) memory plus one block.
     """
     if f.modulus % 8 != 0:
         raise ValueError("identity requires modulus divisible by 8")
-    n = f.dimension
-    axes = tuple(range(n))
-    # first-order coefficients of h^x: c_j(x) = 2^{-n} sum_eps eps_j f(x+2eps)
-    coeff = [np.zeros_like(f.values) for _ in range(n)]
+    n, d = f.dimension, f.value_dim
     rows = _pattern_rows((-1, 1), n)
+    # h^x's first-order coefficients c_j(x) = 2^{-n} sum_eps eps_j f(x + 2 eps)
+    gap = np.zeros((n,) + f.values.shape)
     for eps in rows:
-        shifted = np.roll(f.values, tuple(-2 * e for e in eps), axis=axes)
-        for j in range(n):
-            coeff[j] += eps[j] * shifted
-    coeff = [c / 2**n for c in coeff]
-    # matching difference of the smoothed function along each axis
-    diffs = []
-    for j in range(1, n + 1):
-        tjf = edge_average(f, Tj(j)).values
-        diffs.append(0.5 * (np.roll(tjf, -2, axis=j - 1) - np.roll(tjf, 2, axis=j - 1)))
-    gap = [c - dlt for c, dlt in zip(coeff, diffs)]
+        gap += np.multiply.outer(eps, np.roll(f.values, tuple(-2 * eps), axis=tuple(range(n))))
+    gap /= 2**n
+    # minus the matching difference of the smoothed function along each axis
+    for j in range(n):
+        tjf = edge_average(f, Tj(j + 1)).values
+        gap[j] -= 0.5 * (np.roll(tjf, -2, axis=j) - np.roll(tjf, 2, axis=j))
+    # the residual at (x, eps) is |sum_j eps_j gap_j(x)|, a block of eps at a time
+    gap = gap.reshape(n, -1, d)
     worst = 0.0
-    for eps in rows:
-        total = sum(e * g for e, g in zip(eps, gap))
-        norms = np.sqrt(np.sum(total**2, axis=-1))
-        worst = max(worst, float(norms.max()))
+    for block in _blocks(len(rows), gap[0].size):
+        total = np.tensordot(rows[block], gap, axes=1)
+        worst = max(worst, float(np.sqrt(np.sum(total**2, axis=-1)).max()))
     return worst

@@ -58,6 +58,51 @@ class TestEdgeAverages:
         assert np.allclose(got, exp)
 
 
+def translate_mean(f: GridFunction, ys: list) -> np.ndarray:
+    """mean over y in ys of f(x + y) at every x, by direct indexing."""
+    M, n = f.modulus, f.dimension
+    xs = np.array(list(itertools.product(range(M), repeat=n)))
+    return np.mean([f.values[tuple(((xs + y) % M).T)] for y in ys],
+                   axis=0).reshape(f.values.shape)
+
+
+def oracle_cases(n: int):
+    """Each kind on Z_8^n with the translates y in [-3, 3]^n its docstring
+    averages."""
+    subsets = [S for r in range(n + 1) for S in itertools.combinations(range(1, n + 1), r)]
+    cube = list(itertools.product(range(-3, 4), repeat=n))
+    for R in (1, 3):
+        for S in subsets:
+            # DS: y in [-R, R]^n, y_i even on S and odd off S
+            ys = [y for y in cube if all(abs(c) <= R and (c % 2 == 0) == (i + 1 in S)
+                                         for i, c in enumerate(y))]
+            yield DS(S, R), ys
+            if len(S) == 1:
+                yield Bj(S[0], R), ys
+            # DeltaT: even y in (-R, R)^n, zero off T
+            ys = [y for y in cube if all(abs(c) < R and c % 2 == 0 and (c == 0 or i + 1 in S)
+                                         for i, c in enumerate(y))]
+            yield DeltaT(S, R), ys
+            if len(S) == n:
+                yield BoxA(R), ys
+    for j in range(1, n + 1):
+        on, off = [i == j - 1 for i in range(n)], [i != j - 1 for i in range(n)]
+        for kind, axes, step in ((Ej(j), on, 1), (CalEj(j), off, 1), (Tj(j), off, 2)):
+            yield kind, [y for y in cube if all(
+                abs(c) == (step if a else 0) for a, c in zip(axes, y))]
+    yield CalE(), [y for y in cube if all(abs(c) == 1 for c in y)]
+
+
+@pytest.mark.parametrize("kind,ys", [pytest.param(kind, ys, id=repr(kind))
+                                     for kind, ys in oracle_cases(2)])
+def test_operator_averages_its_translates(kind, ys):
+    # [PAPER] each operator is the mean of f(x + y) over its support, here
+    # enumerated from the parity rule of the kind's docstring
+    f = random_grid_function(8, 2, 2, 2.0, seed=21)
+    apply = box_average if isinstance(kind, (DS, Bj, DeltaT, BoxA)) else edge_average
+    assert np.abs(apply(f, kind).values - translate_mean(f, ys)).max() < 1e-14
+
+
 class TestBoxAverages:
     def test_bja_reduces_to_singleton_ds(self):
         f = random_grid_function(8, 2, 1, 2.0, seed=7)
@@ -146,12 +191,13 @@ class TestProjectionIdentity:
         f = random_grid_function(8, 2, 1, 4.0, seed=12)
         assert rad_identity_residual(f, (3, 6)) < 1e-12
 
-    def test_grid_residual_matches_pointwise_max(self):
-        f = random_grid_function(8, 2, 2, 4.0, seed=13)
+    @pytest.mark.parametrize("M,n,d", [(8, 1, 1), (8, 2, 2), (8, 3, 1)])
+    def test_grid_residual_matches_pointwise_max(self, M, n, d):
+        f = random_grid_function(M, n, d, 4.0, seed=13)
         grid = rad_identity_residual_grid(f)
         point = max(
             rad_identity_residual(f, x)
-            for x in itertools.product(range(8), repeat=2)
+            for x in itertools.product(range(M), repeat=n)
         )
         assert grid == pytest.approx(point, abs=1e-13)
 
