@@ -301,11 +301,11 @@ def composite_grid_distortion(
     l_2, which embeds isometrically into L_p, so the l_2 distortion equals
     the L_p distortion of the composite map restricted to the grid.
     """
+    if m < 1 or n < 1:
+        raise ValueError(f"grid distortion requires m >= 1 and n >= 1, got m={m}, n={n}")
     count = (m + 1) ** n
     if count * (count - 1) // 2 > budget:
         raise ValueError(f"{count} grid points exceed the pair budget")
-    if count < 2:
-        raise ValueError("need equal-length lists of at least 2 points")
     pts = _pattern_rows(np.arange(m + 1.0), n)
     if which == "rosenthal":
         image = rosenthal_embed(pts, q)

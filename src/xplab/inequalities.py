@@ -451,6 +451,11 @@ def smoothness_report(h: HypercubeFunction, kind: Enflo | BMW | Pisier) -> Inequ
     n = h.dimension
     if n < 1:
         raise ValueError("smoothness reports require dimension n >= 1")
+    if not isinstance(kind, (Enflo, BMW, Pisier)):
+        raise TypeError(f"unknown smoothness kind {kind!r}")
+    for name, value in vars(kind).items():  # powers of l_2 distances that can be 0
+        if value <= 0:
+            raise ValueError(f"{type(kind).__name__} exponent {name}={value} must be > 0")
     anti = h.values - h.antipode().values
     flips = [h.flip(j).values - h.values for j in range(1, n + 1)]
     if isinstance(kind, Enflo):
@@ -467,18 +472,14 @@ def smoothness_report(h: HypercubeFunction, kind: Enflo | BMW | Pisier) -> Inequ
         return _finalize(
             "bmw", {"q": q, "p": p, "n": n, "d": h.value_dim}, lhs, {"flips": rhs}, None
         )
-    if isinstance(kind, Pisier):
-        p = kind.p
-        lhs = _cube_mean_power(anti, p)
-        rhs = _signed_sum_means(
-            flips, [tuple(range(1, n + 1))], _pattern_rows((-1.0, 1.0), n),
-            lambda sums: [[math.fsum(row.tolist()) / row.size for row in block] for block
-                          in _norm_power(sums, 2.0, p).reshape(sums.shape[:2] + (-1,))],
-        )[0]
-        return _finalize(
-            "pisier", {"p": p, "n": n, "d": h.value_dim}, lhs, {"rad_diff": rhs}, None
-        )
-    raise TypeError(f"unknown smoothness kind {kind!r}")
+    p = kind.p
+    lhs = _cube_mean_power(anti, p)
+    rhs = _signed_sum_means(
+        flips, [tuple(range(1, n + 1))], _pattern_rows((-1.0, 1.0), n),
+        lambda sums: [[math.fsum(row.tolist()) / row.size for row in block] for block
+                      in _norm_power(sums, 2.0, p).reshape(sums.shape[:2] + (-1,))],
+    )[0]
+    return _finalize("pisier", {"p": p, "n": n, "d": h.value_dim}, lhs, {"rad_diff": rhs}, None)
 
 
 # ---------------------------------------------------------------------------
@@ -588,6 +589,8 @@ def convolution_search(
     modulus: int, n: int, p: float, trials: int, seed: int
 ) -> dict:
     """Seeded random search minimizing the implied beta lower bound."""
+    if trials < 1:
+        raise ValueError(f"convolution search requires trials >= 1, got trials={trials}")
     best = None
     best_trial = None
     for t in range(trials):

@@ -23,8 +23,10 @@ from xplab.embeddings import (
 )
 from xplab.inequalities import (
     BMW,
+    Enflo,
     Pisier,
     convolution_probe,
+    convolution_search,
     cotype_report,
     linear_xp_report,
     metric_xp_report,
@@ -111,6 +113,14 @@ CASES = {
                      ValueError, "dimension n >= 1"),
     "smoothness-kind": (lambda: smoothness_report(cube(2), Qlt1(0.5)),
                         TypeError, "unknown smoothness kind"),
+    "smoothness-enflo-r": (lambda: smoothness_report(cube(2), Enflo(0.0)),
+                           ValueError, r"Enflo exponent r=0\.0 must be > 0"),
+    "smoothness-bmw-q": (lambda: smoothness_report(cube(2), BMW(0.0, 4.0)),
+                         ValueError, r"BMW exponent q=0\.0 must be > 0"),
+    "smoothness-bmw-p": (lambda: smoothness_report(cube(2), BMW(3.0, -1.0)),
+                         ValueError, r"BMW exponent p=-1\.0 must be > 0"),
+    "smoothness-pisier-p": (lambda: smoothness_report(cube(2), Pisier(-2.0)),
+                            ValueError, r"Pisier exponent p=-2\.0 must be > 0"),
     "cotype-s": (lambda: cotype_report(grid(4, 2), 0.0, "three-letter", PLAN),
                  ValueError, r"s=0\.0 must be > 0"),
     "cotype-odd-modulus": (lambda: cotype_report(grid(3, 2), 2.0, "three-letter", PLAN),
@@ -118,6 +128,8 @@ CASES = {
     "cotype-variant": (lambda: cotype_report(grid(4, 2), 2.0, "bogus", PLAN),
                        ValueError, "unknown cotype variant 'bogus'"),
     "probe-n": (lambda: convolution_probe(grid(4, 0), 2.0), ValueError, "dimension n >= 1"),
+    "search-trials": (lambda: convolution_search(8, 2, 4.0, 0, 0),
+                      ValueError, "convolution search requires trials >= 1, got trials=0"),
     "witness-m": (lambda: scaling_witness_report(0, 2, 1, 2.0), ValueError, "m >= 1, got m=0"),
     "witness-k": (lambda: scaling_witness_report(2, 2, 3, 2.0),
                   ValueError, r"k=3 out of range for n=2"),
@@ -233,7 +245,11 @@ CASES = {
     "grid-pair-budget": (lambda: composite_grid_distortion(3, 2, 3.0, 4.0, "rosenthal", budget=10),
                          ValueError, "16 grid points exceed the pair budget"),
     "grid-one-point": (lambda: composite_grid_distortion(0, 2, 3.0, 4.0, "rosenthal"),
-                       ValueError, "at least 2 points"),
+                       ValueError, "requires m >= 1 and n >= 1, got m=0, n=2"),
+    "grid-negative-m": (lambda: composite_grid_distortion(-3, 2, 3.0, 4.0, "rosenthal"),
+                        ValueError, "requires m >= 1 and n >= 1, got m=-3, n=2"),
+    "grid-negative-n": (lambda: composite_grid_distortion(2, -1, 3.0, 4.0, "rosenthal"),
+                        ValueError, "requires m >= 1 and n >= 1, got m=2, n=-1"),
     "grid-embedding": (lambda: composite_grid_distortion(1, 2, 3.0, 4.0, "bogus"),
                        ValueError, "unknown embedding 'bogus'"),
 }
