@@ -598,11 +598,10 @@ _COMMANDS = {
 class _Main:
     """Numerical laboratory for torus, hypercube and Schatten inequalities.
 
-    ``main()`` runs ``sys.argv[1:]``; ``main.main`` takes the arguments of
-    click's ``Command.main``, for in-process callers and click's test runner.
-    Every path ends in ``SystemExit``, whatever ``standalone_mode`` is."""
-
-    name = "xplab"  # the test runner's program name
+    ``main()`` runs ``sys.argv[1:]``; ``main.main(args, prog_name,
+    standalone_mode)`` runs ``args`` in this process, for the benchmark
+    worker, ``tools/dump_outputs.py`` and the tests.  Every path ends in
+    ``SystemExit``, whatever ``standalone_mode`` is."""
 
     def __call__(self) -> NoReturn:
         self.main()

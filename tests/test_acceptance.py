@@ -12,7 +12,6 @@ import time
 
 import numpy as np
 import pytest
-from click.testing import CliRunner
 
 from xplab.cli import main as cli_main
 from xplab.complexify import bridge_report
@@ -335,9 +334,8 @@ def test_15_monte_carlo_consistency():
     assert hits >= 19
 
 
-def test_16_deterministic_reports_byte_identical():
+def test_16_deterministic_reports_byte_identical(runner):
     """Criterion 16: identical config and seed give byte-identical JSON."""
-    runner = CliRunner()
     for args in (
         ["run", "linear-xp", "--a", "1,2,3", "--n", "3", "--k", "2",
          "--seed", "5", "--deterministic"],

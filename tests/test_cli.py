@@ -15,17 +15,11 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from click.testing import CliRunner
 
 from xplab import __version__, cli
 from xplab.cli import REPORTS, ExperimentConfig, _flatten, main
 from xplab.lattice import random_grid_function
 from xplab.schatten import random_psd
-
-
-@pytest.fixture()
-def runner():
-    return CliRunner()
 
 
 class TestConfig:
@@ -225,15 +219,14 @@ class TestUsageErrors:
     """Bad flags and values exit 1 with a JSON error on stderr, never 2."""
 
     @pytest.fixture(autouse=True)
-    def workdir(self, runner, tmp_path):
-        with runner.isolated_filesystem(temp_dir=tmp_path):
-            np.savetxt("a.csv", random_psd(3, 1, purpose="a").entries, delimiter=",")
-            Path("one-matrix.json").write_text(json.dumps({"matrix_paths": ["a.csv"]}))
-            np.savetxt("b.csv", random_psd(2, 1, purpose="b").entries, delimiter=",")
-            Path("two-orders.json").write_text(json.dumps({"matrix_paths": ["b.csv", "a.csv"]}))
-            Path("empty-zs.json").write_text(json.dumps({"zs": [[], []]}))
-            Path("nan-p.json").write_text('{"p": NaN}')  # Python's json reads NaN
-            yield
+    def workdir(self, monkeypatch, tmp_path):
+        monkeypatch.chdir(tmp_path)
+        np.savetxt("a.csv", random_psd(3, 1, purpose="a").entries, delimiter=",")
+        Path("one-matrix.json").write_text(json.dumps({"matrix_paths": ["a.csv"]}))
+        np.savetxt("b.csv", random_psd(2, 1, purpose="b").entries, delimiter=",")
+        Path("two-orders.json").write_text(json.dumps({"matrix_paths": ["b.csv", "a.csv"]}))
+        Path("empty-zs.json").write_text(json.dumps({"zs": [[], []]}))
+        Path("nan-p.json").write_text('{"p": NaN}')  # Python's json reads NaN
 
     @pytest.mark.parametrize("args,error", [
         (["run", "rosenthal-distortion", "--n", "8.7"], "ValueError"),
@@ -318,11 +311,24 @@ class TestUsageErrors:
          "sweep values 'geom:2:4:0' are not geom:start:stop:count with count >= 1"),
         (["scan", "linear-xp", "--sweep", "p", "--values", "geom:2:4"],
          "sweep values 'geom:2:4' are not geom:start:stop:count with count >= 1"),
+        # non-positive exponents, grids below {0..1}^1 and empty searches:
+        # not a ZeroDivisionError, a finite constant or a null bound
+        (["run", "smoothness", "--kind", "bmw", "--q", "0", "--p", "4", "--n", "2"],
+         "BMW exponent q=0.0 must be > 0"),
+        (["run", "smoothness", "--kind", "enflo", "--r", "-1"], "Enflo exponent r=-1.0 must be > 0"),
+        (["run", "smoothness", "--kind", "pisier", "--p", "0"], "Pisier exponent p=0.0 must be > 0"),
+        (["run", "grid-distortion", "--m", "-3", "--n", "2"],
+         "grid distortion requires m >= 1 and n >= 1, got m=-3, n=2"),
+        (["run", "grid-distortion", "--n", "-1"],
+         "grid distortion requires m >= 1 and n >= 1, got m=2, n=-1"),
+        (["run", "convolution-search", "--trials", "0"],
+         "convolution search requires trials >= 1, got trials=0"),
     ], ids=["trace-two-orders", "psd-xp-two-orders", "cosine-n-zero",
             "search-negative-n", "witness-negative-n", "bridge-empty-vectors",
             "contraction-empty-vectors", "verify-without-suite", "run-p-nan", "run-p-inf",
             "config-p-nan", "scan-nan", "scan-inf", "scan-int-overflow", "geom-count-zero",
-            "geom-two-fields"])
+            "geom-two-fields", "bmw-q-zero", "enflo-r-negative", "pisier-p-zero",
+            "grid-negative-m", "grid-negative-n", "search-zero-trials"])
     def test_bad_input_is_named(self, runner, args, message):
         # not numpy's broadcast, stack or scalar-array message, nor the
         # ZeroDivisionError of 0 ** -1 in the budget check or of a block of
@@ -493,12 +499,11 @@ class TestPlanSizedFromTheInput:
     ``--k`` say; the probe and search budget checks count the same way."""
 
     @pytest.fixture()
-    def workdir(self, runner, tmp_path):
-        with runner.isolated_filesystem(temp_dir=tmp_path):
-            f = random_grid_function(8, 4, 1, 4.0, seed=1)
-            Path("f84.json").write_text(json.dumps(f.to_json_dict()))
-            Path("zs.json").write_text(json.dumps({"zs": [[0.3, -0.2], [0.5, 0.1]]}))
-            yield
+    def workdir(self, monkeypatch, tmp_path):
+        monkeypatch.chdir(tmp_path)
+        f = random_grid_function(8, 4, 1, 4.0, seed=1)
+        Path("f84.json").write_text(json.dumps(f.to_json_dict()))
+        Path("zs.json").write_text(json.dumps({"zs": [[0.3, -0.2], [0.5, 0.1]]}))
 
     @pytest.mark.parametrize("args,code,fields,same_as", [
         (["metric-xp", "--function-path", "f84.json", "--m", "2", "--n", "2", "--k", "2",
@@ -622,13 +627,12 @@ class TestEveryReportPath:
     directory and given through ``--config``."""
 
     @pytest.fixture()
-    def workdir(self, runner, tmp_path):
-        with runner.isolated_filesystem(temp_dir=tmp_path):
-            f = random_grid_function(4, 2, 1, 4.0, seed=1)
-            Path("f.json").write_text(json.dumps(f.to_json_dict()))
-            for name in ("a", "b"):
-                np.savetxt(f"{name}.csv", random_psd(3, 1, purpose=name).entries, delimiter=",")
-            yield
+    def workdir(self, monkeypatch, tmp_path):
+        monkeypatch.chdir(tmp_path)
+        f = random_grid_function(4, 2, 1, 4.0, seed=1)
+        Path("f.json").write_text(json.dumps(f.to_json_dict()))
+        for name in ("a", "b"):
+            np.savetxt(f"{name}.csv", random_psd(3, 1, purpose=name).entries, delimiter=",")
 
     @pytest.mark.parametrize("args,config", [
         (["metric-xp", "--m", "2", "--family", "character"], None),
