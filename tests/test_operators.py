@@ -59,7 +59,7 @@ class TestEdgeAverages:
 
 
 def translate_mean(f: GridFunction, ys: list) -> np.ndarray:
-    """mean over y in ys of f(x + y) at every x, by direct indexing."""
+    """Mean over y in ys of f(x + y) at every x, by direct indexing."""
     M, n = f.modulus, f.dimension
     xs = np.array(list(itertools.product(range(M), repeat=n)))
     return np.mean([f.values[tuple(((xs + y) % M).T)] for y in ys],
