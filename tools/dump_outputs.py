@@ -39,7 +39,8 @@ DRAWS = 3
 # runs reach: exact counterexample powers, Pisier and probe sign sums at
 # small n and at sizes past one block of sign sums, the probe on Z_4,
 # scaling witnesses, both grid embeddings, bridges at n = 3 (the second
-# takes its diagonal's Z_16^3 in 13 blocks) and at d = n = 4, a sampled
+# takes its diagonal's Z_16^3 in 13 blocks), at d = n = 4 and at p = 1 (the
+# smallest exponent, a kink at every zero of the integrand), a sampled
 # metric-xp at d = 9 (sums of 8 or more value terms), Monte-Carlo gathers of
 # a mirror law and of three letters over more than one block of samples, a
 # scaling witness and a displacement over a budget of 1,000 terms, sampled
@@ -72,6 +73,7 @@ EXTRA = [
     *(["run", "bridge", "--n", "3", "--m", m, "--k", "2", "--budget", "1e7"]
       for m in ("2", "8")),
     ["run", "bridge", "--n", "4", "--m", "2", "--k", "2"],
+    ["run", "bridge", "--p", "1"],
     ["run", "scaling-witness", "--m", "2", "--n", "5", "--k", "2", "--budget", "1000"],
     ["run", "displacement", "--m", "2", "--n", "4", "--k", "2", "--budget", "1000"],
     *(["run", "scaling-witness", "--m", m, "--n", n, "--k", k]
