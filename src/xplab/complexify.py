@@ -3,6 +3,9 @@
 A pair (u, v) of real d-vectors carries the norm
 ``(∫_0^{2π} ||cos(t) u - sin(t) v||_p^p dt)^{1/p}``, evaluated by the
 periodic trapezoid rule (spectrally accurate for these smooth integrands).
+The integrand has period π (t -> t + π flips the sign of cos(t) u - sin(t) v),
+so the rule's ``DEFAULT_NODES`` nodes on [0, 2π) take each value twice and
+it is evaluated on its half in [0, π), doubled.
 Complex scalars act by ``(a+bi)(u, v) = (au - bv, av + bu)``, under which
 the norm is rotation invariant.  One helper, ``_pair_powers``, evaluates the
 rule for a whole array of pairs ``w = u + iv`` in blocks of bounded size.
@@ -50,8 +53,8 @@ DEFAULT_NODES = 512
 _MOMENT_TOL = 1e-10  # relative change that stops circular_moment's refinement
 
 
-# the trapezoid nodes of every pair quadrature, evaluated once
-_THETA = 2.0 * math.pi * np.arange(DEFAULT_NODES) / DEFAULT_NODES
+# the trapezoid nodes of every pair quadrature in [0, π), evaluated once
+_THETA = 2.0 * math.pi * np.arange(DEFAULT_NODES // 2) / DEFAULT_NODES
 _COS, _SIN = np.cos(_THETA), np.sin(_THETA)
 
 
@@ -59,33 +62,42 @@ def _pair_powers(w: np.ndarray, p: float) -> np.ndarray:
     """||(Re w, Im w)||^p for each complex d-vector on the last axis of ``w``.
 
     2π · mean_θ sum_i |cos θ Re w_i - sin θ Im w_i|^p over the
-    ``DEFAULT_NODES`` periodic trapezoid nodes, over the ``_blocks`` slices
-    of the vectors: at most ``_BLOCK`` float64 elements, or one vector.
-    A block is laid out (pairs, d, nodes), the long node axis innermost:
-    numpy pays per row of a short innermost axis, and d is small (1-3 in
-    the benchmark's bridges).  Each pair's sum runs over its values in node-major order
-    (node, then i), so every float is that of a (nodes, d) layout.
+    ``DEFAULT_NODES`` periodic trapezoid nodes θ_j = 2πj/``DEFAULT_NODES``.
+    The integrand has period π, so the nodes j and j + ``DEFAULT_NODES``/2
+    carry the same value and the rule is 4π/``DEFAULT_NODES`` times the sum
+    over the nodes in [0, π) only.  Over the ``_blocks`` slices of the
+    vectors (at most ``_BLOCK`` float64 elements, or one vector) a block is
+    laid out (pairs, d, nodes), the long node axis innermost: numpy pays
+    per row of a short innermost axis, and d is small (1-3 in the
+    benchmark's bridges).  Each pair's values are summed as one contiguous
+    row in that (d, nodes) order.
     """
     w = np.asarray(w, dtype=complex)
     d = w.shape[-1]
     flat = w.reshape(math.prod(w.shape[:-1]), d)
     out = np.empty(len(flat))
-    for block in _blocks(len(flat), DEFAULT_NODES * max(d, 1)):
+    for block in _blocks(len(flat), _COS.size * max(d, 1)):
         pairs = flat[block, :, None]
         vals = pairs.real * _COS
         vals -= pairs.imag * _SIN
         np.abs(vals, out=vals)
         np.power(vals, p, out=vals)
-        out[block] = vals.transpose(0, 2, 1).reshape(len(vals), -1).sum(axis=1)
-    return (2.0 * math.pi / DEFAULT_NODES) * out.reshape(w.shape[:-1])
+        out[block] = vals.reshape(len(vals), -1).sum(axis=1)
+    return (4.0 * math.pi / DEFAULT_NODES) * out.reshape(w.shape[:-1])
 
 
 def complexification_norm(u: Sequence[float], v: Sequence[float], p: float) -> float:
     """(∫_0^{2π} ||cos(t)u - sin(t)v||_p^p dt)^{1/p}, periodic trapezoid."""
     if p < 1:
         raise ValueError("p must be >= 1")
-    w = np.asarray(u, dtype=float) + 1j * np.asarray(v, dtype=float)
-    return float(_pair_powers(w, p)) ** (1.0 / p)
+    u, v = np.asarray(u, dtype=float), np.asarray(v, dtype=float)
+    if u.ndim != 1 or v.ndim != 1:
+        raise ValueError(f"u and v must be 1-D vectors: got shapes {u.shape} and {v.shape}")
+    if len(u) != len(v):
+        raise ValueError(f"u and v must have one length: got {len(u)} and {len(v)}")
+    if not len(u):
+        raise ValueError("u and v must not be empty: got vectors of length 0")
+    return float(_pair_powers(u + 1j * v, p)) ** (1.0 / p)
 
 
 def complex_scale(

@@ -73,22 +73,38 @@ class TestPairNorm:
 
     @pytest.mark.parametrize("block", [1, 1000, _BLOCK])
     @pytest.mark.parametrize("d", [1, 2, 3, 5, 9])
-    def test_kernel_equals_the_node_major_layout(self, monkeypatch, block, d):
-        # the (nodes, d) layout of each pair, summed over one flat row in
-        # node-major order, bit for bit: one pair per block at _BLOCK 1 and
+    def test_kernel_sums_the_half_period_in_pair_order(self, monkeypatch, block, d):
+        # the (d, nodes) layout of each pair on the nodes in [0, pi), summed
+        # over one flat row, bit for bit: one pair per block at _BLOCK 1 and
         # 1000, several at the default
         monkeypatch.setattr(lattice, "_BLOCK", block)
         rng = np.random.default_rng(d)
         w = rng.normal(size=(5, 30, d)) + 1j * rng.normal(size=(5, 30, d))
         nodes = complexify.DEFAULT_NODES
-        theta = 2.0 * math.pi * np.arange(nodes) / nodes
-        vals = np.cos(theta)[:, None] * w.real[..., None, :]
-        vals -= np.sin(theta)[:, None] * w.imag[..., None, :]
+        theta = 2.0 * math.pi * np.arange(nodes // 2) / nodes
+        vals = w.real[..., None] * np.cos(theta)
+        vals -= w.imag[..., None] * np.sin(theta)
         vals = np.power(np.abs(vals), 3.3)
-        want = (2.0 * math.pi / nodes) * vals.reshape(5, 30, nodes * d).sum(axis=-1)
+        want = (4.0 * math.pi / nodes) * vals.reshape(5, 30, d * nodes // 2).sum(axis=-1)
         got = complexify._pair_powers(w, 3.3)
         assert got.shape == (5, 30)
         assert (got == want).all()
+
+    @pytest.mark.parametrize("p", [1.0, 2.0, 3.3, 6.0])
+    @pytest.mark.parametrize("part", ["complex", "real", "imaginary"])
+    def test_half_period_equals_the_full_rule(self, p, part):
+        # the integrand has period pi: the nodes in [pi, 2 pi) repeat those
+        # in [0, pi) up to the rounding of their cosines and sines
+        rng = np.random.default_rng(11)
+        u, v = rng.normal(size=(2, 40, 3))
+        w = {"complex": u + 1j * v, "real": u + 0j, "imaginary": 1j * v}[part]
+        nodes = complexify.DEFAULT_NODES
+        theta = 2.0 * math.pi * np.arange(nodes) / nodes
+        vals = np.cos(theta)[:, None] * w.real[:, None, :]
+        vals -= np.sin(theta)[:, None] * w.imag[:, None, :]
+        full = (2.0 * math.pi / nodes) * np.abs(vals) ** p
+        full = full.reshape(len(w), -1).sum(axis=1)
+        np.testing.assert_allclose(complexify._pair_powers(w, p), full, rtol=1e-14, atol=0)
 
     def test_moment_factor_on_real_vectors(self):
         # ||(z, 0)||^p = (circular p-moment) ||z||_p^p by rotation invariance

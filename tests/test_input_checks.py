@@ -221,6 +221,17 @@ CASES = {
     # complexify.py
     "pair-norm-p": (lambda: complexification_norm([1.0], [0.0], 0.5),
                     ValueError, "p must be >= 1"),
+    # not a silent broadcast of v, a norm of 0 or numpy's broadcast error
+    "pair-norm-broadcast": (lambda: complexification_norm([1.0, 2.0, 3.0], [0.5], 3.0),
+                            ValueError, "u and v must have one length: got 3 and 1"),
+    "pair-norm-lengths": (lambda: complexification_norm([1.0, 2.0], [1.0, 2.0, 3.0], 3.0),
+                          ValueError, "u and v must have one length: got 2 and 3"),
+    "pair-norm-empty": (lambda: complexification_norm([], [], 3.0),
+                        ValueError, "u and v must not be empty: got vectors of length 0"),
+    "pair-norm-matrix": (lambda: complexification_norm([[1.0]], [[0.0]], 3.0), ValueError,
+                         r"u and v must be 1-D vectors: got shapes \(1, 1\) and \(1, 1\)"),
+    "pair-norm-scalar": (lambda: complexification_norm(1.0, 0.0, 3.0), ValueError,
+                         r"u and v must be 1-D vectors: got shapes \(\) and \(\)"),
     "circular-moment-p": (lambda: circular_moment(0.5), ValueError, "p must be >= 1"),
     "contraction-p": (lambda: contraction_check([1.0], [[1.0]], 0.5, PLAN),
                       ValueError, "p must be >= 1"),
