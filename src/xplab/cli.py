@@ -396,6 +396,16 @@ def _flatten(obj, prefix: str = "") -> dict:
     return out
 
 
+def _check_finite(cells: dict, where: str = "") -> None:
+    """Reject flattened report cells that hold a non-finite number, naming
+    each: a result that overflowed is not a reading, and JSON has no form
+    for it."""
+    bad = [f"{key} = {val}" for key, val in cells.items()
+           if isinstance(val, float) and not math.isfinite(val)]
+    if bad:
+        raise ValueError(f"report fields are not finite{where}: {', '.join(bad)}")
+
+
 def _csv_text(rows: list[dict]) -> str:
     buf = io.StringIO()
     header = list(dict.fromkeys(k for row in rows for k in row))
@@ -421,9 +431,15 @@ def _document_text(cfg: ExperimentConfig) -> tuple[str, int]:
     if not cfg.deterministic:
         document["wall_clock_s"] = wall
     if cfg.format == "json":
-        text = json.dumps(document, sort_keys=True, indent=2) + "\n"
+        try:
+            text = json.dumps(document, sort_keys=True, indent=2, allow_nan=False) + "\n"
+        except ValueError:
+            _check_finite(_flatten(document))
+            raise
     else:
-        text = _csv_text([_flatten(document)])
+        cells = _flatten(document)
+        _check_finite(cells)
+        text = _csv_text([cells])
     return text, 2 if payload.get("warnings") else 0
 
 
@@ -458,6 +474,7 @@ def _scan_text(cfg: ExperimentConfig, name: str, values_csv: str) -> tuple[str, 
         row = {"sweep": name, "value": cast}
         row.update((k, v) for k, v in _flatten(payload).items()
                    if isinstance(v, (int, float, bool)))
+        _check_finite(row, f" at {name}={cast}")
         rows.append(dict(row, warnings="; ".join(payload.get("warnings") or [])))
     return _csv_text(rows), 0
 

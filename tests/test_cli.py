@@ -323,12 +323,28 @@ class TestUsageErrors:
          "grid distortion requires m >= 1 and n >= 1, got m=2, n=-1"),
         (["run", "convolution-search", "--trials", "0"],
          "convolution search requires trials >= 1, got trials=0"),
+        # results that overflow at a finite but huge exponent: not a NaN or
+        # Infinity in the document, nor nan or inf in a CSV cell
+        (["run", "linear-xp", "--p", "1e308", "--deterministic"],
+         "report fields are not finite: report.rhs_terms.rademacher = nan, "
+         "report.implied_constant = nan"),
+        (["run", "trace", "--kind", "main", "--q", "1e300", "--deterministic"],
+         "report fields are not finite: report.lhs = inf, report.rhs_terms.mixed = inf, "
+         "report.implied_constant = nan"),
+        (["run", "trace", "--kind", "main", "--q", "1e300", "--format", "csv"],
+         "report fields are not finite: report.lhs = inf, report.rhs_terms.mixed = inf, "
+         "report.implied_constant = nan"),
+        (["scan", "linear-xp", "--sweep", "p", "--values", "4,1e308"],
+         "report fields are not finite at p=1e+308: rhs_terms.rademacher = nan, "
+         "implied_constant = nan"),
     ], ids=["trace-two-orders", "psd-xp-two-orders", "cosine-n-zero",
             "search-negative-n", "witness-negative-n", "bridge-empty-vectors",
             "contraction-empty-vectors", "verify-without-suite", "run-p-nan", "run-p-inf",
             "config-p-nan", "scan-nan", "scan-inf", "scan-int-overflow", "geom-count-zero",
             "geom-two-fields", "bmw-q-zero", "enflo-r-negative", "pisier-p-zero",
-            "grid-negative-m", "grid-negative-n", "search-zero-trials"])
+            "grid-negative-m", "grid-negative-n", "search-zero-trials", "json-nan",
+            "json-inf", "csv-inf", "scan-row-nan"])
+    @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
     def test_bad_input_is_named(self, runner, args, message):
         # not numpy's broadcast, stack or scalar-array message, nor the
         # ZeroDivisionError of 0 ** -1 in the budget check or of a block of
