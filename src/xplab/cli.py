@@ -420,7 +420,8 @@ def _document_text(cfg: ExperimentConfig) -> tuple[str, int]:
     if cfg.format not in ("json", "csv"):
         raise ValueError(f"unknown format {cfg.format!r}")
     start = time.monotonic()
-    payload = REPORTS[cfg.subcommand](cfg)
+    with np.errstate(over="ignore", invalid="ignore"):  # non-finite fields are named below
+        payload = REPORTS[cfg.subcommand](cfg)
     wall = time.monotonic() - start
     document = {
         "schema": SCHEMA,
@@ -470,7 +471,8 @@ def _scan_text(cfg: ExperimentConfig, name: str, values_csv: str) -> tuple[str, 
     for value in values:
         cast = int(round(value)) if kind == "int" else value
         setattr(cfg, name, cast)
-        payload = REPORTS[cfg.subcommand](cfg)
+        with np.errstate(over="ignore", invalid="ignore"):  # non-finite fields are named below
+            payload = REPORTS[cfg.subcommand](cfg)
         row = {"sweep": name, "value": cast}
         row.update((k, v) for k, v in _flatten(payload).items()
                    if isinstance(v, (int, float, bool)))

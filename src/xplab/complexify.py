@@ -1,14 +1,13 @@
 """Circular-average complexification norm and the metric-to-linear bridge.
 
 A pair (u, v) of real d-vectors carries the norm
-``(∫_0^{2π} ||cos(t) u - sin(t) v||_p^p dt)^{1/p}``, evaluated by the
-periodic trapezoid rule (spectrally accurate for these smooth integrands).
-The integrand has period π (t -> t + π flips the sign of cos(t) u - sin(t) v),
-so the rule's ``DEFAULT_NODES`` nodes on [0, 2π) take each value twice and
-it is evaluated on its half in [0, π), doubled.
+``(∫_0^{2π} ||cos(t) u - sin(t) v||_p^p dt)^{1/p}``.  Coordinate i of the
+integrand is |w_i| cos(t + arg w_i), w_i = u_i + i v_i, and a shift of
+|cos|^p keeps its integral C_p over a period, so the norm is
+``(C_p sum_i |w_i|^p)^{1/p}``: ``_pair_powers`` evaluates it for an array of
+pairs ``w = u + iv``, and ``circular_moment`` checks C_p by quadrature.
 Complex scalars act by ``(a+bi)(u, v) = (au - bv, av + bu)``, under which
-the norm is rotation invariant.  One helper, ``_pair_powers``, evaluates the
-rule for a whole array of pairs ``w = u + iv`` in blocks of bounded size.
+the norm is rotation invariant.
 
 The bridge instantiates the family ``f_delta(x) = sum_j delta_j
 exp(i pi x_j / m) (z_j, 0)`` on ``Z_{2m}^n`` and checks, with explicit
@@ -16,7 +15,7 @@ constants, each intermediate inequality linking the torus functional of the
 family to the sign-sum (linear) functional of the coefficients.  The family
 is evaluated as array code: the pairs of a block of lattice points are one
 matrix product of phase coefficients with ``(z_j)``, and their norms one
-batched quadrature.  Since ``-e^{i pi x/m} = e^{i pi (x+m)/m}``, a sign
+``_pair_powers`` call.  Since ``-e^{i pi x/m} = e^{i pi (x+m)/m}``, a sign
 delta_j = -1 is the shift x_j -> x_j + m, so every term is evaluated at
 delta = +1 only and the sign sums become sums over shifted lattice points.
 """
@@ -53,41 +52,23 @@ DEFAULT_NODES = 512
 _MOMENT_TOL = 1e-10  # relative change that stops circular_moment's refinement
 
 
-# the trapezoid nodes of every pair quadrature in [0, π), evaluated once
-_THETA = 2.0 * math.pi * np.arange(DEFAULT_NODES // 2) / DEFAULT_NODES
-_COS, _SIN = np.cos(_THETA), np.sin(_THETA)
+def _moment_constant(p: float) -> float:
+    """C_p = ∫_0^{2π} |cos t|^p dt = 2 sqrt(pi) Gamma((p+1)/2) / Gamma(p/2 + 1),
+    in logs past p ≈ 341, where ``math.gamma`` overflows."""
+    a, b = (p + 1.0) / 2.0, p / 2.0 + 1.0
+    try:
+        return 2.0 * math.sqrt(math.pi) * math.gamma(a) / math.gamma(b)
+    except OverflowError:
+        return 2.0 * math.sqrt(math.pi) * math.exp(math.lgamma(a) - math.lgamma(b))
 
 
 def _pair_powers(w: np.ndarray, p: float) -> np.ndarray:
-    """||(Re w, Im w)||^p for each complex d-vector on the last axis of ``w``.
-
-    2π · mean_θ sum_i |cos θ Re w_i - sin θ Im w_i|^p over the
-    ``DEFAULT_NODES`` periodic trapezoid nodes θ_j = 2πj/``DEFAULT_NODES``.
-    The integrand has period π, so the nodes j and j + ``DEFAULT_NODES``/2
-    carry the same value and the rule is 4π/``DEFAULT_NODES`` times the sum
-    over the nodes in [0, π) only.  Over the ``_blocks`` slices of the
-    vectors (at most ``_BLOCK`` float64 elements, or one vector) a block is
-    laid out (pairs, d, nodes), the long node axis innermost: numpy pays
-    per row of a short innermost axis, and d is small (1-3 in the
-    benchmark's bridges).  Each pair's values are summed as one contiguous
-    row in that (d, nodes) order.
-    """
-    w = np.asarray(w, dtype=complex)
-    d = w.shape[-1]
-    flat = w.reshape(math.prod(w.shape[:-1]), d)
-    out = np.empty(len(flat))
-    for block in _blocks(len(flat), _COS.size * max(d, 1)):
-        pairs = flat[block, :, None]
-        vals = pairs.real * _COS
-        vals -= pairs.imag * _SIN
-        np.abs(vals, out=vals)
-        np.power(vals, p, out=vals)
-        out[block] = vals.reshape(len(vals), -1).sum(axis=1)
-    return (4.0 * math.pi / DEFAULT_NODES) * out.reshape(w.shape[:-1])
+    """||(Re w, Im w)||^p = C_p sum_i |w_i|^p for each vector on the last axis of ``w``."""
+    return _moment_constant(p) * _norm_power(np.abs(w), p, p)
 
 
 def complexification_norm(u: Sequence[float], v: Sequence[float], p: float) -> float:
-    """(∫_0^{2π} ||cos(t)u - sin(t)v||_p^p dt)^{1/p}, periodic trapezoid."""
+    """(∫_0^{2π} ||cos(t)u - sin(t)v||_p^p dt)^{1/p} = (C_p sum_i |u_i + i v_i|^p)^{1/p}."""
     if p < 1:
         raise ValueError("p must be >= 1")
     u, v = np.asarray(u, dtype=float), np.asarray(v, dtype=float)
@@ -108,20 +89,25 @@ def complex_scale(
     return a * u - b * v, a * v + b * u
 
 
-def circular_moment(p: float) -> float:
-    """∫_0^{2π} |cos t|^p dt by node-doubling trapezoid refinement."""
-    if p < 1:
-        raise ValueError("p must be >= 1")
+def _refined_trapezoid(integrand) -> float:
+    """∫_0^{2π} integrand(t) dt, doubling trapezoid nodes until two values agree."""
     nodes = DEFAULT_NODES
     prev = None
     while nodes <= 1 << 22:
         theta = 2.0 * math.pi * np.arange(nodes) / nodes
-        val = float(2.0 * math.pi * np.mean(np.abs(np.cos(theta)) ** p))
+        val = float(2.0 * math.pi * np.mean(integrand(theta)))
         if prev is not None and abs(val - prev) <= _MOMENT_TOL * max(abs(val), 1.0):
             return val
         prev = val
         nodes *= 2
-    raise ArithmeticError("circular moment quadrature did not converge")
+    raise ArithmeticError("circular quadrature did not converge")
+
+
+def circular_moment(p: float) -> float:
+    """∫_0^{2π} |cos t|^p dt by trapezoid refinement, the independent check of C_p."""
+    if p < 1:
+        raise ValueError("p must be >= 1")
+    return _refined_trapezoid(lambda theta: np.abs(np.cos(theta)) ** p)
 
 
 def circular_moment_report(p: float) -> dict:
@@ -132,9 +118,7 @@ def circular_moment_report(p: float) -> dict:
     factor between quadrature and each form.  Quadrature is ground truth.
     """
     value = circular_moment(p)
-    gamma_form = (
-        2.0 * math.sqrt(math.pi) * math.gamma((p + 1.0) / 2.0) / math.gamma(p / 2.0 + 1.0)
-    )
+    gamma_form = _moment_constant(p)
     doubled_form = 2.0 * gamma_form
     return {
         "p": p,
@@ -196,7 +180,7 @@ def bridge_report(
     and reports the final bookkeeping: a metric implied constant gamma on
     this family entails the linear inequality with constant (2/pi)^{2p} gamma.
 
-    Each pair norm is one batched quadrature over the family, x in blocks.
+    The pair norms of the family are evaluated in closed form, x in blocks.
     A sign delta_j = -1 is the shift x_j -> x_j + m, so the diagonal is one
     norm array g over (y, eps) with delta = +1: the worst (x, eps) row sum
     over delta is the worst sum of g over the 2^n points x + m s, s in
@@ -204,7 +188,7 @@ def bridge_report(
     on (delta_S, x_S) only and come from one sum over x_S; the metric
     half-period moment is the same sum, since the shift multiplies every
     term by -2.  The plan must be exhaustive, and its budget bounds the
-    number of pair quadratures.
+    number of pair norms.
     """
     if p < 1:
         raise ValueError("p must be >= 1")

@@ -36,13 +36,13 @@ the axis-0 sums and ``np.mean``/``np.std`` see the same floats.  int32
 holds x in [0, M) at every M below 2**31, and a table with M = 2**30
 already takes 8 GiB.
 
-Layout rule: the long axis (torus points, samples, quadrature nodes) is
-innermost and the value axis outer.  numpy pays per row of a short innermost
-axis: 4e5 pairs of floats take 7.2 ms to sum over a last axis of 2 and
-0.7 ms as a (2, 4e5) array summed over axis 0, with the same bits.  An
-axis-0 sum adds the d values in order; numpy may add a last axis of 8 or
-more floats pairwise, so at d >= 8 a sample can differ from a value-last
-sum in its last bit.
+Layout rule: the long axis (torus points, samples) is innermost and the
+value axis outer.  numpy pays per row of a short innermost axis: 4e5 pairs
+of floats take 7.2 ms to sum over a last axis of 2 and 0.7 ms as a
+(2, 4e5) array summed over axis 0, with the same bits.  An axis-0 sum adds
+the d values in order; numpy may add a last axis of 8 or more floats
+pairwise, so at d >= 8 a sample can differ from a value-last sum in its
+last bit.
 
 ``subset_stream`` walks the size-k subsets of an exhaustive plan in
 ``itertools.combinations`` order.  A sampled plan draws all of its subsets

@@ -8,7 +8,12 @@ import math
 
 import numpy as np
 
-from .complexify import bridge_report, circular_moment_report, complexification_norm
+from .complexify import (
+    _refined_trapezoid,
+    bridge_report,
+    circular_moment_report,
+    complexification_norm,
+)
 from .embeddings import (
     grid_round_map,
     schoenberg_embed,
@@ -208,11 +213,19 @@ def _suite_complexify() -> list[Check]:
     uu = math.cos(1.1) * u - math.sin(1.1) * v
     vv = math.cos(1.1) * v + math.sin(1.1) * u
     rot_err = abs(complexification_norm(uu, vv, 3.0) - base)
+    # closed forms against quadratures at a p where |cos t|^p has kinks
+    p = 3.3
+    gamma_err = abs(circular_moment_report(p)["gamma_form_mismatch"] - 1.0)
+    pair = _refined_trapezoid(
+        lambda t: (np.abs(np.outer(np.cos(t), u) - np.outer(np.sin(t), v)) ** p).sum(axis=1))
+    pair_err = abs(complexification_norm(u, v, p) ** p / pair - 1.0)
     plan = make_sample_plan(4, 2, 1, budget=10**6, seed=2)
     br = bridge_report(np.eye(2).tolist(), 2, 1, 4.0, plan)
     return [
         _below("circular moment p=2 equals pi", mom_err, 1e-9),
         _below("rotation invariance of the pair norm", rot_err, 1e-8),
+        _below("circular moment p=3.3 vs gamma form", gamma_err, 1e-9),
+        _below("pair norm p=3.3 vs its quadrature", pair_err, 1e-9),
         _holds("bridge intermediate bounds",
                all(d["holds"] for d in br.extra["intermediates"].values())),
     ]

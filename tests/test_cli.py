@@ -344,7 +344,7 @@ class TestUsageErrors:
             "geom-two-fields", "bmw-q-zero", "enflo-r-negative", "pisier-p-zero",
             "grid-negative-m", "grid-negative-n", "search-zero-trials", "json-nan",
             "json-inf", "csv-inf", "scan-row-nan"])
-    @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_bad_input_is_named(self, runner, args, message):
         # not numpy's broadcast, stack or scalar-array message, nor the
         # ZeroDivisionError of 0 ** -1 in the budget check or of a block of
@@ -776,6 +776,24 @@ class TestEntryPoint:
             proc.stdout.close()
             assert proc.wait(timeout=60) == 1
             assert proc.stderr.read() == b""
+
+    @pytest.mark.parametrize("args", [
+        ["run", "linear-xp", "--p", "1e308", "--deterministic"],
+        ["run", "linear-xp", "--p", "1e308", "--format", "csv"],
+        ["scan", "linear-xp", "--sweep", "p", "--values", "4,1e308"],
+    ], ids=["run-json", "run-csv", "scan"])
+    def test_overflow_leaves_one_json_line_on_stderr(self, args):
+        # numpy's overflow warning would go to stderr ahead of the error; in
+        # process, pytest captures warnings, so this runs in a subprocess
+        src = Path(cli.__file__).resolve().parent.parent
+        result = subprocess.run([sys.executable, "-m", "xplab.cli", *args],
+                                env={**os.environ, "PYTHONPATH": str(src)},
+                                capture_output=True, text=True, timeout=60)
+        assert result.returncode == 1
+        assert result.stdout == ""
+        lines = result.stderr.splitlines()
+        assert len(lines) == 1, result.stderr
+        assert json.loads(lines[0])["message"].startswith("report fields are not finite")
 
     def test_help_lists_every_command(self, runner):
         res = runner.invoke(main, ["--help"])

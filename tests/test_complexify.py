@@ -39,6 +39,11 @@ class TestCircularMoment:
         assert rep["doubled_gamma_form_mismatch"] == pytest.approx(0.5, abs=1e-9)
         assert rep["flag"]
 
+    @pytest.mark.parametrize("p", [3.3, 341.0, 341.5, 400.0, 401.5])
+    def test_moment_constant_is_the_quadrature(self, p):
+        # math.gamma overflows past p = 341.2; the log form takes over there
+        assert complexify._moment_constant(p) == pytest.approx(circular_moment(p), rel=1e-9)
+
     @settings(max_examples=15, deadline=None)
     @given(p=st.floats(1.0, 10.0))
     def test_matches_gamma_ratio(self, p):
@@ -71,30 +76,26 @@ class TestPairNorm:
             3 * complexification_norm(u, v, 4.0)
         )
 
-    @pytest.mark.parametrize("block", [1, 1000, _BLOCK])
-    @pytest.mark.parametrize("d", [1, 2, 3, 5, 9])
-    def test_kernel_sums_the_half_period_in_pair_order(self, monkeypatch, block, d):
-        # the (d, nodes) layout of each pair on the nodes in [0, pi), summed
-        # over one flat row, bit for bit: one pair per block at _BLOCK 1 and
-        # 1000, several at the default
-        monkeypatch.setattr(lattice, "_BLOCK", block)
-        rng = np.random.default_rng(d)
-        w = rng.normal(size=(5, 30, d)) + 1j * rng.normal(size=(5, 30, d))
-        nodes = complexify.DEFAULT_NODES
-        theta = 2.0 * math.pi * np.arange(nodes // 2) / nodes
-        vals = w.real[..., None] * np.cos(theta)
-        vals -= w.imag[..., None] * np.sin(theta)
-        vals = np.power(np.abs(vals), 3.3)
-        want = (4.0 * math.pi / nodes) * vals.reshape(5, 30, d * nodes // 2).sum(axis=-1)
-        got = complexify._pair_powers(w, 3.3)
-        assert got.shape == (5, 30)
-        assert (got == want).all()
-
     @pytest.mark.parametrize("p", [1.0, 2.0, 3.3, 6.0])
     @pytest.mark.parametrize("part", ["complex", "real", "imaginary"])
-    def test_half_period_equals_the_full_rule(self, p, part):
-        # the integrand has period pi: the nodes in [pi, 2 pi) repeat those
-        # in [0, pi) up to the rounding of their cosines and sines
+    def test_kernel_is_the_closed_form(self, p, part):
+        # coordinate i is |w_i| cos(t + arg w_i), and a shifted |cos|^p has
+        # the integral C_p over a period
+        rng = np.random.default_rng(7)
+        u, v = rng.normal(size=(2, 5, 30, 3))
+        w = {"complex": u + 1j * v, "real": u + 0j, "imaginary": 1j * v}[part]
+        c_p = 2 * math.sqrt(math.pi) * math.gamma((p + 1) / 2) / math.gamma(p / 2 + 1)
+        want = c_p * np.sum(np.hypot(w.real, w.imag) ** p, axis=-1)
+        got = complexify._pair_powers(w, p)
+        assert got.shape == (5, 30)
+        np.testing.assert_allclose(got, want, rtol=1e-14, atol=0)
+
+    @pytest.mark.parametrize("p", [2.0, 4.0, 6.0])
+    @pytest.mark.parametrize("part", ["complex", "real", "imaginary"])
+    def test_full_rule_is_exact_at_even_p(self, p, part):
+        # at even p the integrand is a trigonometric polynomial of degree p,
+        # which the periodic trapezoid rule on more than p nodes integrates
+        # exactly
         rng = np.random.default_rng(11)
         u, v = rng.normal(size=(2, 40, 3))
         w = {"complex": u + 1j * v, "real": u + 0j, "imaginary": 1j * v}[part]
@@ -143,6 +144,22 @@ class TestBridge:
         assert rep.extra["linear_constant_from_gamma"] == pytest.approx(
             (2 / math.pi) ** 8 * rep.extra["metric"]["gamma"]
         )
+
+    def test_flags_at_p_one(self):
+        # at p = 1 the half-period bound is an equality (C_1 = 4 =
+        # 2^{p+1}/pi^{p-1}) and holds to rounding; the edge constant
+        # pi^{p+1}/m^p needs C_p <= pi, which fails at p = 1 (C_1 = 4): the
+        # edge ratio is 2 sin(pi/4) C_1 / (pi^2/2) = 8 sqrt(2)/pi^2 = 1.146
+        rep = bridge_report(np.eye(2).tolist(), m=2, k=1, p=1.0, plan=plan_for(4, 2))
+        flags = rep.extra["intermediates"]
+        assert flags["half_period_lower"]["holds"]
+        assert flags["half_period_lower"]["lhs"] == pytest.approx(
+            flags["half_period_lower"]["rhs"], rel=1e-15)
+        assert not flags["edge_upper"]["holds"]
+        ratio = flags["edge_upper"]["lhs"] / flags["edge_upper"]["rhs"]
+        assert ratio == pytest.approx(8 * math.sqrt(2) / math.pi**2, rel=1e-14)
+        assert round(ratio, 3) == 1.146
+        assert flags["diagonal_upper"]["holds"]
 
     @pytest.mark.parametrize("d", [1, 2])
     def test_linear_side_is_the_linear_report(self, d):
@@ -200,16 +217,16 @@ class TestBridge:
             bridge_report(np.eye(2).tolist(), m=2, k=1, p=4.0, plan=plan)
 
     def test_budget_counts_every_quadrature(self, monkeypatch):
-        # the guard once counted M^n 2^n only, below the pair quadratures the
+        # the guard once counted M^n 2^n only, below the pair norms the
         # half-period and edge terms add; count what the report evaluates
         zs = [[0.3, -1.0], [0.5, 0.2], [1.0, 0.1]]
         plan = make_sample_plan(4, 3, 2, budget=10**7, seed=0)
         pairs = []
-        quadrature = complexify._pair_powers
+        kernel = complexify._pair_powers
 
         def counting(w, *args):
             pairs.append(math.prod(np.shape(w)[:-1]))
-            return quadrature(w, *args)
+            return kernel(w, *args)
 
         monkeypatch.setattr(complexify, "_pair_powers", counting)
         bridge_report(zs, m=2, k=2, p=4.0, plan=plan)
@@ -245,7 +262,7 @@ class TestBridge:
 
 
 def reference_bridge(zs, m, k, p):
-    """Every numeric bridge field with one quadrature per family member."""
+    """Every numeric bridge field with one pair norm per family member."""
     z = np.asarray(zs, dtype=float)
     n, d = z.shape
     M = 2 * m
