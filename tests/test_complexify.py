@@ -158,7 +158,6 @@ class TestBridge:
         assert not flags["edge_upper"]["holds"]
         ratio = flags["edge_upper"]["lhs"] / flags["edge_upper"]["rhs"]
         assert ratio == pytest.approx(8 * math.sqrt(2) / math.pi**2, rel=1e-14)
-        assert round(ratio, 3) == 1.146
         assert flags["diagonal_upper"]["holds"]
 
     @pytest.mark.parametrize("d", [1, 2])
