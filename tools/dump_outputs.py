@@ -55,6 +55,7 @@ EXTRA = [
     ["run", "cotype", "--variant", "three-letter", "--m", "4", "--n", "4", "--d", "3",
      "--budget", "1e5"],
     ["run", "linear-xp", "--n", "40", "--k", "3", "--budget", "1000"],
+    ["run", "linear-xp", "--n", "16", "--k", "8", "--p", "4", "--budget", "4096"],
     ["run", "khinchine", "--n", "2", "--k", "3"],
     ["run", "psd-xp", "--n", "21", "--k", "2", "--d", "2"],
     ["run", "psd-xp", "--q", "3", "--d", "1"],
