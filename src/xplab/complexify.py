@@ -37,7 +37,7 @@ from .inequalities import (
     signed_power_mean,
     subset_average,
 )
-from .lattice import SamplePlan, _blocks, _norm_power, _pattern_rows
+from .lattice import SamplePlan, _blocks, _fsum_rows, _norm_power, _pattern_rows
 
 __all__ = [
     "complexification_norm",
@@ -205,6 +205,9 @@ def bridge_report(
         return np.exp(1j * math.pi * x / m)
 
     signs = _pattern_rows((-1, 1), n)
+    # numpy powers of the constants overflow to inf, which the CLI names, where
+    # Python float powers raise OverflowError (past p ≈ 621 for pi ** p)
+    two, pi = np.float64(2.0), np.float64(math.pi)
 
     # linear side: sign moments of the raw coefficients in l_p^d
     lp_power = functools.partial(_norm_power, value_p=p, power=p)
@@ -222,13 +225,13 @@ def bridge_report(
                  for block in _blocks(len(x), 2 * M * (len(cols) + d))]
         # with delta_S = +1: 2^|S| signs and (2M)^{n-|S|} free coordinates
         # give the same term
-        return 2**n * M ** (n - len(cols)) * math.fsum(np.concatenate(total, axis=None))
+        return 2**n * M ** (n - len(cols)) * _fsum_rows(np.concatenate(total, axis=None)[None])[0]
 
     # a sum over all 2^n sign rows repeats each row of the |S| columns 2^(n-|S|)
     # times, so its math.fsum is 2^n times the kernel's mean over those rows
     def half_period_rhs(S: tuple[int, ...]) -> float:
         mean = _signed_sum_means(zmat, [S], _pattern_rows((-1.0, 1.0), len(S)), lp_power)[0]
-        return (2.0 ** (p + 1.0) * M**n / math.pi ** (p - 1.0)) * (2**n * mean)
+        return float(two ** (p + 1.0) * M**n / pi ** (p - 1.0)) * (2**n * mean)
 
     hp_lhs = subset_average(half_period_lhs, n, k, plan)
     hp_rhs = subset_average(half_period_rhs, n, k, plan)
@@ -236,10 +239,10 @@ def bridge_report(
     # intermediate 2: single-coordinate (edge) upper bound
     step = float(abs(phase(1) - 1.0))
     edge_lhs = step**p * math.fsum(_pair_powers(zmat + 0j, p))
-    edge_rhs = (math.pi ** (p + 1.0) / m**p) * linear_lp
+    edge_rhs = float(pi ** (p + 1.0) / m**p) * linear_lp
 
     # intermediate 3: diagonal (contraction) upper bound, worst (x, eps)
-    diag_rhs = (2.0 * math.pi ** (p + 1.0) / m**p) * (2**n * linear_full)
+    diag_rhs = float(2.0 * pi ** (p + 1.0) / m**p) * (2**n * linear_full)
     y = _pattern_rows(np.arange(M), n)
     g = np.concatenate([
         _pair_powers((phase(y[block, None, :] + signs) - phase(y[block, None, :])) @ zmat, p)
@@ -257,7 +260,7 @@ def bridge_report(
     x = np.arange(M)
     edges = _pair_powers((phase(x + 1) - phase(x))[:, None, None] * zmat, p)
     metric_edges = math.fsum(edges.sum(axis=0) / M)
-    metric_diag = math.fsum(g.ravel()) / g.size
+    metric_diag = _fsum_rows(g.reshape(1, -1))[0] / g.size
 
     metric_rhs = (k / n) * metric_edges + (k / n) ** (p / 2.0) * metric_diag
     gamma = None if metric_rhs == 0.0 else metric_lhs / metric_rhs

@@ -26,6 +26,7 @@ from .lattice import (
     SymmetricDiagonal,
     ThreeLetterDiagonal,
     _blocks,
+    _fsum_rows,
     _norm_power,
     _pattern_rows,
     gap_moment,
@@ -158,7 +159,9 @@ def _signed_sum_means(
     Otherwise each subset adds eps_j items[j-1] in j order over the
     ``_blocks`` slices of the sign rows: the floats of a loop over the
     patterns, whatever the chunk.  ``power_fn`` maps each (u, batch, ...)
-    array of sums to one float per sum; ``math.fsum`` combines a subset's.
+    array of sums to one float per sum, and a subset's floats are combined
+    by ``lattice._fsum_rows``, which returns their ``math.fsum`` bit for bit
+    without a Python float per sum.
     """
     coeffs = np.asarray(items, dtype=float)
     flat = coeffs.reshape(len(coeffs), -1)
@@ -172,7 +175,7 @@ def _signed_sum_means(
         for block in _blocks(len(subsets), size):
             stack = flat[np.asarray(subsets[block]) - 1]  # (u, s, D)
             vals = powers(np.matmul(patterns, stack))
-            means.extend(math.fsum(row.tolist()) / len(row) for row in vals)
+            means.extend(total / vals.shape[1] for total in _fsum_rows(vals))
         return means
     for S in subsets:
         vals = []
@@ -181,8 +184,9 @@ def _signed_sum_means(
             sums = chunk[:, :1] * flat[S[0] - 1]
             for col, j in enumerate(S[1:], 1):
                 sums += chunk[:, col, None] * flat[j - 1]
-            vals += powers(sums[None])[0].tolist()
-        means.append(math.fsum(vals) / len(vals))
+            vals.append(powers(sums[None]))
+        vals = np.concatenate(vals, axis=1)
+        means.append(_fsum_rows(vals)[0] / vals.shape[1])
     return means
 
 
@@ -438,7 +442,7 @@ class Pisier:
 
 def _cube_mean_power(diff: np.ndarray, power: float) -> float:
     vals = _norm_power(diff, 2.0, power)
-    return math.fsum(vals.ravel().tolist()) / vals.size
+    return _fsum_rows(vals.reshape(1, -1))[0] / vals.size
 
 
 def smoothness_report(h: HypercubeFunction, kind: Enflo | BMW | Pisier) -> InequalityReport:
@@ -476,8 +480,8 @@ def smoothness_report(h: HypercubeFunction, kind: Enflo | BMW | Pisier) -> Inequ
     lhs = _cube_mean_power(anti, p)
     rhs = _signed_sum_means(
         flips, [tuple(range(1, n + 1))], _pattern_rows((-1.0, 1.0), n),
-        lambda sums: [[math.fsum(row.tolist()) / row.size for row in block] for block
-                      in _norm_power(sums, 2.0, p).reshape(sums.shape[:2] + (-1,))],
+        lambda sums: np.reshape(_fsum_rows(_norm_power(sums, 2.0, p).reshape(-1, 2**n)),
+                                sums.shape[:2]) / 2**n,
     )[0]
     return _finalize("pisier", {"p": p, "n": n, "d": h.value_dim}, lhs, {"rad_diff": rhs}, None)
 
@@ -677,7 +681,7 @@ def displacement_report(
     S = tuple(int(j) for j in S)
     avg = box_average(f, DS(S, R))
     diff = f.values - avg.values
-    lhs = math.fsum(_norm_power(diff, f.value_p, p).ravel().tolist())
+    lhs = _fsum_rows(_norm_power(diff, f.value_p, p).reshape(1, -1))[0]
     plan = make_sample_plan(M, n, 0, npoints * 2**n, 0)
     diag = R**p * npoints * gap_moment(f, Diagonal(), plan, power=p)
     set_term = npoints * gap_moment(f, ShiftedSet(S, 1), plan, power=p)

@@ -53,6 +53,9 @@ Every finite sum of the library is enumerated by ``_pattern_rows`` (signs,
 Z_M^n, {0..m}^n), planned by ``make_sample_plan`` and blocked by ``_blocks``:
 a loop over items of ``size`` floats takes slices of at most
 ``_BLOCK // size`` items and at least one, so one constant bounds them all.
+Where a report adds up the rows of such a block in ``math.fsum``'s correctly
+rounded way, ``_fsum_rows`` returns ``math.fsum``'s floats, bit for bit,
+from a TwoSum tree in numpy instead of a Python float per value.
 """
 
 from __future__ import annotations
@@ -432,6 +435,68 @@ def _blocks(count: int, size: int) -> Iterator[slice]:
     step = max(1, _BLOCK // size)
     for start in range(0, count, step):
         yield slice(start, min(start + step, count))
+
+
+_FSUM_TREE_MIN = 2048  # floats from which _fsum_rows's tree beats math.fsum (measured)
+
+
+def _fsum_rows(vals: np.ndarray) -> list[float]:
+    """``math.fsum`` of each row of a 2-D float block, bit for bit.
+
+    Blocks of fewer than ``_FSUM_TREE_MIN`` floats, where the tree's fixed
+    cost (7 numpy calls per halving and about 20 more) outweighs a Python
+    float per value, take ``math.fsum(row)`` directly.  Otherwise each row,
+    zero-padded to a power-of-two width W and laid out rows innermost, is
+    halved by TwoSum (s = a + b and its exact error e) down to one float hi,
+    so the row's exact sum is hi + sum(e).  The errors are folded into lo,
+    and r = hi + lo is split once more by TwoSum into r + e2.  Adding the
+    W - 1 errors in any order is off by less than bound = 4 W 2^-53 sum|e|,
+    so r is the correctly rounded sum, which ``math.fsum`` returns, when
+    e2 - bound and e2 + bound lie strictly inside half the gaps to r's
+    neighbours.  Rows that this does not certify (exact ties, zero or
+    subnormal sums, NaN or infinite values) and rows whose largest |value|
+    passes 2^1020 / W, where ``math.fsum``'s running sum could overflow
+    though the tree's sums do not, are handed to ``math.fsum`` in row order,
+    so its results and its exceptions are kept.
+    """
+    rows, size = vals.shape
+    if vals.size < _FSUM_TREE_MIN:
+        return [math.fsum(row) for row in vals.tolist()]
+    width = 1 << (size - 1).bit_length()
+    # rows that overflow here or hold NaN or inf go to math.fsum: no warning
+    with np.errstate(over="ignore", invalid="ignore"):
+        hi = np.empty((width, rows))
+        hi[:size], hi[size:] = vals.T, 0.0
+        peak = np.maximum(vals.max(axis=1), -vals.min(axis=1))
+        err = np.empty((2, width, rows))  # a level's h errors in err[0, h:2h]
+        err[0, 0] = 0.0
+        h = width
+        while h > 1:
+            h //= 2
+            a, b = hi[:h], hi[h:2 * h]
+            s = a + b
+            z = s - a
+            e = np.subtract(s, z, out=err[0, h:2 * h])
+            np.subtract(a, e, out=e)
+            e += np.subtract(b, z, out=z)
+            hi = s
+        np.abs(err[0], out=err[1])
+        h = width
+        while h > 1:  # fold the errors and their moduli into err[:, 0]
+            h //= 2
+            err[:, :h] += err[:, h:2 * h]
+        hi, (lo, mass) = hi[0], err[:, 0]
+        r = hi + lo
+        z = r - hi
+        e2 = (hi - (r - z)) + (lo - z)
+        bound = (4 * width * 2.0**-53) * mass
+        up = (np.nextafter(r, np.inf) - r) / 2
+        down = (r - np.nextafter(r, -np.inf)) / 2
+        certified = (e2 + bound < up) & (e2 - bound > -down) & (peak <= 2.0**1020 / width)
+    sums = r.tolist()
+    for i in np.flatnonzero(~certified).tolist():
+        sums[i] = math.fsum(vals[i].tolist())
+    return sums
 
 
 def gap_moment_estimate(

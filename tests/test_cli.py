@@ -337,13 +337,17 @@ class TestUsageErrors:
         (["scan", "linear-xp", "--sweep", "p", "--values", "4,1e308"],
          "report fields are not finite at p=1e+308: rhs_terms.rademacher = nan, "
          "implied_constant = nan"),
+        # pi ** (p + 1) passes the largest float: not an OverflowError
+        (["run", "bridge", "--p", "625", "--deterministic"],
+         "report fields are not finite: report.extra.intermediates.edge_upper.rhs = inf, "
+         "report.extra.intermediates.diagonal_upper.rhs = inf"),
     ], ids=["trace-two-orders", "psd-xp-two-orders", "cosine-n-zero",
             "search-negative-n", "witness-negative-n", "bridge-empty-vectors",
             "contraction-empty-vectors", "verify-without-suite", "run-p-nan", "run-p-inf",
             "config-p-nan", "scan-nan", "scan-inf", "scan-int-overflow", "geom-count-zero",
             "geom-two-fields", "bmw-q-zero", "enflo-r-negative", "pisier-p-zero",
             "grid-negative-m", "grid-negative-n", "search-zero-trials", "json-nan",
-            "json-inf", "csv-inf", "scan-row-nan"])
+            "json-inf", "csv-inf", "scan-row-nan", "bridge-huge-p"])
     @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_bad_input_is_named(self, runner, args, message):
         # not numpy's broadcast, stack or scalar-array message, nor the
@@ -781,7 +785,8 @@ class TestEntryPoint:
         ["run", "linear-xp", "--p", "1e308", "--deterministic"],
         ["run", "linear-xp", "--p", "1e308", "--format", "csv"],
         ["scan", "linear-xp", "--sweep", "p", "--values", "4,1e308"],
-    ], ids=["run-json", "run-csv", "scan"])
+        ["run", "bridge", "--p", "625", "--deterministic"],
+    ], ids=["run-json", "run-csv", "scan", "bridge"])
     def test_overflow_leaves_one_json_line_on_stderr(self, args):
         # numpy's overflow warning would go to stderr ahead of the error; in
         # process, pytest captures warnings, so this runs in a subprocess

@@ -528,6 +528,141 @@ class TestBlocks:
                    for s in slices)
 
 
+def _fsum_or_error(row: list[float]) -> str:
+    """``math.fsum(row)`` as its hex bits (so -0.0 and NaN compare), or its
+    exception's type and message."""
+    try:
+        return math.fsum(row).hex()
+    except (OverflowError, ValueError) as exc:
+        return f"{type(exc).__name__}: {exc}"
+
+
+def _tree_or_error(vals: np.ndarray) -> list[str]:
+    """``_fsum_rows`` of each row alone, in the form of ``_fsum_or_error``."""
+    out = []
+    for row in vals:
+        try:
+            out.append(lattice._fsum_rows(row[None])[0].hex())
+        except (OverflowError, ValueError) as exc:
+            out.append(f"{type(exc).__name__}: {exc}")
+    return out
+
+
+_FSUM_RNG = np.random.default_rng(27)
+_ZEROS = _FSUM_RNG.standard_normal((4, 150)) * 10.0 ** _FSUM_RNG.integers(-20, 21, (4, 150))
+
+
+class TestFsumRows:
+    """``_fsum_rows`` returns ``math.fsum`` of each row bit for bit, its
+    exceptions included, on both sides of the tree's crossover."""
+
+    ROWS = {
+        "wide-exponents": _FSUM_RNG.standard_normal((6, 300))
+        * 10.0 ** _FSUM_RNG.integers(-30, 31, (6, 300)),
+        "cancel-to-zero": np.concatenate([_ZEROS, -_ZEROS[:, ::-1]], axis=1),
+        "near-cancel": np.concatenate([_ZEROS, -_ZEROS[:, ::-1], np.full((4, 1), 1e-300)], axis=1),
+        "all-zero": np.zeros((3, 17)),
+        "signed-zero": np.full((3, 9), -0.0),
+        "lone-signed-zero": np.array([[-0.0], [0.0]]),
+        "subnormal": _FSUM_RNG.integers(-1000, 1000, (5, 64)) * 5e-324,
+        "subnormal-and-normal": np.concatenate(
+            [_FSUM_RNG.integers(-1000, 1000, (5, 64)) * 5e-324, np.full((5, 1), 2.0**-1000)], axis=1),
+        "width-1": _FSUM_RNG.standard_normal((7, 1)),
+        "width-3": _FSUM_RNG.standard_normal((7, 3)),
+        "width-250": _FSUM_RNG.standard_normal((7, 250)) ** 4,
+        "width-1000": _FSUM_RNG.standard_normal((3, 1000)) * 1e10,
+        "small-integers": _FSUM_RNG.integers(-5, 6, (8, 33)) * 2.0 ** _FSUM_RNG.integers(-60, 60, (8, 33)),
+    }
+
+    @pytest.mark.parametrize("name", sorted(ROWS))
+    def test_equals_fsum(self, monkeypatch, name):
+        monkeypatch.setattr(lattice, "_FSUM_TREE_MIN", 0)
+        vals = self.ROWS[name]
+        want = [_fsum_or_error(row) for row in vals.tolist()]
+        assert [total.hex() for total in lattice._fsum_rows(vals)] == want
+        assert _tree_or_error(vals) == want
+
+    @pytest.mark.parametrize("row,total", [
+        ([1.0, 2.0**-53], 1.0),  # halfway to the next float: to even
+        ([1.0, -(2.0**-54)], 1.0),  # halfway to the float below, half as far
+        ([2.0**-53, 3.0, 2.0**-53], 3.0),  # halfway, from two halves
+    ], ids=["tie-above", "tie-below", "tie-in-two-halves"])
+    def test_ties_fall_back_to_fsum(self, monkeypatch, row, total):
+        monkeypatch.setattr(lattice, "_FSUM_TREE_MIN", 0)
+        assert math.fsum(row) == total
+        with mock.patch.object(lattice.math, "fsum", wraps=math.fsum) as spy:
+            assert lattice._fsum_rows(np.array([row])) == [total]
+        assert spy.call_count == 1
+
+    @pytest.mark.parametrize("row,total", [
+        ([1.0, 2.0**-53, 2.0**-100], 1.0000000000000002),
+        ([1.0, -(2.0**-54), -(2.0**-100)], 0.9999999999999999),
+        ([2.0**1010] * 300, float(300 * 2**1010)),
+    ], ids=["past-tie-above", "past-tie-below", "large"])
+    def test_rows_next_to_a_tie_are_certified(self, monkeypatch, row, total):
+        # 2^-100 past the tie is far outside the error bound of lo
+        monkeypatch.setattr(lattice, "_FSUM_TREE_MIN", 0)
+        assert math.fsum(row) == total
+        with mock.patch.object(lattice.math, "fsum", wraps=math.fsum) as spy:
+            assert lattice._fsum_rows(np.array([row])) == [total]
+        assert spy.call_count == 0
+
+    def test_positive_rows_are_certified(self, monkeypatch):
+        # sums of powers, the library's rows, never reach math.fsum
+        monkeypatch.setattr(lattice, "_FSUM_TREE_MIN", 0)
+        vals = np.random.default_rng(5).standard_normal((64, 500)) ** 4
+        with mock.patch.object(lattice.math, "fsum", wraps=math.fsum) as spy:
+            got = lattice._fsum_rows(vals)
+        assert spy.call_count == 0
+        assert got == [math.fsum(row) for row in vals.tolist()]
+
+    @pytest.mark.parametrize("row", [
+        [1e308, 1e308],
+        [1e308, 1e308, -1e308],  # the tree's sums stay finite; fsum's running sum does not
+        [1.7e308, -1e308, 1.7e308, -1.7e308],
+        [-math.inf, 1e308, 1e308],
+        [1.0, math.inf, -math.inf],
+    ], ids=["overflow", "overflow-tree-finite", "overflow-late", "overflow-after-inf",
+            "inf-minus-inf"])
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_raises_as_fsum_does(self, monkeypatch, row):
+        monkeypatch.setattr(lattice, "_FSUM_TREE_MIN", 0)
+        with pytest.raises((OverflowError, ValueError)) as want:
+            math.fsum(row)
+        with pytest.raises(type(want.value)) as got:
+            lattice._fsum_rows(np.array([[1.0] * len(row), row]))
+        assert str(got.value) == str(want.value)
+
+    @pytest.mark.parametrize("row", [
+        [1.0, math.inf, 2.0], [-math.inf, 1.0], [1.0, math.nan], [1.7e308, 1.7e308 / 2**53],
+    ], ids=["inf", "minus-inf", "nan", "largest-float"])
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_non_finite_rows(self, monkeypatch, row):
+        monkeypatch.setattr(lattice, "_FSUM_TREE_MIN", 0)
+        assert lattice._fsum_rows(np.array([row]))[0].hex() == math.fsum(row).hex()
+
+    @settings(max_examples=200, deadline=None)
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @given(st.lists(st.lists(st.floats(allow_nan=False, width=64), min_size=5, max_size=5),
+                    min_size=1, max_size=40))
+    def test_equals_fsum_on_drawn_rows(self, columns):
+        vals = np.array(columns).T.copy()  # 5 rows of 1 to 40 floats
+        with mock.patch.object(lattice, "_FSUM_TREE_MIN", 0):
+            assert _tree_or_error(vals) == [_fsum_or_error(row) for row in vals.tolist()]
+
+    def test_same_floats_on_both_sides_of_the_crossover(self):
+        # rows of 64 floats: 31 of them are one float short of 2048, 32 reach it
+        vals = np.random.default_rng(6).standard_normal((32, 64)) ** 3
+        assert lattice._FSUM_TREE_MIN == 32 * 64
+        with mock.patch.object(lattice.math, "fsum", wraps=math.fsum) as spy:
+            below = lattice._fsum_rows(vals[:31])
+            calls = spy.call_count
+            above = lattice._fsum_rows(vals)
+        assert calls == 31 and spy.call_count - calls < 32
+        assert below == above[:31]
+        assert above == [math.fsum(row) for row in vals.tolist()]
+
+
 class TestGeodesic:
     def test_known_path(self):
         path = geodesic((3, 1))
