@@ -178,14 +178,14 @@ def _signed_sum_means(
             means.extend(total / vals.shape[1] for total in _fsum_rows(vals))
         return means
     for S in subsets:
-        vals = []
+        parts = []
         for block in _blocks(len(patterns), flat.shape[1]):
             chunk = patterns[block]
             sums = chunk[:, :1] * flat[S[0] - 1]
             for col, j in enumerate(S[1:], 1):
                 sums += chunk[:, col, None] * flat[j - 1]
-            vals.append(powers(sums[None]))
-        vals = np.concatenate(vals, axis=1)
+            parts.append(powers(sums[None]))
+        vals = np.concatenate(parts, axis=1)
         means.append(_fsum_rows(vals)[0] / vals.shape[1])
     return means
 
