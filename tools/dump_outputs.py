@@ -38,7 +38,8 @@ DRAWS = 3
 # valid sizes of reports whose code neither the benchmark nor the default
 # runs reach: exact counterexample powers, Pisier and probe sign sums at
 # small n and at sizes past one block of sign sums, the probe on Z_4,
-# scaling witnesses, both grid embeddings, bridges at n = 3 (the second
+# scaling witnesses, both grid embeddings (at n = 8 over more than one block
+# of pairwise rows), bridges at n = 3 (the second
 # takes its diagonal's Z_16^3 in 13 blocks), at d = n = 4 and at p = 1 (the
 # smallest exponent, a kink at every zero of the integrand), a sampled
 # metric-xp at d = 9 (sums of 8 or more value terms), Monte-Carlo gathers of
@@ -81,6 +82,8 @@ EXTRA = [
       for m, n, k in (("1", "1", "1"), ("3", "2", "2"), ("4", "3", "2"))),
     *(["run", "grid-distortion", "--which", which, "--m", m, "--n", "2"]
       for which in ("rosenthal", "schoenberg") for m in ("2", "3")),
+    *(["run", "grid-distortion", "--which", which, "--m", "1", "--n", "8"]
+      for which in ("rosenthal", "schoenberg")),
 ]
 # help, version and usage errors of the entry point, run without
 # --deterministic
