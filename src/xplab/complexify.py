@@ -31,7 +31,6 @@ import numpy as np
 from .inequalities import (
     InequalityReport,
     _as_vectors,
-    _finalize,
     _signed_sum_means,
     _xp_moments,
     signed_power_mean,
@@ -150,7 +149,8 @@ def contraction_check(
     lhs = signed_power_mean(a[:, None] * zmat, full, power, plan, purpose="signs:contraction")
     base = signed_power_mean(zmat, full, power, plan, purpose="signs:contraction")
     rhs = float(np.max(np.abs(a)) ** p) * base
-    return _finalize("contraction", {"p": p, "n": n, "d": d}, lhs, {"scaled_base": rhs}, plan)
+    return InequalityReport("contraction", {"p": p, "n": n, "d": d}, lhs, {"scaled_base": rhs},
+                            plan)
 
 
 # ---------------------------------------------------------------------------
@@ -211,9 +211,7 @@ def bridge_report(
 
     # linear side: sign moments of the raw coefficients in l_p^d
     lp_power = functools.partial(_norm_power, value_p=p, power=p)
-    linear_subset, linear_lp, linear_full = _xp_moments(
-        zmat, k, lp_power, plan, purpose="signs:bridge"
-    )
+    linear_subset, linear_lp, linear_full = _xp_moments(zmat, k, lp_power, plan)
 
     # intermediate 1: half-period lower bound, averaged over subsets
     def half_period_lhs(S: tuple[int, ...]) -> float:
@@ -287,7 +285,7 @@ def bridge_report(
         else (2.0 / math.pi) ** (2.0 * p) * gamma,
         "shift_identity_note": "e^{i pi (x+m)/m} - e^{i pi x/m} = -2 e^{i pi x/m}",
     }
-    return _finalize(
+    return InequalityReport(
         "bridge",
         {"p": p, "m": m, "n": n, "k": k, "d": d},
         metric_lhs,

@@ -11,11 +11,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
-from .lattice import _norm_power, _pattern_rows
+from .lattice import _blocks, _norm_power, _pattern_rows
 from .schatten import eigen_sym
 
 __all__ = [
@@ -43,15 +43,14 @@ _T_GRID = 2049  # ratio grid of rosenthal_distortion_two_level
 class EmbeddingResult:
     """Pairwise expansion/contraction extremes of a finite embedding."""
 
-    source: np.ndarray
-    image: np.ndarray
+    n_points: int
     expansion: float
     contraction: float
     distortion: float
 
     def to_json_dict(self) -> dict:
         return {
-            "n_points": int(self.source.shape[0]),
+            "n_points": self.n_points,
             "expansion": self.expansion,
             "contraction": self.contraction,
             "distortion": self.distortion,
@@ -140,18 +139,21 @@ def rosenthal_distortion_two_level(n: int, q: float, p: float) -> float:
 # ---------------------------------------------------------------------------
 
 
-def _pairwise_lp(points: np.ndarray, p: float) -> np.ndarray:
-    return _norm_power(points[:, None, :] - points[None, :, :], p, 1.0)
+def _pairwise(points: np.ndarray, norm: Callable[..., np.ndarray], *args: float) -> np.ndarray:
+    """The matrix of ``norm(x - y, *args)`` over the pairs of rows of ``points``,
+    one ``_blocks`` slice of x at a time: N^2 floats plus one block."""
+    return np.concatenate([norm(points[rows, None, :] - points[None, :, :], *args)
+                           for rows in _blocks(len(points), points.size)])
 
 
 def distortion_from_matrices(
     d_source: np.ndarray, d_image: np.ndarray
 ) -> tuple[float, float, float]:
     """(expansion, contraction, distortion) from two distance matrices."""
-    n = d_source.shape[0]
-    iu = np.triu_indices(n, k=1)
-    src = d_source[iu]
-    img = d_image[iu]
+    idx = np.arange(d_source.shape[0])
+    upper = idx[:, None] < idx  # the pairs i < j, row by row
+    src = d_source[upper]
+    img = d_image[upper]
     if np.any(src == 0.0):
         if np.any(img[src == 0.0] > 0.0):
             raise ValueError("coincident source points with distinct images")
@@ -174,8 +176,8 @@ def distortion(
     image = np.asarray(image, dtype=float)
     if source.shape[0] != image.shape[0] or source.shape[0] < 2:
         raise ValueError("need equal-length lists of at least 2 points")
-    return EmbeddingResult(source, image, *distortion_from_matrices(
-        _pairwise_lp(source, source_p), _pairwise_lp(image, image_p)))
+    return EmbeddingResult(len(source), *distortion_from_matrices(
+        _pairwise(source, _norm_power, source_p, 1.0), _pairwise(image, _norm_power, image_p, 1.0)))
 
 
 # ---------------------------------------------------------------------------
@@ -195,7 +197,7 @@ def schoenberg_embed(points: np.ndarray, q: float) -> np.ndarray:
         raise ValueError("q must be >= 2")
     points = np.asarray(points, dtype=float)
     npts = points.shape[0]
-    dist2 = _pairwise_lp(points, 2.0) ** (4.0 / q)
+    dist2 = _pairwise(points, _norm_power, 2.0, 1.0) ** (4.0 / q)
     j = np.eye(npts) - np.full((npts, npts), 1.0 / npts)
     gram = -0.5 * (j @ dist2 @ j)
     vals, vecs = eigen_sym(gram)
@@ -295,8 +297,7 @@ def composite_grid_distortion(
     """Exact distortion of the chosen embedding on the grid {0..m}^n with
     the l_q source metric.
 
-    "rosenthal": two-level embedding measured in the (l_p (+) l_2)_p norm,
-    every pair in one batch.
+    "rosenthal": two-level embedding measured in the (l_p (+) l_2)_p norm.
     "schoenberg": snowflake realization; image distances are measured in
     l_2, which embeds isometrically into L_p, so the l_2 distortion equals
     the L_p distortion of the composite map restricted to the grid.
@@ -308,10 +309,9 @@ def composite_grid_distortion(
         raise ValueError(f"{count} grid points exceed the pair budget")
     pts = _pattern_rows(np.arange(m + 1.0), n)
     if which == "rosenthal":
-        image = rosenthal_embed(pts, q)
-        d_image = rosenthal_target_norm(image[:, None, :] - image[None, :, :], p)
-        return EmbeddingResult(pts, image, *distortion_from_matrices(
-            _pairwise_lp(pts, q), d_image))
+        return EmbeddingResult(count, *distortion_from_matrices(
+            _pairwise(pts, _norm_power, q, 1.0),
+            _pairwise(rosenthal_embed(pts, q), rosenthal_target_norm, p)))
     if which == "schoenberg":
         image = schoenberg_embed(pts, q)
         return distortion(pts, image, q, 2.0)

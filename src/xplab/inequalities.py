@@ -10,7 +10,7 @@ are never hard-coded: acceptance pins regression values of implied constants.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from typing import Callable, Sequence
 
 import numpy as np
@@ -67,67 +67,42 @@ DEGENERACY_TOL = 1e-14
 
 @dataclass
 class InequalityReport:
-    """Named sides of one inequality instance plus sampling metadata."""
+    """Named sides of one inequality instance plus sampling metadata.
+
+    Built as ``InequalityReport(functional, params, lhs, rhs_terms, plan)``
+    with the rest by keyword; ``plan`` is a SamplePlan or None (exhaustive)
+    and is stored as its dict.  The implied constant ``lhs / sum(rhs_terms)``
+    and the degeneracy flag (every term below ``DEGENERACY_TOL``) are derived.
+    The fields are declared in the order of the JSON form.
+    """
 
     functional: str
     params: dict
     lhs: float
+    lhs_terms: dict[str, float] | None = field(default=None, kw_only=True)
     rhs_terms: dict[str, float]
-    implied_constant: float | None
-    degenerate: bool
-    plan: dict
-    lhs_terms: dict[str, float] | None = None
-    warnings: list[str] = field(default_factory=list)
-    notes: list[str] = field(default_factory=list)
-    extra: dict = field(default_factory=dict)
+    implied_constant: float | None = field(init=False)
+    degenerate: bool = field(init=False)
+    plan: dict  # given as a SamplePlan or None
+    warnings: list[str] = field(default_factory=list, kw_only=True)
+    notes: list[str] = field(default_factory=list, kw_only=True)
+    extra: dict = field(default_factory=dict, kw_only=True)
+
+    def __post_init__(self) -> None:
+        all_terms = [self.lhs, *self.rhs_terms.values()]
+        if self.lhs_terms:
+            all_terms.extend(self.lhs_terms.values())
+        self.degenerate = all(abs(t) < DEGENERACY_TOL for t in all_terms)
+        total = math.fsum(self.rhs_terms.values())
+        self.implied_constant = None if self.degenerate or total == 0.0 else self.lhs / total
+        self.plan = self.plan.to_dict() if self.plan is not None else {"mode": "exhaustive"}
 
     def to_json_dict(self) -> dict:
         """Stable-field-order JSON form."""
-        return {
-            "functional": self.functional,
-            "params": self.params,
-            "lhs": self.lhs,
-            "lhs_terms": self.lhs_terms,
-            "rhs_terms": self.rhs_terms,
-            "implied_constant": self.implied_constant,
-            "degenerate": self.degenerate,
-            "plan": self.plan,
-            "warnings": self.warnings,
-            "notes": self.notes,
-            "extra": self.extra,
-        }
+        return {name: getattr(self, name) for name in _REPORT_FIELDS}
 
 
-def _finalize(
-    functional: str,
-    params: dict,
-    lhs: float,
-    rhs_terms: dict[str, float],
-    plan: SamplePlan | None,
-    lhs_terms: dict[str, float] | None = None,
-    warnings: list[str] | None = None,
-    notes: list[str] | None = None,
-    extra: dict | None = None,
-) -> InequalityReport:
-    all_terms = [lhs, *rhs_terms.values()]
-    if lhs_terms:
-        all_terms.extend(lhs_terms.values())
-    degenerate = all(abs(t) < DEGENERACY_TOL for t in all_terms)
-    total = math.fsum(rhs_terms.values())
-    implied = None if (degenerate or total == 0.0) else lhs / total
-    return InequalityReport(
-        functional=functional,
-        params=params,
-        lhs=lhs,
-        rhs_terms=rhs_terms,
-        implied_constant=implied,
-        degenerate=degenerate,
-        plan=plan.to_dict() if plan is not None else {"mode": "exhaustive"},
-        lhs_terms=lhs_terms,
-        warnings=warnings or [],
-        notes=notes or [],
-        extra=extra or {},
-    )
+_REPORT_FIELDS = tuple(f.name for f in fields(InequalityReport))
 
 
 # ---------------------------------------------------------------------------
@@ -233,7 +208,7 @@ def subset_average(
 
 def _xp_moments(
     items: Sequence[np.ndarray], k: int, power_fn: Callable[[np.ndarray], np.ndarray],
-    plan: SamplePlan, purpose: str = "signs:xp", *, full: bool = True,
+    plan: SamplePlan, *, full: bool = True,
 ) -> tuple[float, float, float | None]:
     """The moments of the linear X_p inequality for coefficients x_j:
 
@@ -246,14 +221,13 @@ def _xp_moments(
     n = len(items)
     if not 1 <= k <= n:
         raise ValueError(f"k={k} out of range for n={n}")
-    rows = _sign_rows(k, plan, purpose)
+    rows = _sign_rows(k, plan, "signs:xp")
     subset = subset_average(
         lambda subsets: _signed_sum_means(items, subsets, rows, power_fn), n, k, plan,
         batched=True,
     )
     ell = math.fsum(power_fn(np.stack(items)).tolist())
-    rad = (signed_power_mean(items, tuple(range(1, n + 1)), power_fn, plan, purpose)
-           if full else None)
+    rad = signed_power_mean(items, tuple(range(1, n + 1)), power_fn, plan) if full else None
     return subset, ell, rad
 
 
@@ -298,7 +272,7 @@ def metric_xp_report(f: GridFunction, k: int, plan: SamplePlan) -> InequalityRep
     ) / m**p
     edge = (k / n) * math.fsum(gap_moment(f, Edge(j), plan) for j in range(1, n + 1))
     diag = (k / n) ** (p / 2) * gap_moment(f, Diagonal(), plan)
-    return _finalize(
+    return InequalityReport(
         "metric_xp",
         {"p": p, "m": m, "n": n, "k": k, "d": f.value_dim},
         lhs,
@@ -347,7 +321,7 @@ def reverse_metric_xp_report(
             "rhs": p ** (p / 2) * (n / k) * subset_shift,
         },
     }
-    return _finalize(
+    return InequalityReport(
         "reverse_metric_xp",
         {"p": p, "m": m, "n": n, "k": k, "d": f.value_dim},
         cotype + type_term,
@@ -390,7 +364,7 @@ def linear_xp_report(
     mode = "square_function" if square_function else "rademacher"
     if square_function:
         rad = math.fsum(float(v[0]) ** 2 for v in vecs) ** (p / 2)
-    return _finalize(
+    return InequalityReport(
         "linear_xp",
         {"p": p, "n": n, "k": k, "d": d, "mode": mode},
         lhs,
@@ -409,7 +383,7 @@ def reverse_linear_xp_report(
         raise ValueError("p must be >= 2")
     subset, ell, rad = _xp_moments(vecs, k, lambda v: _norm_power(v, p, p), plan)
     ell_p, rad = (k / n) * ell, (k / n) ** (p / 2) * rad
-    return _finalize(
+    return InequalityReport(
         "reverse_linear_xp",
         {"p": p, "n": n, "k": k, "d": d},
         ell_p + rad,
@@ -466,14 +440,14 @@ def smoothness_report(h: HypercubeFunction, kind: Enflo | BMW | Pisier) -> Inequ
         r = kind.r
         lhs = _cube_mean_power(anti, r)
         rhs = math.fsum(_cube_mean_power(d, r) for d in flips)
-        return _finalize(
+        return InequalityReport(
             "enflo", {"r": r, "n": n, "d": h.value_dim}, lhs, {"flips": rhs}, None
         )
     if isinstance(kind, BMW):
         q, p = kind.q, kind.p
         lhs = _cube_mean_power(anti, p)
         rhs = n ** (p / q - 1.0) * math.fsum(_cube_mean_power(d, p) for d in flips)
-        return _finalize(
+        return InequalityReport(
             "bmw", {"q": q, "p": p, "n": n, "d": h.value_dim}, lhs, {"flips": rhs}, None
         )
     p = kind.p
@@ -483,7 +457,8 @@ def smoothness_report(h: HypercubeFunction, kind: Enflo | BMW | Pisier) -> Inequ
         lambda sums: np.reshape(_fsum_rows(_norm_power(sums, 2.0, p).reshape(-1, 2**n)),
                                 sums.shape[:2]) / 2**n,
     )[0]
-    return _finalize("pisier", {"p": p, "n": n, "d": h.value_dim}, lhs, {"rad_diff": rhs}, None)
+    return InequalityReport("pisier", {"p": p, "n": n, "d": h.value_dim}, lhs, {"rad_diff": rhs},
+                            None)
 
 
 # ---------------------------------------------------------------------------
@@ -524,7 +499,7 @@ def cotype_report(
         for j in range(1, n + 1)
     ) / m**s
     rhs = gap_moment(f, diag_spec, plan, power=s)
-    return _finalize(
+    return InequalityReport(
         "cotype",
         {"s": s, "m": m, "n": n, "d": f.value_dim, "variant": variant},
         lhs,
@@ -576,7 +551,7 @@ def convolution_probe(f: GridFunction, p: float) -> InequalityReport:
                 "are the same points mod 4, so there is no beta lower bound")
     else:
         note = "implied_constant is (rad+edge)/lhs inverted: see extra"
-    report = _finalize(
+    report = InequalityReport(
         "convolution_probe",
         {"p": p, "M": M, "n": n},
         lhs,
@@ -649,7 +624,7 @@ def scaling_witness_report(m: int, n: int, k: int, p: float) -> InequalityReport
         "edge_closed_form_per_coordinate": step**p,
         "diag_closed_form": n ** (p / 2) * step**p,
     }
-    return _finalize(
+    return InequalityReport(
         "scaling_witness",
         {"p": p, "m": m, "n": n, "k": k},
         shifted / m**p,
@@ -685,7 +660,7 @@ def displacement_report(
     plan = make_sample_plan(M, n, 0, npoints * 2**n, 0)
     diag = R**p * npoints * gap_moment(f, Diagonal(), plan, power=p)
     set_term = npoints * gap_moment(f, ShiftedSet(S, 1), plan, power=p)
-    return _finalize(
+    return InequalityReport(
         "displacement",
         {"p": p, "M": M, "n": n, "R": R, "S": list(S)},
         lhs,

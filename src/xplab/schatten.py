@@ -24,7 +24,6 @@ import numpy as np
 
 from .inequalities import (
     InequalityReport,
-    _finalize,
     _xp_moments,
     signed_power_mean,
     subset_average,
@@ -221,7 +220,7 @@ def trace_inequality_report(
         lhs = trace_mixed(msum, ma, q) ** (1.0 / q)
         t1 = trace_power(ma, q + 1.0) ** (1.0 / q)
         t2 = trace_mixed(mb, ma, q) ** (1.0 / q)
-        return _finalize("trace_main_qge1", params, lhs, {"pure": t1, "mixed": t2}, None)
+        return InequalityReport("trace_main_qge1", params, lhs, {"pure": t1, "mixed": t2}, None)
 
     if isinstance(kind, Qlt1):
         q = kind.q
@@ -232,7 +231,7 @@ def trace_inequality_report(
         lhs = trace_mixed(msum, ma, q)
         t1 = trace_power(ma, q + 1.0)
         t2 = trace_mixed(mb, ma, q)
-        return _finalize("trace_qlt1", params, lhs, {"pure": t1, "mixed": t2}, None)
+        return InequalityReport("trace_qlt1", params, lhs, {"pure": t1, "mixed": t2}, None)
 
     if isinstance(kind, LambdaFamily):
         q = kind.q
@@ -264,7 +263,7 @@ def trace_inequality_report(
             if 0.0 < lam_star < 1.0:
                 lams.append(lam_star)
         rhs = float(min(v / lam**r + z / (1.0 - lam) ** r for lam in lams))
-        return _finalize(
+        return InequalityReport(
             "trace_lambda_family", params, lhs, {"min_over_lambda": rhs}, None,
             extra={"r": r, "v": v, "z": z},
         )
@@ -297,7 +296,7 @@ def trace_inequality_report(
         rhs = trace_power(ma, q + 1.0) ** (1.0 - sb / q) * trace_mixed(
             mb, ma, q
         ) ** (sb / q)
-        return _finalize("trace_holder", params, lhs, {"interpolated": rhs}, None)
+        return InequalityReport("trace_holder", params, lhs, {"interpolated": rhs}, None)
 
     if isinstance(kind, LiebThirring):
         r = kind.r
@@ -309,7 +308,7 @@ def trace_inequality_report(
         lhs = trace_power(xyx, r)
         xr, yr = x.power(r), y.power(r)
         rhs = float(np.trace(xr @ yr @ xr))
-        return _finalize("trace_lieb_thirring", params, lhs, {"powered": rhs}, None)
+        return InequalityReport("trace_lieb_thirring", params, lhs, {"powered": rhs}, None)
 
     if isinstance(kind, OpConvex):
         theta, s = kind.theta, kind.s
@@ -325,7 +324,7 @@ def trace_inequality_report(
             - msum.power(theta)
         )
         min_eig = float(np.linalg.eigvalsh(0.5 * (gap + gap.T))[0])
-        return _finalize(
+        return InequalityReport(
             "trace_op_convex", params, min_eig, {"lower_bound": 0.0}, None,
             extra={"min_eigenvalue": min_eig},
         )
@@ -439,7 +438,7 @@ def schatten_xp_report(
         raise ValueError("p must be >= 2")
     symmetric = all(np.array_equal(m, m.T) for m in arrs)
     lhs, ell, rad = _xp_moments(arrs, k, _schatten_power(p, symmetric), plan)
-    return _finalize(
+    return InequalityReport(
         "schatten_xp",
         {"p": p, "n": n, "k": k, "d": d},
         lhs,
@@ -500,7 +499,7 @@ def psd_xp_report(
     t1 = (k / n) * math.fsum(trace_power(m, q) for m in syms)
     t2 = (k / n) ** q * trace_power(sum(m.entries for m in syms), q)
     rhs = max(t1, t2)
-    return _finalize(
+    return InequalityReport(
         "psd_xp",
         {"q": q, "n": n, "k": k, "d": syms[0].order},
         lhs,
@@ -529,7 +528,7 @@ def khinchine_report(
     lhs = signed_power_mean(arrs, tuple(range(1, n + 1)), power, plan)
     rhs = (trace_power(sum(m.T @ m for m in arrs), p / 2.0)
            + trace_power(sum(m @ m.T for m in arrs), p / 2.0))
-    report = _finalize(
+    report = InequalityReport(
         "khinchine",
         {"p": p, "n": n, "d": arrs[0].shape[0]},
         lhs,

@@ -2,6 +2,7 @@
 
 import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -165,6 +166,18 @@ class TestComposite:
     def test_rosenthal_grid_below_two_level(self):
         res = composite_grid_distortion(4, 2, 3.0, 6.0, "rosenthal")
         assert res.distortion <= rosenthal_distortion_two_level(2, 3.0, 6.0) + 1e-9
+
+    @pytest.mark.parametrize("which", ["schoenberg", "rosenthal"])
+    def test_memory_is_pairs_plus_one_block(self, which):
+        # 256 points: the pair matrices take 0.5 MiB each; the differences of
+        # every pair at once took 16 MiB (rosenthal) and 128 MiB (schoenberg)
+        tracemalloc.start()
+        try:
+            composite_grid_distortion(1, 8, 3.0, 4.0, which)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 8 * 2**20
 
     @pytest.mark.parametrize("m,n,q,p", [(3, 2, 3.0, 6.0), (2, 3, 2.5, 4.5)])
     def test_rosenthal_grid_matches_pair_loop(self, m, n, q, p):

@@ -14,7 +14,9 @@ from hypothesis import strategies as st
 from xplab import inequalities, lattice
 from xplab.inequalities import (
     BMW,
+    DEGENERACY_TOL,
     Enflo,
+    InequalityReport,
     Pisier,
     convolution_probe,
     convolution_search,
@@ -51,6 +53,29 @@ def indicator(modulus: int, n: int, p: float) -> GridFunction:
 
 def plan_for(modulus: int, n: int, k: int = 1):
     return make_sample_plan(modulus, n, k, budget=10**7, seed=0)
+
+
+class TestInequalityReport:
+    def test_json_fields_in_csv_column_order(self):
+        rep = linear_xp_report([1.0, 1.0], 1, 4.0, plan_for(2, 2))
+        assert list(rep.to_json_dict()) == [
+            "functional", "params", "lhs", "lhs_terms", "rhs_terms", "implied_constant",
+            "degenerate", "plan", "warnings", "notes", "extra",
+        ]
+
+    def test_vanishing_terms_are_degenerate(self):
+        tiny = DEGENERACY_TOL / 2
+        rep = InequalityReport("t", {}, tiny, {"a": tiny, "b": -tiny}, None,
+                               lhs_terms={"c": tiny})
+        assert rep.degenerate
+        assert rep.implied_constant is None
+        assert rep.plan == {"mode": "exhaustive"}
+        assert (rep.warnings, rep.notes, rep.extra) == ([], [], {})
+
+    @pytest.mark.parametrize("name", ["implied_constant", "degenerate"])
+    def test_derived_fields_are_not_arguments(self, name):
+        with pytest.raises(TypeError):
+            InequalityReport("t", {}, 1.0, {"a": 1.0}, None, **{name: 1.0})
 
 
 class TestLinearXp:
