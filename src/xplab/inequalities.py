@@ -83,7 +83,7 @@ class InequalityReport:
     rhs_terms: dict[str, float]
     implied_constant: float | None = field(init=False)
     degenerate: bool = field(init=False)
-    plan: dict  # given as a SamplePlan or None
+    plan: dict
     warnings: list[str] = field(default_factory=list, kw_only=True)
     notes: list[str] = field(default_factory=list, kw_only=True)
     extra: dict = field(default_factory=dict, kw_only=True)
