@@ -40,8 +40,10 @@ DRAWS = 3
 # small n and at sizes past one block of sign sums, the probe on Z_4,
 # scaling witnesses, both grid embeddings (at n = 8 over more than one block
 # of pairwise rows), bridges at n = 3 (the second
-# takes its diagonal's Z_16^3 in 13 blocks), at d = n = 4 and at p = 1 (the
-# smallest exponent, a kink at every zero of the integrand), a sampled
+# takes its diagonal's Z_16^3 in 13 blocks), at d = n = 4, at p = 1 (the
+# smallest exponent, a kink at every zero of the integrand) and at large p
+# (m = 8, p = 400 reports; p = 1600 names its infinite constants), Pisier at
+# n = 10 (2^10 points times 2^10 sign rows), a sampled
 # metric-xp at d = 9 (sums of 8 or more value terms), Monte-Carlo gathers of
 # a mirror law and of three letters over more than one block of samples, a
 # scaling witness and a displacement over a budget of 1,000 terms, sampled
@@ -69,6 +71,7 @@ EXTRA = [
       for n in ("1", "3", "5") for d in ("1", "3")),
     *(["run", "smoothness", "--kind", "pisier", "--n", n, "--d", d]
       for n, d in (("8", "3"), ("9", "1"))),
+    ["run", "smoothness", "--kind", "pisier", "--n", "10"],
     *(["run", "convolution-probe", "--n", n] for n in ("1", "2", "3")),
     ["run", "convolution-probe", "--m", "1", "--n", "2"],
     ["run", "convolution-probe", "--m", "2", "--n", "4"],
@@ -76,6 +79,8 @@ EXTRA = [
       for m in ("2", "8")),
     ["run", "bridge", "--n", "4", "--m", "2", "--k", "2"],
     ["run", "bridge", "--p", "1"],
+    ["run", "bridge", "--m", "8", "--p", "400"],
+    ["run", "bridge", "--p", "1600"],
     ["run", "scaling-witness", "--m", "2", "--n", "5", "--k", "2", "--budget", "1000"],
     ["run", "displacement", "--m", "2", "--n", "4", "--k", "2", "--budget", "1000"],
     *(["run", "scaling-witness", "--m", m, "--n", n, "--k", k]
