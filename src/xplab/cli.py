@@ -255,6 +255,14 @@ def _scaling_witness(cfg: ExperimentConfig) -> dict:
     return scaling_witness_report(cfg.m, cfg.n, cfg.k, cfg.p).to_json_dict()
 
 
+def _smoothness(cfg: ExperimentConfig) -> dict:
+    """The hypercube report, once its 2^n points times n flips (Enflo, BMW)
+    or times 2^n sign rows (Pisier) are within the budget."""
+    kind = _kind(cfg, _SMOOTHNESS_KINDS, "smoothness", "enflo")
+    _probe_modulus(cfg, 2, cfg.n, 2**cfg.n if isinstance(kind, Pisier) else cfg.n)
+    return smoothness_report(_hypercube(cfg), kind).to_json_dict()
+
+
 def _holder(cfg: ExperimentConfig) -> Holder:
     if cfg.word_a is None or cfg.word_b is None:
         raise ValueError("holder kind requires word_a and word_b")
@@ -344,8 +352,7 @@ REPORTS = {
                                      _matrices(cfg, cfg.n, "khinchine"), cfg.p, k=0),
     "trace": _trace,
     "psd-counterexample": _psd_counterexample,
-    "smoothness": lambda cfg: smoothness_report(
-        _hypercube(cfg), _kind(cfg, _SMOOTHNESS_KINDS, "smoothness", "enflo")).to_json_dict(),
+    "smoothness": _smoothness,
     "cotype": _cotype,
     "convolution-probe": lambda cfg: convolution_probe(
         _budgeted_function(cfg, 4 * cfg.m), cfg.p).to_json_dict(),

@@ -31,7 +31,6 @@ import numpy as np
 from .inequalities import (
     InequalityReport,
     _as_vectors,
-    _signed_sum_means,
     _xp_moments,
     signed_power_mean,
     subset_average,
@@ -180,6 +179,11 @@ def bridge_report(
     and reports the final bookkeeping: a metric implied constant gamma on
     this family entails the linear inequality with constant (2/pi)^{2p} gamma.
 
+    The sums over all 2^n sign rows are 2^n times the linear moments, and
+    every edge step has modulus |1-e^{i pi/m}|, so the edge moment is
+    |1-e^{i pi/m}|^p C_p sum_j ||z_j||_p^p.  The constants are numpy powers
+    of ratios (pi (pi/m)^p, 2 pi (2/pi)^p, (2/m)^p): a representable one is
+    represented, and one past the largest float is inf, which the CLI names.
     The pair norms of the family are evaluated in closed form, x in blocks.
     A sign delta_j = -1 is the shift x_j -> x_j + m, so the diagonal is one
     norm array g over (y, eps) with delta = +1: the worst (x, eps) row sum
@@ -197,17 +201,14 @@ def bridge_report(
     if not 1 <= k <= n:
         raise ValueError(f"k={k} out of range for n={n}")
     M = 2 * m
-    if plan.mode != "exhaustive" or (
-            M**n * 2**n + math.comb(n, k) * M**k + n * (M + 1) > plan.budget):
+    if plan.mode != "exhaustive" or M**n * 2**n + math.comb(n, k) * M**k > plan.budget:
         raise ValueError("bridge needs an exhaustive plan whose budget covers its enumeration")
 
     def phase(x: np.ndarray) -> np.ndarray:
         return np.exp(1j * math.pi * x / m)
 
     signs = _pattern_rows((-1, 1), n)
-    # numpy powers of the constants overflow to inf, which the CLI names, where
-    # Python float powers raise OverflowError (past p ≈ 621 for pi ** p)
-    two, pi = np.float64(2.0), np.float64(math.pi)
+    pi_m = np.float64(math.pi / m) ** p
 
     # linear side: sign moments of the raw coefficients in l_p^d
     lp_power = functools.partial(_norm_power, value_p=p, power=p)
@@ -225,22 +226,17 @@ def bridge_report(
         # give the same term
         return 2**n * M ** (n - len(cols)) * _fsum_rows(np.concatenate(total, axis=None)[None])[0]
 
-    # a sum over all 2^n sign rows repeats each row of the |S| columns 2^(n-|S|)
-    # times, so its math.fsum is 2^n times the kernel's mean over those rows
-    def half_period_rhs(S: tuple[int, ...]) -> float:
-        mean = _signed_sum_means(zmat, [S], _pattern_rows((-1.0, 1.0), len(S)), lp_power)[0]
-        return float(two ** (p + 1.0) * M**n / pi ** (p - 1.0)) * (2**n * mean)
-
     hp_lhs = subset_average(half_period_lhs, n, k, plan)
-    hp_rhs = subset_average(half_period_rhs, n, k, plan)
+    hp_rhs = float(2.0 * math.pi * np.float64(2.0 / math.pi) ** p * M**n) * (2**n * linear_subset)
 
-    # intermediate 2: single-coordinate (edge) upper bound
-    step = float(abs(phase(1) - 1.0))
-    edge_lhs = step**p * math.fsum(_pair_powers(zmat + 0j, p))
-    edge_rhs = float(pi ** (p + 1.0) / m**p) * linear_lp
+    # intermediate 2: single-coordinate (edge) upper bound; the edge term of
+    # coordinate j is the same at every x_j and flips sign with delta_j (the
+    # step is a numpy float, so its power overflows to inf)
+    edge = float(abs(phase(1) - 1.0) ** p * _moment_constant(p)) * linear_lp
+    edge_rhs = float(math.pi * pi_m) * linear_lp
 
     # intermediate 3: diagonal (contraction) upper bound, worst (x, eps)
-    diag_rhs = float(2.0 * pi ** (p + 1.0) / m**p) * (2**n * linear_full)
+    diag_rhs = float(2.0 * math.pi * pi_m) * (2**n * linear_full)
     y = _pattern_rows(np.arange(M), n)
     g = np.concatenate([
         _pair_powers((phase(y[block, None, :] + signs) - phase(y[block, None, :])) @ zmat, p)
@@ -253,20 +249,16 @@ def bridge_report(
 
     # metric side of the family: the half-period shift f_delta(x + m eps_S) -
     # f_delta(x) is -2 times the half-period family term on S
-    metric_lhs = 2.0**p * hp_lhs / (2**n * M**n * m**p)
-    # the edge term of coordinate j depends on x_j only (delta_j flips its sign)
-    x = np.arange(M)
-    edges = _pair_powers((phase(x + 1) - phase(x))[:, None, None] * zmat, p)
-    metric_edges = math.fsum(edges.sum(axis=0) / M)
+    metric_lhs = float(np.float64(2.0 / m) ** p) * hp_lhs / (2**n * M**n)
     metric_diag = _fsum_rows(g.reshape(1, -1))[0] / g.size
 
-    metric_rhs = (k / n) * metric_edges + (k / n) ** (p / 2.0) * metric_diag
+    metric_rhs = (k / n) * edge + (k / n) ** (p / 2.0) * metric_diag
     gamma = None if metric_rhs == 0.0 else metric_lhs / metric_rhs
 
     extra = {
         "intermediates": {
             "half_period_lower": {"lhs": hp_lhs, "rhs": hp_rhs, "holds": hp_lhs >= hp_rhs * (1 - 1e-9)},
-            "edge_upper": {"lhs": edge_lhs, "rhs": edge_rhs, "holds": edge_lhs <= edge_rhs * (1 + 1e-9)},
+            "edge_upper": {"lhs": edge, "rhs": edge_rhs, "holds": edge <= edge_rhs * (1 + 1e-9)},
             "diagonal_upper": {"lhs": diag_lhs, "rhs": diag_rhs, "holds": diag_lhs <= diag_rhs * (1 + 1e-9)},
         },
         "linear": {
@@ -276,7 +268,7 @@ def bridge_report(
         },
         "metric": {
             "lhs": metric_lhs,
-            "edge": metric_edges,
+            "edge": edge,
             "diag": metric_diag,
             "gamma": gamma,
         },
@@ -289,7 +281,7 @@ def bridge_report(
         "bridge",
         {"p": p, "m": m, "n": n, "k": k, "d": d},
         metric_lhs,
-        {"edge": (k / n) * metric_edges, "diag": (k / n) ** (p / 2.0) * metric_diag},
+        {"edge": (k / n) * edge, "diag": (k / n) ** (p / 2.0) * metric_diag},
         plan,
         extra=extra,
     )

@@ -337,8 +337,8 @@ class TestUsageErrors:
         (["scan", "linear-xp", "--sweep", "p", "--values", "4,1e308"],
          "report fields are not finite at p=1e+308: rhs_terms.rademacher = nan, "
          "implied_constant = nan"),
-        # pi ** (p + 1) passes the largest float: not an OverflowError
-        (["run", "bridge", "--p", "625", "--deterministic"],
+        # pi^{p+1}/2^p passes the largest float: not an OverflowError
+        (["run", "bridge", "--p", "1600", "--deterministic"],
          "report fields are not finite: report.extra.intermediates.edge_upper.rhs = inf, "
          "report.extra.intermediates.diagonal_upper.rhs = inf"),
     ], ids=["trace-two-orders", "psd-xp-two-orders", "cosine-n-zero",
@@ -488,6 +488,17 @@ class TestRun:
         assert report["extra"]["metric"]["gamma"] is None
         assert report["extra"]["linear_constant_from_gamma"] is None
 
+    @pytest.mark.parametrize("args", [["--m", "8", "--p", "400"], ["--p", "1100"],
+                                      ["--p", "625"]], ids=["m8-p400", "p1100", "p625"])
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_bridge_at_large_p_reports(self, runner, args):
+        # (pi/m)^p and m^p pass the largest float, their quotients do not
+        res = runner.invoke(main, ["run", "bridge", *args, "--deterministic"])
+        assert res.exit_code == 0, res.output
+        cells = _flatten(json.loads(res.stdout)["report"])
+        assert all(math.isfinite(v) for v in cells.values() if isinstance(v, float))
+        assert cells["extra.intermediates.edge_upper.rhs"] > 0
+
     def test_trace_with_matrix_files_draws_no_matrices(self, runner, tmp_path, monkeypatch):
         paths = []
         for name in ("a", "b"):
@@ -547,12 +558,21 @@ class TestPlanSizedFromTheInput:
         # the file's 8^4 points times 2^4 sign patterns
         (["displacement", "--function-path", "f84.json", "--m", "1", "--n", "2",
           "--budget", "1000"], 1, {}, None),
+        # 2^n points times 2^n sign rows (Pisier) or n flips (Enflo): 2^20 and
+        # 2^16 * 16 terms pass the default budget of 1e6
+        (["smoothness", "--kind", "pisier", "--n", "10"], 1, {}, None),
+        (["smoothness", "--kind", "pisier", "--n", "10", "--budget", "2e6"], 0,
+         {"params.n": 10}, None),
+        (["smoothness", "--kind", "enflo", "--n", "16"], 1, {}, None),
+        (["smoothness", "--kind", "enflo", "--n", "16", "--budget", "2e6"], 0,
+         {"params.n": 16}, None),
     ], ids=["grid-file-dimension", "bridge-vectors-not-n", "khinchine-unused-k",
             "contraction-unused-k", "cotype-unused-k", "psd-xp-no-sign-patterns",
             "probe-grid-file-over-budget", "search-trials-over-budget",
             "witness-terms-over-budget", "witness-large-torus-over-budget",
             "displacement-terms-over-budget", "displacement-large-torus-over-budget",
-            "displacement-grid-file-over-budget"])
+            "displacement-grid-file-over-budget", "pisier-over-budget", "pisier-larger-budget",
+            "enflo-over-budget", "enflo-larger-budget"])
     def test_plan_and_budget_check(self, runner, workdir, args, code, fields, same_as):
         res = runner.invoke(main, ["run", *args, "--deterministic"])
         assert res.exit_code == code, res.output
@@ -785,7 +805,7 @@ class TestEntryPoint:
         ["run", "linear-xp", "--p", "1e308", "--deterministic"],
         ["run", "linear-xp", "--p", "1e308", "--format", "csv"],
         ["scan", "linear-xp", "--sweep", "p", "--values", "4,1e308"],
-        ["run", "bridge", "--p", "625", "--deterministic"],
+        ["run", "bridge", "--p", "1600", "--deterministic"],
     ], ids=["run-json", "run-csv", "scan", "bridge"])
     def test_overflow_leaves_one_json_line_on_stderr(self, args):
         # numpy's overflow warning would go to stderr ahead of the error; in

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from xplab import complexify, lattice
+from xplab import complexify, inequalities, lattice
 from xplab.complexify import (
     bridge_report,
     circular_moment,
@@ -184,14 +184,16 @@ class TestBridge:
         def power_sum(sums):
             return math.fsum(_norm_power(sums, p, p))
 
-        def half_period_rhs(S):
+        def half_period_sum(S):
             cols = [j - 1 for j in S]
-            return (2.0 ** (p + 1.0) * (2 * m)**n / math.pi ** (p - 1.0)) * power_sum(
-                signs[:, cols] @ zmat[cols])
+            return power_sum(signs[:, cols] @ zmat[cols])
 
-        assert rep["half_period_lower"]["rhs"] == subset_average(half_period_rhs, n, k, plan)
+        # 2^{p+1}(2m)^n/pi^{p-1} and 2 pi^{p+1}/m^p as powers of ratios
+        assert rep["half_period_lower"]["rhs"] == (
+            (2.0 * math.pi * (2.0 / math.pi) ** p * (2 * m)**n)
+            * subset_average(half_period_sum, n, k, plan))
         assert rep["diagonal_upper"]["rhs"] == (
-            (2.0 * math.pi ** (p + 1.0) / m**p) * power_sum(signs @ zmat))
+            (2.0 * math.pi * (math.pi / m) ** p) * power_sum(signs @ zmat))
 
     def test_shift_identity(self):
         # e^{i pi (x+m)/m} - e^{i pi x/m} = -2 e^{i pi x/m}
@@ -236,6 +238,22 @@ class TestBridge:
         with pytest.raises(ValueError, match="budget"):
             bridge_report(zs, m=2, k=2, p=4.0,
                           plan=make_sample_plan(4, 3, 2, budget=used - 1, seed=0))
+
+    def test_two_sign_sum_kernel_calls(self, monkeypatch):
+        # the half-period right side is 2^n times the linear subset moment,
+        # so the kernel runs for the linear subsets and the full average only
+        calls = []
+        kernel = inequalities._signed_sum_means
+
+        def counting(*args):
+            calls.append(args[1])
+            return kernel(*args)
+
+        monkeypatch.setattr(inequalities, "_signed_sum_means", counting)
+        monkeypatch.setattr(complexify, "_signed_sum_means", counting, raising=False)
+        zs = [[0.3, -1.0], [0.5, 0.2], [1.0, 0.1]]
+        bridge_report(zs, m=2, k=2, p=4.0, plan=make_sample_plan(4, 3, 2, budget=10**7, seed=0))
+        assert len(calls) == 2
 
     @pytest.mark.parametrize("block", [1, 1000])
     def test_block_size_does_not_change_the_report(self, monkeypatch, block):
