@@ -241,7 +241,8 @@ class TestBridge:
 
     def test_two_sign_sum_kernel_calls(self, monkeypatch):
         # the half-period right side is 2^n times the linear subset moment,
-        # so the kernel runs for the linear subsets and the full average only
+        # so the kernel runs for the linear subsets and the full average only;
+        # a name complexify imported would escape the patch of inequalities
         calls = []
         kernel = inequalities._signed_sum_means
 
