@@ -35,22 +35,21 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 DRAWS = 3
-# valid sizes of reports whose code neither the benchmark nor the default
-# runs reach: exact counterexample powers, Pisier and probe sign sums at
-# small n and at sizes past one block of sign sums, the probe on Z_4,
-# scaling witnesses, both grid embeddings (at n = 8 over more than one block
-# of pairwise rows), bridges at n = 3 (the second
-# takes its diagonal's Z_16^3 in 13 blocks), at d = n = 4, at p = 1 (the
-# smallest exponent, a kink at every zero of the integrand) and at large p
-# (m = 8, p = 400 reports; p = 1600 names its infinite constants), Pisier at
-# n = 10 (2^10 points times 2^10 sign rows), a sampled
-# metric-xp at d = 9 (sums of 8 or more value terms), Monte-Carlo gathers of
-# a mirror law and of three letters over more than one block of samples, a
-# scaling witness and a displacement over a budget of 1,000 terms, sampled
-# subsets at the 4,096-draw cap and across two blocks of uniforms, plan
-# sizes that --k or sign patterns the report never uses would move, psd-xp
-# at integer q, d = 1 and k = n, the lambda family at r = 0, r near 0 and
-# d = 1, and the verify oracles
+# sizes of reports whose code neither the benchmark nor the default runs
+# reach: exact counterexample powers, Pisier and probe sign sums at small n
+# and at sizes past one block of sign sums, Pisier at n = 10 (2^20 terms,
+# which the default budget refuses), the probe on Z_4, scaling witnesses,
+# both grid embeddings (at n = 8 over more than one block of pairwise rows),
+# bridges at n = 3 (the second takes its diagonal's Z_16^3 in 13 blocks), at
+# d = n = 4, at p = 1 (the smallest exponent, a kink at every zero of the
+# integrand) and at large p (m = 8, p = 400 reports; p = 1600 names its
+# infinite constants), a sampled metric-xp at d = 9 (sums of 8 or more value
+# terms), Monte-Carlo gathers of a mirror law and of three letters over more
+# than one block of samples, a scaling witness and a displacement over a
+# budget of 1,000 terms, sampled subsets at the 4,096-draw cap and across two
+# blocks of uniforms, plan sizes that --k or sign patterns the report never
+# uses would move, psd-xp at integer q, d = 1 and k = n, the lambda family at
+# r = 0, r near 0 and d = 1, and the verify oracles
 EXTRA = [
     ["run", "metric-xp", "--m", "1", "--n", "6", "--k", "3", "--budget", "5000"],
     ["run", "metric-xp", "--m", "1", "--n", "6", "--k", "3", "--d", "9", "--budget", "5000"],
