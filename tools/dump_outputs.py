@@ -49,7 +49,8 @@ DRAWS = 3
 # budget of 1,000 terms, sampled subsets at the 4,096-draw cap and across two
 # blocks of uniforms, plan sizes that --k or sign patterns the report never
 # uses would move, psd-xp at integer q, d = 1 and k = n, the lambda family at
-# r = 0, r near 0 and d = 1, and the verify oracles
+# r = 0, r near 0 and d = 1, a counterexample at fractional q, budget
+# refusals at n whose term counts pass 4,300 digits, and the verify oracles
 EXTRA = [
     ["run", "metric-xp", "--m", "1", "--n", "6", "--k", "3", "--budget", "5000"],
     ["run", "metric-xp", "--m", "1", "--n", "6", "--k", "3", "--d", "9", "--budget", "5000"],
@@ -65,7 +66,7 @@ EXTRA = [
     ["run", "psd-xp", "--n", "9", "--k", "9"],
     *(["run", "trace", "--kind", "lambda", *extra]
       for extra in (["--q", "1.5"], ["--q", "2.000001"], ["--d", "1"])),
-    *(["run", "psd-counterexample", "--q", q] for q in ("1", "2", "4", "6")),
+    *(["run", "psd-counterexample", "--q", q] for q in ("1", "2", "4", "6", "2.5")),
     *(["run", "smoothness", "--kind", "pisier", "--n", n, "--d", d]
       for n in ("1", "3", "5") for d in ("1", "3")),
     *(["run", "smoothness", "--kind", "pisier", "--n", n, "--d", d]
@@ -88,6 +89,10 @@ EXTRA = [
       for which in ("rosenthal", "schoenberg") for m in ("2", "3")),
     *(["run", "grid-distortion", "--which", which, "--m", "1", "--n", "8"]
       for which in ("rosenthal", "schoenberg")),
+    ["run", "scaling-witness", "--n", "100000"],
+    ["run", "displacement", "--n", "100000"],
+    ["run", "grid-distortion", "--m", "1", "--n", "100000"],
+    ["run", "smoothness", "--kind", "pisier", "--n", "100000000"],
 ]
 # help, version and usage errors of the entry point, run without
 # --deterministic
