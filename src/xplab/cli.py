@@ -47,7 +47,7 @@ from .inequalities import (
     scaling_witness_report,
     smoothness_report,
 )
-from .lattice import GridFunction, LatticePoint, make_sample_plan, random_grid_function
+from .lattice import GridFunction, LatticePoint, _count, make_sample_plan, random_grid_function
 from .operators import HypercubeFunction, character
 from .rng import stream
 from .schatten import (
@@ -224,34 +224,37 @@ def _signed(cfg: ExperimentConfig, report, data, *args, modulus: int = 1,
     return report(data, *args, plan, **kwargs).to_json_dict()
 
 
-def _probe_modulus(cfg: ExperimentConfig, modulus: int, n: int, copies: int = 1) -> int:
-    """``modulus``, once n >= 1 and ``copies`` terms at each of its modulus^n
-    torus points are within the budget: ``--trials`` probes for the search,
-    the 2^n sign patterns of a report whose library-built plan is
-    exhaustive.  One probe's 2^n sign patterns are not charged: the default
-    budget admits the probe on Z_16^4."""
+def _probe_modulus(cfg: ExperimentConfig, modulus: int, n: int, copies: int = 1,
+                   letters: int = 1) -> int:
+    """``modulus``, once n >= 1 and ``copies`` x letters^n terms at each of its
+    modulus^n torus points are within the budget by ``lattice._count``:
+    ``--trials`` probes, n flips (Enflo, BMW) or the 2^n signs of an exhaustive
+    library plan, multiplied out in a refusal while letters^n is within it.
+    One probe's 2^n signs are not charged: the default budget admits Z_16^4."""
     if n < 1:
         raise ValueError("n must be >= 1")
-    if copies * modulus**n > cfg.budget:
-        raise ValueError(f"{copies} x {modulus}^{n} terms exceed the budget {cfg.budget}")
+    if copies * _count(cfg.budget, modulus * letters, n) > cfg.budget:
+        signs = _count(cfg.budget, letters, n)
+        terms = copies * signs if signs <= cfg.budget else f"{copies} x {letters}^{n}"
+        raise ValueError(f"{terms} x {modulus}^{n} terms exceed the budget {cfg.budget}")
     return modulus
 
 
 def _budgeted_function(cfg: ExperimentConfig, modulus: int, letters: int = 1) -> GridFunction:
-    """``_grid_function``, checked against the budget for letters^n terms at
-    each torus point: by modulus^n before a builtin or random table is
-    drawn, and by a ``--function-path`` file's own M and n."""
+    """``_grid_function``, checked by ``_probe_modulus`` for letters^n terms
+    at each torus point: at ``modulus`` and ``--n`` before a builtin or
+    random table is drawn, and at a ``--function-path`` file's own M and n."""
     if not cfg.function_path:
-        _probe_modulus(cfg, modulus, cfg.n, letters**cfg.n)
+        _probe_modulus(cfg, modulus, cfg.n, letters=letters)
     f = _grid_function(cfg, modulus)
-    _probe_modulus(cfg, f.modulus, f.dimension, letters**f.dimension)
+    _probe_modulus(cfg, f.modulus, f.dimension, letters=letters)
     return f
 
 
 def _scaling_witness(cfg: ExperimentConfig) -> dict:
     """The witness, once its (2m)^n points times 2^n sign patterns are
     within the budget."""
-    _probe_modulus(cfg, 2 * cfg.m, cfg.n, 2**cfg.n)
+    _probe_modulus(cfg, 2 * cfg.m, cfg.n, letters=2)
     return scaling_witness_report(cfg.m, cfg.n, cfg.k, cfg.p).to_json_dict()
 
 
@@ -259,7 +262,8 @@ def _smoothness(cfg: ExperimentConfig) -> dict:
     """The hypercube report, once its 2^n points times n flips (Enflo, BMW)
     or times 2^n sign rows (Pisier) are within the budget."""
     kind = _kind(cfg, _SMOOTHNESS_KINDS, "smoothness", "enflo")
-    _probe_modulus(cfg, 2, cfg.n, 2**cfg.n if isinstance(kind, Pisier) else cfg.n)
+    copies, letters = (1, 2) if isinstance(kind, Pisier) else (cfg.n, 1)
+    _probe_modulus(cfg, 2, cfg.n, copies, letters)
     return smoothness_report(_hypercube(cfg), kind).to_json_dict()
 
 

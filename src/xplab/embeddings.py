@@ -15,7 +15,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .lattice import _blocks, _norm_power, _pattern_rows
+from .lattice import _blocks, _count, _norm_power, _pattern_rows
 from .schatten import eigen_sym
 
 __all__ = [
@@ -304,9 +304,10 @@ def composite_grid_distortion(
     """
     if m < 1 or n < 1:
         raise ValueError(f"grid distortion requires m >= 1 and n >= 1, got m={m}, n={n}")
-    count = (m + 1) ** n
+    count = _count(2 * budget + 1, m + 1, n)  # past it, more than budget pairs
     if count * (count - 1) // 2 > budget:
-        raise ValueError(f"{count} grid points exceed the pair budget")
+        shown = count if count <= 2 * budget + 1 else f"{m + 1}^{n}"
+        raise ValueError(f"{shown} grid points exceed the pair budget")
     pts = _pattern_rows(np.arange(m + 1.0), n)
     if which == "rosenthal":
         return EmbeddingResult(count, *distortion_from_matrices(

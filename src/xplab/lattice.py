@@ -315,25 +315,30 @@ class SamplePlan:
         }
 
 
+def _count(budget: int, base: int, n: int) -> int:
+    """base^n, or |budget| + 1 once base >= 2 and n >= budget.bit_length(), so
+    base^n > |budget|: for every integer c, c times either is on one side of it."""
+    return abs(budget) + 1 if base >= 2 and n >= budget.bit_length() else base**n
+
+
 def make_sample_plan(
     modulus: int, dimension: int, k: int, budget: int, seed: int, letters: int = 2
 ) -> SamplePlan:
     """Exhaustive iff M^n * letters^n <= budget and C(n, k) <= budget.
 
     ``letters`` is the size of the sign alphabet the report enumerates: 2 for
-    {-1, 1}, 3 for the {-1, 0, 1} of ``ThreeLetterDiagonal``.  Counts are
-    formed in arbitrary-precision integers, so overflow cannot occur;
-    astronomically large state spaces simply select Monte Carlo.
+    {-1, 1}, 3 for the {-1, 0, 1} of ``ThreeLetterDiagonal``.  The product
+    is a ``_count``; C(n, k) = C(n, j), j = min(k, n - k), is at least n and
+    2^j once j >= 1, so it is formed only after both are within the budget.
     """
     if modulus < 1 or dimension < 1:
         raise ValueError("modulus and dimension must be >= 1")
-    if budget < 1:
-        raise ValueError("budget must be >= 1")
-    total = (modulus**dimension) * (letters**dimension)
-    subsets = math.comb(dimension, k) if 0 <= k <= dimension else None
-    if subsets is None:
+    if not 0 <= k <= dimension:
         raise ValueError(f"k={k} out of range for n={dimension}")
-    if total <= budget and subsets <= budget:
+    j = min(k, dimension - k)
+    if (_count(budget, modulus * letters, dimension) <= budget
+            and (j == 0 or dimension <= budget and _count(budget, 2, j) <= budget)
+            and math.comb(dimension, j) <= budget):
         return SamplePlan("exhaustive", int(budget), int(seed))
     return SamplePlan(
         "monte-carlo", int(budget), int(seed), subset_mode="sampled",

@@ -4,6 +4,7 @@ import contextlib
 import csv
 import gc
 import io
+import itertools
 import json
 import math
 import os
@@ -18,7 +19,8 @@ import pytest
 
 from xplab import __version__, cli
 from xplab.cli import REPORTS, ExperimentConfig, _flatten, main
-from xplab.lattice import random_grid_function
+from xplab.embeddings import composite_grid_distortion
+from xplab.lattice import make_sample_plan, random_grid_function
 from xplab.schatten import random_psd
 
 
@@ -585,6 +587,51 @@ class TestPlanSizedFromTheInput:
         if same_as is not None:
             other = runner.invoke(main, ["run", *same_as, "--deterministic"])
             assert report == json.loads(other.stdout)["report"]
+
+    @pytest.mark.parametrize("args,message", [
+        (["scaling-witness", "--n", "100000"],
+         "1 x 2^100000 x 4^100000 terms exceed the budget 1000000"),
+        (["displacement", "--n", "100000"],
+         "1 x 2^100000 x 8^100000 terms exceed the budget 1000000"),
+        (["grid-distortion", "--m", "1", "--n", "100000"],
+         "2^100000 grid points exceed the pair budget"),
+        (["smoothness", "--kind", "pisier", "--n", "100000000"],
+         "1 x 2^100000000 x 2^100000000 terms exceed the budget 1000000"),
+    ], ids=["witness", "displacement", "grid", "pisier"])
+    def test_huge_n_is_refused_by_the_budget(self, runner, args, message):
+        # term counts of more than 4,300 digits, which str() of the exact
+        # integer refuses to print
+        res = runner.invoke(main, ["run", *args, "--deterministic"])
+        assert res.exit_code == 1
+        assert res.stdout == ""
+        [line] = res.stderr.splitlines()
+        assert json.loads(line) == {"error": "ValueError", "message": message}
+
+    def test_budget_decisions_equal_the_exact_counts(self):
+        """Plan modes, probe refusals and grid-pair refusals, taken through
+        ``lattice._count``, against the exact integers on both sides of each
+        budget's bit length."""
+        budgets = [1, 2, 3, 5, 63, 64, 100, 1000, 4096, 65535, 10**6]
+        for modulus, letters, n, budget in itertools.product(
+                (1, 2, 3), (1, 2, 3), range(1, 25), budgets):
+            for k in range(n + 1):
+                exact = ((modulus * letters)**n <= budget and math.comb(n, k) <= budget)
+                plan = make_sample_plan(modulus, n, k, budget, 0, letters)
+                assert plan.mode == ("exhaustive" if exact else "monte-carlo")
+        for budget in [-5, -1, 0, *budgets]:
+            cfg = ExperimentConfig(budget=budget)
+            # a base of modulus times letters, e.g. 6 for Z_3 with 2 letters
+            for base, n, copies in itertools.product(
+                    (1, 2, 3, 4, 6, 8, 9), range(1, 25), (-3, 0, 1, 2, 7, 20)):
+                refused = copies * base**n > budget
+                with pytest.raises(ValueError) if refused else contextlib.nullcontext():
+                    cli._probe_modulus(cfg, base, n, copies=copies)
+            for m, n in itertools.product((1, 2, 3, 7), range(1, 25)):
+                count = (m + 1)**n
+                refused = count * (count - 1) // 2 > budget
+                message = "pair budget" if refused else "unknown embedding"
+                with pytest.raises(ValueError, match=message):
+                    composite_grid_distortion(m, n, 3.0, 4.0, "bogus", budget=budget)
 
 
 class TestScan:

@@ -438,6 +438,15 @@ class TestSamplePlan:
         with pytest.raises(ValueError):
             SamplePlan("adaptive", 10, 0)
 
+    @pytest.mark.parametrize("n,k,budget", [
+        (10**6, 5 * 10**5, 100),  # n itself passes the budget
+        (1000, 500, 10**6),  # 2^500 passes the budget
+    ], ids=["n-over-budget", "two-to-the-j-over-budget"])
+    def test_huge_binomial_is_never_formed(self, n, k, budget):
+        with mock.patch("xplab.lattice.math.comb", side_effect=AssertionError("comb called")):
+            plan = make_sample_plan(1, n, k, budget, 7)
+        assert (plan.mode, plan.subset_mode) == ("monte-carlo", "sampled")
+
 
 class TestSubsetStream:
     def test_exhaustive_is_lexicographic(self):
