@@ -316,9 +316,9 @@ class SamplePlan:
 
 
 def _count(budget: int, base: int, n: int) -> int:
-    """base^n, or |budget| + 1 once base >= 2 and n >= budget.bit_length(), so
-    base^n > |budget|: for every integer c, c times either is on one side of it."""
-    return abs(budget) + 1 if base >= 2 and n >= budget.bit_length() else base**n
+    """base^n, or |budget| + 1 once base >= 2 and n >= int(budget).bit_length(),
+    so base^n > |budget|: for every integer c, c times either is on one side of it."""
+    return abs(budget) + 1 if base >= 2 and n >= int(budget).bit_length() else base**n
 
 
 def make_sample_plan(

@@ -615,7 +615,7 @@ class TestPlanSizedFromTheInput:
         for modulus, letters, n, budget in itertools.product(
                 (1, 2, 3), (1, 2, 3), range(1, 25), budgets):
             for k in range(n + 1):
-                exact = ((modulus * letters)**n <= budget and math.comb(n, k) <= budget)
+                exact = (modulus * letters)**n <= budget and math.comb(n, k) <= budget
                 plan = make_sample_plan(modulus, n, k, budget, 0, letters)
                 assert plan.mode == ("exhaustive" if exact else "monte-carlo")
         for budget in [-5, -1, 0, *budgets]:
