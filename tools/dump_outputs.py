@@ -50,7 +50,9 @@ DRAWS = 3
 # blocks of uniforms, plan sizes that --k or sign patterns the report never
 # uses would move, psd-xp at integer q, d = 1 and k = n, the lambda family at
 # r = 0, r near 0 and d = 1, a counterexample at fractional q, budget
-# refusals at n whose term counts pass 4,300 digits, and the verify oracles
+# refusals at n whose term counts pass 4,300 digits, budget refusals of an
+# exact counterexample power, a distortion objective and default unit
+# vectors past the default budget, and the verify oracles
 EXTRA = [
     ["run", "metric-xp", "--m", "1", "--n", "6", "--k", "3", "--budget", "5000"],
     ["run", "metric-xp", "--m", "1", "--n", "6", "--k", "3", "--d", "9", "--budget", "5000"],
@@ -93,6 +95,9 @@ EXTRA = [
     ["run", "displacement", "--n", "100000"],
     ["run", "grid-distortion", "--m", "1", "--n", "100000"],
     ["run", "smoothness", "--kind", "pisier", "--n", "100000000"],
+    ["run", "psd-counterexample", "--q", "1500"],
+    ["run", "rosenthal-distortion", "--n", "2000000"],
+    ["run", "bridge", "--n", "3000"],
 ]
 # help, version and usage errors of the entry point, run without
 # --deterministic
