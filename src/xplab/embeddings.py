@@ -310,10 +310,10 @@ def composite_grid_distortion(
         raise ValueError(f"{shown} grid points exceed the pair budget")
     pts = _pattern_rows(np.arange(m + 1.0), n)
     if which == "rosenthal":
-        return EmbeddingResult(count, *distortion_from_matrices(
-            _pairwise(pts, _norm_power, q, 1.0),
-            _pairwise(rosenthal_embed(pts, q), rosenthal_target_norm, p)))
-    if which == "schoenberg":
-        image = schoenberg_embed(pts, q)
-        return distortion(pts, image, q, 2.0)
-    raise ValueError(f"unknown embedding {which!r}")
+        image = _pairwise(rosenthal_embed(pts, q), rosenthal_target_norm, p)
+    elif which == "schoenberg":
+        image = _pairwise(schoenberg_embed(pts, q), _norm_power, 2.0, 1.0)
+    else:
+        raise ValueError(f"unknown embedding {which!r}")
+    return EmbeddingResult(count, *distortion_from_matrices(_pairwise(pts, _norm_power, q, 1.0),
+                                                            image))

@@ -248,6 +248,31 @@ def _as_vectors(a: Sequence[float] | np.ndarray) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 
+def _metric_terms(
+    f: GridFunction, k: int, plan: SamplePlan, m: int, p: float
+) -> tuple[float, float, float]:
+    """The three moments of the metric X_p inequality on Z_M^n at power p:
+
+    avg_{|S|=k} E ||f(x + (M/2) eps_S) - f(x)||^p / m^p,
+    (k/n) sum_j E ||f(x+e_j)-f(x)||^p and (k/n)^{p/2} E ||f(x+eps)-f(x)||^p.
+    """
+    n = f.dimension
+    if not 1 <= k <= n:
+        raise ValueError(f"k={k} out of range for n={n}")
+    shifted = subset_average(
+        lambda S: gap_moment(f, ShiftedSet(S, f.modulus // 2), plan, power=p), n, k, plan
+    )
+    edge = math.fsum(gap_moment(f, Edge(j), plan, power=p) for j in range(1, n + 1))
+    diag = gap_moment(f, Diagonal(), plan, power=p)
+    return shifted / m**p, (k / n) * edge, (k / n) ** (p / 2) * diag
+
+
+def _half_period_sum(f: GridFunction, plan: SamplePlan, power: float) -> float:
+    """sum_j E ||f(x + (M/2) e_j) - f(x)||^power on Z_M^n, M even."""
+    shifts = np.eye(f.dimension, dtype=np.int64) * (f.modulus // 2)
+    return math.fsum(gap_moment(f, FixedShift(v), plan, power=power) for v in shifts)
+
+
 def metric_xp_report(f: GridFunction, k: int, plan: SamplePlan) -> InequalityReport:
     """Subset-averaged half-period shifts vs edge and diagonal moments.
 
@@ -258,20 +283,12 @@ def metric_xp_report(f: GridFunction, k: int, plan: SamplePlan) -> InequalityRep
     if f.modulus % 4 != 0:
         raise ValueError("metric_xp_report requires modulus divisible by 4")
     n, p, m = f.dimension, f.value_p, f.modulus // 4
-    if not 1 <= k <= n:
-        raise ValueError(f"k={k} out of range for n={n}")
+    lhs, edge, diag = _metric_terms(f, k, plan, m, p)
     warnings = []
     if m < n**1.5 * max(math.log(p), 0.0) / math.sqrt(k) + p * n:
-        warnings.append(
-            "hypothesis m >= n^{3/2} log(p)/sqrt(k) + p n not met"
-        )
+        warnings.append("hypothesis m >= n^{3/2} log(p)/sqrt(k) + p n not met")
     if m < n**1.5 / math.sqrt(k):
         warnings.append("weaker hypothesis m >= n^{3/2}/sqrt(k) not met")
-    lhs = subset_average(
-        lambda S: gap_moment(f, ShiftedSet(S, 2 * m), plan), n, k, plan
-    ) / m**p
-    edge = (k / n) * math.fsum(gap_moment(f, Edge(j), plan) for j in range(1, n + 1))
-    diag = (k / n) ** (p / 2) * gap_moment(f, Diagonal(), plan)
     return InequalityReport(
         "metric_xp",
         {"p": p, "m": m, "n": n, "k": k, "d": f.value_dim},
@@ -300,10 +317,7 @@ def reverse_metric_xp_report(
     warnings = []
     if m < k ** (1.0 / p) / math.sqrt(p):
         warnings.append("hypothesis m >= k^{1/p}/sqrt(p) not met")
-    coord = math.fsum(
-        gap_moment(f, FixedShift(tuple(4 * m if a == j - 1 else 0 for a in range(n))), plan)
-        for j in range(1, n + 1)
-    )
+    coord = _half_period_sum(f, plan, p)
     cotype = (k / n) * coord / m**p
     type_term = (k / n) ** (p / 2) * gap_moment(f, SymmetricDiagonal(), plan)
     subset_shift = subset_average(
@@ -436,29 +450,18 @@ def smoothness_report(h: HypercubeFunction, kind: Enflo | BMW | Pisier) -> Inequ
             raise ValueError(f"{type(kind).__name__} exponent {name}={value} must be > 0")
     anti = h.values - h.antipode().values
     flips = [h.flip(j).values - h.values for j in range(1, n + 1)]
-    if isinstance(kind, Enflo):
-        r = kind.r
-        lhs = _cube_mean_power(anti, r)
-        rhs = math.fsum(_cube_mean_power(d, r) for d in flips)
-        return InequalityReport(
-            "enflo", {"r": r, "n": n, "d": h.value_dim}, lhs, {"flips": rhs}, None
-        )
-    if isinstance(kind, BMW):
-        q, p = kind.q, kind.p
-        lhs = _cube_mean_power(anti, p)
-        rhs = n ** (p / q - 1.0) * math.fsum(_cube_mean_power(d, p) for d in flips)
-        return InequalityReport(
-            "bmw", {"q": q, "p": p, "n": n, "d": h.value_dim}, lhs, {"flips": rhs}, None
-        )
-    p = kind.p
-    lhs = _cube_mean_power(anti, p)
-    rhs = _signed_sum_means(
-        flips, [tuple(range(1, n + 1))], _pattern_rows((-1.0, 1.0), n),
-        lambda sums: np.reshape(_fsum_rows(_norm_power(sums, 2.0, p).reshape(-1, 2**n)),
-                                sums.shape[:2]) / 2**n,
-    )[0]
-    return InequalityReport("pisier", {"p": p, "n": n, "d": h.value_dim}, lhs, {"rad_diff": rhs},
-                            None)
+    p = kind.r if isinstance(kind, Enflo) else kind.p
+    if isinstance(kind, Pisier):
+        rhs = {"rad_diff": _signed_sum_means(
+            flips, [tuple(range(1, n + 1))], _pattern_rows((-1.0, 1.0), n),
+            lambda sums: np.reshape(_fsum_rows(_norm_power(sums, 2.0, p).reshape(-1, 2**n)),
+                                    sums.shape[:2]) / 2**n,
+        )[0]}
+    else:
+        scale = n ** (p / kind.q - 1.0) if isinstance(kind, BMW) else 1.0
+        rhs = {"flips": scale * math.fsum(_cube_mean_power(d, p) for d in flips)}
+    return InequalityReport(type(kind).__name__.lower(), {**vars(kind), "n": n, "d": h.value_dim},
+                            _cube_mean_power(anti, p), rhs, None)
 
 
 # ---------------------------------------------------------------------------
@@ -480,24 +483,16 @@ def cotype_report(
     if variant == "three-letter":
         if f.modulus % 2 != 0:
             raise ValueError("three-letter variant requires even modulus")
-        m, shift = f.modulus // 2, f.modulus // 2
+        m = f.modulus // 2
         diag_spec: object = ThreeLetterDiagonal()
     elif variant == "rademacher":
         if f.modulus % 8 != 0:
             raise ValueError("rademacher variant requires modulus divisible by 8")
-        m, shift = f.modulus // 8, f.modulus // 2
+        m = f.modulus // 8
         diag_spec = Diagonal()
     else:
         raise ValueError(f"unknown cotype variant {variant!r}")
-    lhs = math.fsum(
-        gap_moment(
-            f,
-            FixedShift(tuple(shift if a == j - 1 else 0 for a in range(n))),
-            plan,
-            power=s,
-        )
-        for j in range(1, n + 1)
-    ) / m**s
+    lhs = _half_period_sum(f, plan, s) / m**s
     rhs = gap_moment(f, diag_spec, plan, power=s)
     return InequalityReport(
         "cotype",
@@ -605,19 +600,13 @@ def scaling_witness_report(m: int, n: int, k: int, p: float) -> InequalityReport
     """
     if m < 1:
         raise ValueError(f"scaling witness requires m >= 1, got m={m}")
-    if not 1 <= k <= n:
-        raise ValueError(f"k={k} out of range for n={n}")
     M = 2 * m
     # g(x) concatenates the (cos, sin) pairs of x's residues
     circle = np.array([[math.cos(math.pi * c / m), math.sin(math.pi * c / m)] for c in range(M)])
     values = circle[_pattern_rows(np.arange(M), n)].reshape((M,) * n + (2 * n,))
     f = GridFunction(M, n, 2 * n, 2.0, values)
     plan = make_sample_plan(M, n, k, M**n * 2**n, 0)
-    shifted = subset_average(
-        lambda S: gap_moment(f, ShiftedSet(S, m), plan, power=p), n, k, plan
-    )
-    edge = math.fsum(gap_moment(f, Edge(j), plan, power=p) for j in range(1, n + 1))
-    diag = gap_moment(f, Diagonal(), plan, power=p)
+    lhs, edge, diag = _metric_terms(f, k, plan, m, p)
     step = abs(complex(math.cos(math.pi / m), math.sin(math.pi / m)) - 1.0)
     extra = {
         "shifted_closed_form": (2.0 * math.sqrt(k)) ** p,
@@ -627,8 +616,8 @@ def scaling_witness_report(m: int, n: int, k: int, p: float) -> InequalityReport
     return InequalityReport(
         "scaling_witness",
         {"p": p, "m": m, "n": n, "k": k},
-        shifted / m**p,
-        {"edge": (k / n) * edge, "diag": (k / n) ** (p / 2) * diag},
+        lhs,
+        {"edge": edge, "diag": diag},
         plan,
         notes=[
             "lhs and rhs both scale as m^{-p}; implied constant is m-independent",

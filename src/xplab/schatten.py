@@ -211,27 +211,18 @@ def trace_inequality_report(
     d = ma.order
     params: dict = {"d": d, "kind": type(kind).__name__}
 
-    if isinstance(kind, MainQge1):
-        q = kind.q
-        if q < 1:
-            raise ValueError("MainQge1 requires q >= 1")
+    if isinstance(kind, (MainQge1, Qlt1)):
+        q, main = kind.q, isinstance(kind, MainQge1)
+        if q < 1 if main else not 0 < q < 1:
+            raise ValueError(f"{type(kind).__name__} requires {'q >= 1' if main else '0 < q < 1'}")
         params["q"] = q
+        root = 1.0 / q if main else 1.0  # x ** 1.0 is x
         msum = SymMatrix.from_array(ma.entries + mb.entries)
-        lhs = trace_mixed(msum, ma, q) ** (1.0 / q)
-        t1 = trace_power(ma, q + 1.0) ** (1.0 / q)
-        t2 = trace_mixed(mb, ma, q) ** (1.0 / q)
-        return InequalityReport("trace_main_qge1", params, lhs, {"pure": t1, "mixed": t2}, None)
-
-    if isinstance(kind, Qlt1):
-        q = kind.q
-        if not 0 < q < 1:
-            raise ValueError("Qlt1 requires 0 < q < 1")
-        params["q"] = q
-        msum = SymMatrix.from_array(ma.entries + mb.entries)
-        lhs = trace_mixed(msum, ma, q)
-        t1 = trace_power(ma, q + 1.0)
-        t2 = trace_mixed(mb, ma, q)
-        return InequalityReport("trace_qlt1", params, lhs, {"pure": t1, "mixed": t2}, None)
+        lhs = trace_mixed(msum, ma, q) ** root
+        t1 = trace_power(ma, q + 1.0) ** root
+        t2 = trace_mixed(mb, ma, q) ** root
+        return InequalityReport("trace_main_qge1" if main else "trace_qlt1", params, lhs,
+                                {"pure": t1, "mixed": t2}, None)
 
     if isinstance(kind, LambdaFamily):
         q = kind.q
