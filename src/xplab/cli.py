@@ -207,9 +207,13 @@ def _coeffs(cfg: ExperimentConfig) -> list:
     return list(cfg.a) if cfg.a is not None else [1.0] * cfg.n
 
 
-def _vectors(cfg: ExperimentConfig, count: int) -> list:
-    """``zs``, or else ``count`` unit vectors."""
-    return cfg.zs if cfg.zs is not None else np.eye(count).tolist()
+def _vectors(cfg: ExperimentConfig, count: int) -> list | np.ndarray:
+    """``zs``, or else ``np.eye(count)`` once its count^2 entries are within the budget."""
+    if cfg.zs is not None:
+        return cfg.zs
+    if count * count > cfg.budget:
+        raise ValueError(f"{count} x {count} unit-vector entries exceed the budget {cfg.budget}")
+    return np.eye(count)
 
 
 def _signed(cfg: ExperimentConfig, report, data, *args, modulus: int = 1,
@@ -307,6 +311,9 @@ def _trace(cfg: ExperimentConfig) -> dict:
 
 
 def _psd_counterexample(cfg: ExperimentConfig) -> dict:
+    """The counterexample, once an integer q's q^2 exact terms are within the budget."""
+    if cfg.q > 0 and cfg.q.is_integer() and cfg.q * cfg.q > cfg.budget:
+        raise ValueError(f"{cfg.q:g}^2 terms of the exact power exceed the budget {cfg.budget}")
     ce = psd_counterexample(cfg.s, cfg.q, cfg.big_k)
     return {
         "functional": "psd_counterexample",
@@ -324,6 +331,9 @@ def _cotype(cfg: ExperimentConfig) -> dict:
 
 
 def _rosenthal_distortion(cfg: ExperimentConfig) -> dict:
+    """The distortion, once the objective's n support sizes are within the budget."""
+    if cfg.n > cfg.budget:
+        raise ValueError(f"{cfg.n} support sizes exceed the budget {cfg.budget}")
     dist, s_star = rosenthal_distortion(cfg.n, cfg.q, cfg.p)
     return {
         "functional": "rosenthal_distortion",

@@ -326,14 +326,8 @@ def reverse_metric_xp_report(
     rhs = p ** (p / 2) * subset_shift
     diag2 = gap_moment(f, ShiftedSet(tuple(range(1, n + 1)), 2), plan)
     extra = {
-        "goal1": {
-            "lhs": diag2,
-            "rhs": (p * n / k) ** (p / 2) * subset_shift,
-        },
-        "goal2": {
-            "lhs": coord / m**p,
-            "rhs": p ** (p / 2) * (n / k) * subset_shift,
-        },
+        "goal1": {"lhs": diag2, "rhs": (p * n / k) ** (p / 2) * subset_shift},
+        "goal2": {"lhs": coord / m**p, "rhs": p ** (p / 2) * (n / k) * subset_shift},
     }
     return InequalityReport(
         "reverse_metric_xp",
@@ -477,7 +471,6 @@ def cotype_report(
     variant "three-letter": modulus 2m, shift m e_j, eps uniform on {-1,0,1}^n;
     variant "rademacher":   modulus 8m, shift 4m e_j, eps uniform on {-1,1}^n.
     """
-    n = f.dimension
     if s <= 0:
         raise ValueError(f"cotype exponent s={s} must be > 0")
     if variant == "three-letter":
@@ -496,7 +489,7 @@ def cotype_report(
     rhs = gap_moment(f, diag_spec, plan, power=s)
     return InequalityReport(
         "cotype",
-        {"s": s, "m": m, "n": n, "d": f.value_dim, "variant": variant},
+        {"s": s, "m": m, "n": f.dimension, "d": f.value_dim, "variant": variant},
         lhs,
         {"diag": rhs},
         plan,

@@ -337,13 +337,22 @@ class PsdCounterexample:
     min_eigenvalue: float
 
 
+def _float(x: Fraction) -> float:
+    """float(x), or +-inf for an x past the largest float."""
+    try:
+        return float(x)
+    except OverflowError:
+        return math.inf if x > 0 else -math.inf
+
+
 def psd_counterexample(s: float, q: float, big_k: float) -> PsdCounterexample:
     """The 2x2 family showing K(A^q + B^q) - (A+B)^q is not PSD in general.
 
     A = diag(s^2, 0), B = [[1, s], [s, s^2]], w = (-s, 1).  Returns the
     quadratic form <(K(A^q+B^q) - (A+B)^q) w, w> and the minimum eigenvalue.
     Integer q is evaluated in exact rational arithmetic (the form is a tiny
-    cancellation of O(1) entries); fractional q uses float spectral calculus.
+    cancellation of O(1) entries), and an exact value past the largest float
+    is +-inf; fractional q uses float spectral calculus.
     """
     if s <= 0 or q <= 0:
         raise ValueError("require s > 0 and q > 0")
@@ -357,8 +366,8 @@ def psd_counterexample(s: float, q: float, big_k: float) -> PsdCounterexample:
         wf = np.array([-sf, 1], dtype=object)
         power = np.linalg.matrix_power
         gap = Fraction(big_k) * (power(qa, int(q)) + power(qb, int(q))) - power(qa + qb, int(q))
-        form = float(wf @ gap @ wf)
-        gap_f = gap.astype(float)
+        form = _float(wf @ gap @ wf)
+        gap_f = np.vectorize(_float, otypes=[float])(gap)
     else:
         pa = _as_sym(a).power(q)
         pb = _as_sym(b).power(q)

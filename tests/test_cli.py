@@ -343,13 +343,18 @@ class TestUsageErrors:
         (["run", "bridge", "--p", "1600", "--deterministic"],
          "report fields are not finite: report.extra.intermediates.edge_upper.rhs = inf, "
          "report.extra.intermediates.diagonal_upper.rhs = inf"),
+        # exact rationals past the largest float: not an OverflowError
+        (["run", "psd-counterexample", "--s", "4", "--q", "250", "--deterministic"],
+         "report fields are not finite: report.quadratic_form = -inf, "
+         "report.min_eigenvalue = nan"),
     ], ids=["trace-two-orders", "psd-xp-two-orders", "cosine-n-zero",
             "search-negative-n", "witness-negative-n", "bridge-empty-vectors",
             "contraction-empty-vectors", "verify-without-suite", "run-p-nan", "run-p-inf",
             "config-p-nan", "scan-nan", "scan-inf", "scan-int-overflow", "geom-count-zero",
             "geom-two-fields", "bmw-q-zero", "enflo-r-negative", "pisier-p-zero",
             "grid-negative-m", "grid-negative-n", "search-zero-trials", "json-nan",
-            "json-inf", "csv-inf", "scan-row-nan", "bridge-huge-p"])
+            "json-inf", "csv-inf", "scan-row-nan", "bridge-huge-p",
+            "counterexample-overflow"])
     @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_bad_input_is_named(self, runner, args, message):
         # not numpy's broadcast, stack or scalar-array message, nor the
@@ -606,6 +611,41 @@ class TestPlanSizedFromTheInput:
         assert res.stdout == ""
         [line] = res.stderr.splitlines()
         assert json.loads(line) == {"error": "ValueError", "message": message}
+
+    @pytest.mark.parametrize("args,message", [
+        # q^2 products of rationals whose size grows linearly in q
+        (["psd-counterexample", "--q", "1500"],
+         "1500^2 terms of the exact power exceed the budget 1000000"),
+        (["psd-counterexample", "--q", "1e308"],
+         "1e+308^2 terms of the exact power exceed the budget 1000000"),
+        (["psd-counterexample", "--q", "11", "--budget", "100"],
+         "11^2 terms of the exact power exceed the budget 100"),
+        (["psd-counterexample", "--q", "10", "--budget", "100"], None),
+        (["psd-counterexample", "--q", "2.5", "--budget", "1"], None),
+        # one objective value per support size s = 1..n
+        (["rosenthal-distortion", "--n", "2000000"],
+         "2000000 support sizes exceed the budget 1000000"),
+        (["rosenthal-distortion", "--n", "101", "--budget", "100"],
+         "101 support sizes exceed the budget 100"),
+        (["rosenthal-distortion", "--n", "100", "--budget", "100"], None),
+        # n^2 entries of the default unit vectors
+        (["bridge", "--n", "3000"],
+         "3000 x 3000 unit-vector entries exceed the budget 1000000"),
+        (["contraction", "--a", ",".join(["1"] * 11), "--budget", "100"],
+         "11 x 11 unit-vector entries exceed the budget 100"),
+        (["contraction", "--a", ",".join(["1"] * 10), "--budget", "100"], None),
+    ], ids=["counterexample", "counterexample-huge-q", "counterexample-small-budget",
+            "counterexample-at-budget", "counterexample-fractional-q", "rosenthal",
+            "rosenthal-small-budget", "rosenthal-at-budget", "bridge-unit-vectors",
+            "contraction-unit-vectors", "contraction-at-budget"])
+    def test_input_sized_work_is_refused_by_the_budget(self, runner, args, message):
+        res = runner.invoke(main, ["run", *args, "--deterministic"])
+        if message is None:
+            assert res.exit_code == 0, res.output
+            return
+        assert res.exit_code == 1
+        assert res.stdout == ""
+        assert json.loads(res.stderr) == {"error": "ValueError", "message": message}
 
     def test_budget_decisions_equal_the_exact_counts(self):
         """Plan modes, probe refusals and grid-pair refusals, taken through

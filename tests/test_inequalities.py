@@ -30,7 +30,7 @@ from xplab.inequalities import (
     smoothness_report,
     subset_average,
 )
-from xplab.inequalities import _sign_rows, _xp_moments
+from xplab.inequalities import _metric_terms, _sign_rows, _xp_moments
 from xplab.lattice import (
     GridFunction,
     SamplePlan,
@@ -316,6 +316,36 @@ class TestMetricXp:
     def test_requires_modulus_multiple_of_four(self):
         with pytest.raises(ValueError):
             metric_xp_report(indicator(6, 1, 4.0), 1, plan_for(6, 1))
+
+    @pytest.mark.parametrize("modulus,n,k,value_p,p,m", [
+        (4, 2, 1, 2.0, 3.0, 1), (8, 2, 2, 3.0, 1.5, 2), (4, 3, 2, 2.0, 5.0, 3),
+        (6, 2, 1, 4.0, 2.0, 3)])
+    def test_terms_at_a_power_other_than_value_p(self, modulus, n, k, value_p, p, m):
+        # a loop over (S, eps, x) on an exhaustive torus, at a power p that is
+        # not the value norm's exponent
+        f = random_grid_function(modulus, n, 2, value_p, seed=modulus + n)
+
+        def moment(delta, x):
+            y = tuple((a + b) % modulus for a, b in zip(x, delta))
+            gap = f.values[y] - f.values[tuple(x)]
+            return math.fsum(abs(float(v)) ** value_p for v in gap) ** (p / value_p)
+
+        points = list(itertools.product(range(modulus), repeat=n))
+
+        def mean(deltas):
+            return math.fsum(moment(d, x) for d in deltas for x in points) / (
+                len(deltas) * len(points))
+
+        half = modulus // 2
+        shifted = [mean([[half * eps[S.index(a)] if a in S else 0 for a in range(n)]
+                          for eps in itertools.product((-1, 1), repeat=k)])
+                   for S in itertools.combinations(range(n), k)]
+        edges = [mean([[int(a == j) for a in range(n)]]) for j in range(n)]
+        diag = mean(list(itertools.product((-1, 1), repeat=n)))
+        expected = (math.fsum(shifted) / len(shifted) / m**p, (k / n) * math.fsum(edges),
+                    (k / n) ** (p / 2) * diag)
+        terms = _metric_terms(f, k, plan_for(modulus, n, k), m, p)
+        assert terms == pytest.approx(expected, rel=1e-12)
 
 
 class TestReverseMetricXp:
