@@ -208,12 +208,8 @@ def _coeffs(cfg: ExperimentConfig) -> list:
 
 
 def _vectors(cfg: ExperimentConfig, count: int) -> list | np.ndarray:
-    """``zs``, or else ``np.eye(count)`` once its count^2 entries are within the budget."""
-    if cfg.zs is not None:
-        return cfg.zs
-    if count * count > cfg.budget:
-        raise ValueError(f"{count} x {count} unit-vector entries exceed the budget {cfg.budget}")
-    return np.eye(count)
+    """``zs``, or else ``np.eye(count)`` once ``_probe_modulus`` admits its count^2 entries."""
+    return cfg.zs if cfg.zs is not None else np.eye(_probe_modulus(cfg, count, 2))
 
 
 def _signed(cfg: ExperimentConfig, report, data, *args, modulus: int = 1,
@@ -312,7 +308,7 @@ def _trace(cfg: ExperimentConfig) -> dict:
 
 def _psd_counterexample(cfg: ExperimentConfig) -> dict:
     """The counterexample, once an integer q's q^2 exact terms are within the budget."""
-    if cfg.q > 0 and cfg.q.is_integer() and cfg.q * cfg.q > cfg.budget:
+    if cfg.q > 0 and cfg.q == int(cfg.q) and cfg.q * cfg.q > cfg.budget:
         raise ValueError(f"{cfg.q:g}^2 terms of the exact power exceed the budget {cfg.budget}")
     ce = psd_counterexample(cfg.s, cfg.q, cfg.big_k)
     return {

@@ -213,7 +213,7 @@ def trace_inequality_report(
 
     if isinstance(kind, (MainQge1, Qlt1)):
         q, main = kind.q, isinstance(kind, MainQge1)
-        if q < 1 if main else not 0 < q < 1:
+        if (q < 1) if main else not 0 < q < 1:
             raise ValueError(f"{type(kind).__name__} requires {'q >= 1' if main else '0 < q < 1'}")
         params["q"] = q
         root = 1.0 / q if main else 1.0  # x ** 1.0 is x

@@ -630,9 +630,9 @@ class TestPlanSizedFromTheInput:
         (["rosenthal-distortion", "--n", "100", "--budget", "100"], None),
         # n^2 entries of the default unit vectors
         (["bridge", "--n", "3000"],
-         "3000 x 3000 unit-vector entries exceed the budget 1000000"),
+         "1 x 3000^2 terms exceed the budget 1000000"),
         (["contraction", "--a", ",".join(["1"] * 11), "--budget", "100"],
-         "11 x 11 unit-vector entries exceed the budget 100"),
+         "1 x 11^2 terms exceed the budget 100"),
         (["contraction", "--a", ",".join(["1"] * 10), "--budget", "100"], None),
     ], ids=["counterexample", "counterexample-huge-q", "counterexample-small-budget",
             "counterexample-at-budget", "counterexample-fractional-q", "rosenthal",
