@@ -286,7 +286,9 @@ def metric_xp_report(f: GridFunction, k: int, plan: SamplePlan) -> InequalityRep
     lhs, edge, diag = _metric_terms(f, k, plan, m, p)
     warnings = []
     if m < n**1.5 * max(math.log(p), 0.0) / math.sqrt(k) + p * n:
-        warnings.append("hypothesis m >= n^{3/2} log(p)/sqrt(k) + p n not met")
+        warnings.append(
+            "hypothesis m >= n^{3/2} log(p)/sqrt(k) + p n not met"
+        )
     if m < n**1.5 / math.sqrt(k):
         warnings.append("weaker hypothesis m >= n^{3/2}/sqrt(k) not met")
     return InequalityReport(
@@ -326,8 +328,14 @@ def reverse_metric_xp_report(
     rhs = p ** (p / 2) * subset_shift
     diag2 = gap_moment(f, ShiftedSet(tuple(range(1, n + 1)), 2), plan)
     extra = {
-        "goal1": {"lhs": diag2, "rhs": (p * n / k) ** (p / 2) * subset_shift},
-        "goal2": {"lhs": coord / m**p, "rhs": p ** (p / 2) * (n / k) * subset_shift},
+        "goal1": {
+            "lhs": diag2,
+            "rhs": (p * n / k) ** (p / 2) * subset_shift,
+        },
+        "goal2": {
+            "lhs": coord / m**p,
+            "rhs": p ** (p / 2) * (n / k) * subset_shift,
+        },
     }
     return InequalityReport(
         "reverse_metric_xp",
