@@ -11,7 +11,9 @@ closed-form template of ``benchmarks/workloads.py`` (read, never written).
 It then runs each report of ``xplab.cli.REPORTS`` at its default parameters
 three ways, which the benchmark does not: ``run NAME --deterministic`` in
 JSON and in CSV, and ``scan NAME --sweep seed --values 1,2``; then the
-``EXTRA`` sizes, ``verify all`` and the ``USAGE`` rows as given.
+``EXTRA`` sizes, ``verify all`` and the ``USAGE`` rows as given.  An
+``EXTRA`` row that ends in a dict runs with that dict as its ``--config``
+file, and its key names the dict, not the file.
 xplab is imported from ``DIR`` (default: ``src/`` of this checkout), config
 files go to a temporary directory, and ``OUT.json`` maps each command's key
 to ``[exit code, stdout, stderr]``.
@@ -98,6 +100,10 @@ EXTRA = [
     ["run", "psd-counterexample", "--q", "1500"],
     ["run", "rosenthal-distortion", "--n", "2000000"],
     ["run", "bridge", "--n", "3000"],
+    ["run", "trace", "--kind", "holder", "--q", "3", {"word_a": [1.5, 1.5], "word_b": [1.0]}],
+    ["run", "cotype", "--variant", "bogus"],
+    *(["run", report, "--n", n] for report, n in (("bridge", "-1"), ("bridge", "0"),
+                                                   ("contraction", "0"))),
 ]
 # help, version and usage errors of the entry point, run without
 # --deterministic
@@ -133,7 +139,16 @@ def commands(directory: Path) -> dict[str, list[str]]:
         jobs += [(f"cli-run-json/{name}", ["run", name, "--deterministic"]),
                  (f"cli-run-csv/{name}", ["run", name, "--deterministic", "--format", "csv"]),
                  (f"cli-scan-seed/{name}", ["scan", name, "--sweep", "seed", "--values", "1,2"])]
-    jobs += [("extra/" + " ".join(argv[1:]), [*argv, "--deterministic"]) for argv in EXTRA]
+    for i, row in enumerate(EXTRA):
+        config = row[-1] if isinstance(row[-1], dict) else None
+        argv = row[:-1] if config else row
+        key = "extra/" + " ".join(argv[1:])
+        if config:
+            path = directory / f"extra-{i}.json"
+            path.write_text(json.dumps(config), encoding="utf-8")
+            key += " --config " + json.dumps(config, sort_keys=True)
+            argv = [*argv, "--config", str(path)]
+        jobs.append((key, [*argv, "--deterministic"]))
     jobs.append(("extra/verify all", ["verify", "all"]))
     jobs += [("usage/" + " ".join(argv), argv) for argv in USAGE]
     return dict(jobs)
