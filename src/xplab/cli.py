@@ -24,7 +24,7 @@ from typing import NoReturn
 
 import numpy as np
 
-from . import __version__
+from . import __version__, lattice
 from .complexify import bridge_report, circular_moment_report, contraction_check
 from .embeddings import (
     composite_grid_distortion,
@@ -36,6 +36,7 @@ from .inequalities import (
     BMW,
     Enflo,
     Pisier,
+    _COTYPE_VARIANTS,
     convolution_probe,
     convolution_search,
     cotype_report,
@@ -321,9 +322,9 @@ def _psd_counterexample(cfg: ExperimentConfig) -> dict:
 
 
 def _cotype(cfg: ExperimentConfig) -> dict:
-    three = cfg.variant == "three-letter"
-    f = _grid_function(cfg, 2 * cfg.m if three else 8 * cfg.m)
-    return _signed(cfg, cotype_report, f, cfg.s, cfg.variant, k=0, letters=3 if three else 2)
+    factor, law, _ = _COTYPE_VARIANTS.get(cfg.variant, _COTYPE_VARIANTS["rademacher"])
+    return _signed(cfg, cotype_report, _grid_function(cfg, factor * cfg.m), cfg.s, cfg.variant,
+                   k=0, letters=len(lattice._law(law, 1)[1]))
 
 
 def _rosenthal_distortion(cfg: ExperimentConfig) -> dict:

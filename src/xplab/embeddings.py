@@ -49,13 +49,7 @@ class EmbeddingResult:
     distortion: float
 
     def to_json_dict(self) -> dict:
-        return {
-            "n_points": self.n_points,
-            "expansion": self.expansion,
-            "contraction": self.contraction,
-            "distortion": self.distortion,
-            "scale_witness": self.contraction,
-        }
+        return {**vars(self), "scale_witness": self.contraction}
 
 
 # ---------------------------------------------------------------------------

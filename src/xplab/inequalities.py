@@ -219,12 +219,9 @@ def _xp_moments(
     full average (``signed_power_mean`` of 1..n) draws its own n-column rows.
     """
     n = len(items)
-    if not 1 <= k <= n:
-        raise ValueError(f"k={k} out of range for n={n}")
-    rows = _sign_rows(k, plan, "signs:xp")
     subset = subset_average(
-        lambda subsets: _signed_sum_means(items, subsets, rows, power_fn), n, k, plan,
-        batched=True,
+        lambda subsets: _signed_sum_means(
+            items, subsets, _sign_rows(k, plan, "signs:xp"), power_fn), n, k, plan, batched=True,
     )
     ell = math.fsum(power_fn(np.stack(items)).tolist())
     rad = signed_power_mean(items, tuple(range(1, n + 1)), power_fn, plan) if full else None
@@ -257,8 +254,6 @@ def _metric_terms(
     (k/n) sum_j E ||f(x+e_j)-f(x)||^p and (k/n)^{p/2} E ||f(x+eps)-f(x)||^p.
     """
     n = f.dimension
-    if not 1 <= k <= n:
-        raise ValueError(f"k={k} out of range for n={n}")
     shifted = subset_average(
         lambda S: gap_moment(f, ShiftedSet(S, f.modulus // 2), plan, power=p), n, k, plan
     )
@@ -314,17 +309,15 @@ def reverse_metric_xp_report(
     if f.modulus % 8 != 0:
         raise ValueError("reverse_metric_xp_report requires modulus divisible by 8")
     n, p, m = f.dimension, f.value_p, f.modulus // 8
-    if not 1 <= k <= n:
-        raise ValueError(f"k={k} out of range for n={n}")
+    subset_shift = subset_average(
+        lambda S: gap_moment(f, ShiftedSet(S, 1), plan), n, k, plan
+    )
     warnings = []
     if m < k ** (1.0 / p) / math.sqrt(p):
         warnings.append("hypothesis m >= k^{1/p}/sqrt(p) not met")
     coord = _half_period_sum(f, plan, p)
     cotype = (k / n) * coord / m**p
     type_term = (k / n) ** (p / 2) * gap_moment(f, SymmetricDiagonal(), plan)
-    subset_shift = subset_average(
-        lambda S: gap_moment(f, ShiftedSet(S, 1), plan), n, k, plan
-    )
     rhs = p ** (p / 2) * subset_shift
     diag2 = gap_moment(f, ShiftedSet(tuple(range(1, n + 1)), 2), plan)
     extra = {
@@ -471,6 +464,13 @@ def smoothness_report(h: HypercubeFunction, kind: Enflo | BMW | Pisier) -> Inequ
 # ---------------------------------------------------------------------------
 
 
+# variant -> (modulus factor, diagonal law, modulus rule), read by the CLI too
+_COTYPE_VARIANTS = {
+    "three-letter": (2, ThreeLetterDiagonal(), "even modulus"),
+    "rademacher": (8, Diagonal(), "modulus divisible by 8"),
+}
+
+
 def cotype_report(
     f: GridFunction, s: float, variant: str, plan: SamplePlan
 ) -> InequalityReport:
@@ -481,18 +481,12 @@ def cotype_report(
     """
     if s <= 0:
         raise ValueError(f"cotype exponent s={s} must be > 0")
-    if variant == "three-letter":
-        if f.modulus % 2 != 0:
-            raise ValueError("three-letter variant requires even modulus")
-        m = f.modulus // 2
-        diag_spec: object = ThreeLetterDiagonal()
-    elif variant == "rademacher":
-        if f.modulus % 8 != 0:
-            raise ValueError("rademacher variant requires modulus divisible by 8")
-        m = f.modulus // 8
-        diag_spec = Diagonal()
-    else:
+    if variant not in _COTYPE_VARIANTS:
         raise ValueError(f"unknown cotype variant {variant!r}")
+    factor, diag_spec, rule = _COTYPE_VARIANTS[variant]
+    if f.modulus % factor != 0:
+        raise ValueError(f"{variant} variant requires {rule}")
+    m = f.modulus // factor
     lhs = _half_period_sum(f, plan, s) / m**s
     rhs = gap_moment(f, diag_spec, plan, power=s)
     return InequalityReport(

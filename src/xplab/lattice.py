@@ -306,13 +306,7 @@ class SamplePlan:
             raise ValueError("budget must be >= 1")
 
     def to_dict(self) -> dict:
-        return {
-            "mode": self.mode,
-            "budget": int(self.budget),
-            "seed": int(self.seed),
-            "subset_mode": self.subset_mode,
-            "subset_count": self.subset_count,
-        }
+        return dict(vars(self))
 
 
 def _count(budget: int, base: int, n: int) -> int:

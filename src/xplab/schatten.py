@@ -209,13 +209,12 @@ def trace_inequality_report(
     if not (ma.psd and mb.psd):
         raise ValueError("trace inequalities require PSD inputs")
     d = ma.order
-    params: dict = {"d": d, "kind": type(kind).__name__}
+    params = {"d": d, "kind": type(kind).__name__, **vars(kind)}
 
     if isinstance(kind, (MainQge1, Qlt1)):
         q, main = kind.q, isinstance(kind, MainQge1)
         if (q < 1) if main else not 0 < q < 1:
             raise ValueError(f"{type(kind).__name__} requires {'q >= 1' if main else '0 < q < 1'}")
-        params["q"] = q
         root = 1.0 / q if main else 1.0  # x ** 1.0 is x
         msum = SymMatrix.from_array(ma.entries + mb.entries)
         lhs = trace_mixed(msum, ma, q) ** root
@@ -228,7 +227,6 @@ def trace_inequality_report(
         q = kind.q
         if q < 1:
             raise ValueError("LambdaFamily requires q >= 1")
-        params["q"] = q
         r = max(q - 2.0, 0.0)
         msum = SymMatrix.from_array(ma.entries + mb.entries)
         lhs = trace_mixed(msum, ma, q - 1.0)
@@ -276,7 +274,6 @@ def trace_inequality_report(
         for j in range(min(len(av), k)):
             if cyc_b[j] + cyc_b[j + 1] > 2.0 * q * av[j] + 1e-12:
                 raise ValueError("constraint b_j + b_{j+1} <= 2 q a_j violated")
-        params.update({"q": q, "a": list(av), "b": list(bv)})
         word = np.eye(d)
         for i, ai in enumerate(av):
             word = word @ ma.power(ai)
@@ -293,7 +290,6 @@ def trace_inequality_report(
         r = kind.r
         if r < 1:
             raise ValueError("LiebThirring requires r >= 1")
-        params["r"] = r
         x, y = ma, mb
         xyx = SymMatrix.from_array(x.entries @ y.entries @ x.entries)
         lhs = trace_power(xyx, r)
@@ -307,7 +303,6 @@ def trace_inequality_report(
             raise ValueError("OpConvex requires theta in [1, 2]")
         if not 0.0 < s < 1.0:
             raise ValueError("OpConvex requires s in (0, 1)")
-        params.update({"theta": theta, "s": s})
         msum = SymMatrix.from_array(ma.entries + mb.entries)
         gap = (
             ma.power(theta) / s ** (theta - 1.0)

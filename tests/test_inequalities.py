@@ -42,7 +42,7 @@ from xplab.lattice import (
 )
 from xplab.lattice import _norm_power, _pattern_rows
 from xplab.operators import HypercubeFunction
-from xplab.schatten import _schatten_power
+from xplab.schatten import _schatten_power, schatten_xp_report
 
 
 def indicator(modulus: int, n: int, p: float) -> GridFunction:
@@ -358,6 +358,46 @@ class TestReverseMetricXp:
         # shifted-set moment 0.25 scaled by p^{p/2} = 16
         assert rep.rhs_terms["subset"] == pytest.approx(0.25 * 4.0**2)
         assert "goal1" in rep.extra and "goal2" in rep.extra
+
+
+class TestKRangeFirst:
+    """k outside 1..n is refused by ``subset_stream`` before any moment,
+    sign row or half-period sum is evaluated."""
+
+    PLANS = {
+        "exhaustive": SamplePlan("exhaustive", 10**6, 3),
+        "monte-carlo": SamplePlan("monte-carlo", 300, 3, subset_mode="sampled",
+                                  subset_count=40),
+    }
+    REPORTS = {
+        "linear_xp": (lambda k, plan: linear_xp_report([1.0, -2.0, 0.5], k, 4.0, plan)),
+        "schatten_xp": (lambda k, plan: schatten_xp_report(
+            [np.eye(2), np.diag([1.0, 3.0]), np.ones((2, 2))], k, 4.0, plan)),
+        "metric_xp": (lambda k, plan: metric_xp_report(
+            random_grid_function(4, 3, 1, 4.0, seed=1), k, plan)),
+        "reverse_metric_xp": (lambda k, plan: reverse_metric_xp_report(
+            random_grid_function(8, 3, 1, 4.0, seed=1), k, plan)),
+    }
+
+    @pytest.mark.parametrize("plan_name", sorted(PLANS))
+    @pytest.mark.parametrize("k", [0, 4])
+    @pytest.mark.parametrize("report", sorted(REPORTS))
+    def test_k_error_comes_before_any_work(self, monkeypatch, report, k, plan_name):
+        calls = []
+
+        def counted(name, fn):
+            def wrapper(*args, **kwargs):
+                calls.append(name)
+                return fn(*args, **kwargs)
+            return wrapper
+
+        for name in ("gap_moment", "_sign_rows", "_half_period_sum"):
+            monkeypatch.setattr(inequalities, name, counted(name, getattr(inequalities, name)))
+        with pytest.raises(ValueError, match=f"^k={k} out of range for n=3$"):
+            self.REPORTS[report](k, self.PLANS[plan_name])
+        assert calls == []
+        self.REPORTS[report](1, self.PLANS[plan_name])
+        assert calls  # the counters see the work of a k in range
 
 
 class TestSmoothness:
