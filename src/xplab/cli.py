@@ -209,7 +209,9 @@ def _coeffs(cfg: ExperimentConfig) -> list:
 
 
 def _vectors(cfg: ExperimentConfig, count: int) -> list | np.ndarray:
-    """``zs``, or else ``np.eye(count)`` once ``_probe_modulus`` admits its count^2 entries."""
+    """``zs``, or else ``np.eye(count)`` once count >= 1 and ``_probe_modulus`` admits count^2."""
+    if cfg.zs is None and count < 1:
+        raise ValueError("n must be >= 1")
     return cfg.zs if cfg.zs is not None else np.eye(_probe_modulus(cfg, count, 2))
 
 

@@ -294,6 +294,10 @@ class TestUsageErrors:
         *((["run", name, "--config", "empty-zs.json", "--a", "1,1"],
            "vectors must not be empty: got 2 vectors of length 0")
           for name in ("bridge", "contraction")),
+        # default unit vectors: not numpy's np.eye(-1) message, nor the plan's
+        (["run", "bridge", "--n", "-1"], "n must be >= 1"),
+        (["run", "bridge", "--n", "0"], "n must be >= 1"),
+        (["run", "contraction", "--n", "0"], "n must be >= 1"),
         (["verify"], "missing suite; choose one of complexify, embeddings, geodesic, "
                      "inequalities, lattice, operators, trace or all"),
         # non-finite numbers: not a NaN or Infinity in the JSON, nor
@@ -349,7 +353,8 @@ class TestUsageErrors:
          "report.min_eigenvalue = nan"),
     ], ids=["trace-two-orders", "psd-xp-two-orders", "cosine-n-zero",
             "search-negative-n", "witness-negative-n", "bridge-empty-vectors",
-            "contraction-empty-vectors", "verify-without-suite", "run-p-nan", "run-p-inf",
+            "contraction-empty-vectors", "bridge-negative-n", "bridge-zero-n",
+            "contraction-zero-n", "verify-without-suite", "run-p-nan", "run-p-inf",
             "config-p-nan", "scan-nan", "scan-inf", "scan-int-overflow", "geom-count-zero",
             "geom-two-fields", "bmw-q-zero", "enflo-r-negative", "pisier-p-zero",
             "grid-negative-m", "grid-negative-n", "search-zero-trials", "json-nan",
@@ -780,6 +785,23 @@ class TestEveryReportPath:
         res = runner.invoke(main, ["run", *args, "--deterministic"])
         assert res.exit_code in (0, 2), res.output
         assert json.loads(res.stdout)["schema"] == "xp-report/1"
+
+    @pytest.mark.parametrize("fmt", ["json", "csv"])
+    def test_holder_params_are_the_words_in_order(self, runner, workdir, fmt):
+        Path("cfg.json").write_text(json.dumps({"word_a": [1.5, 1.5], "word_b": [1.0]}))
+        res = runner.invoke(main, ["run", "trace", "--kind", "holder", "--q", "3",
+                                   "--config", "cfg.json", "--format", fmt])
+        assert res.exit_code == 0, res.output
+        if fmt == "json":
+            params = json.loads(res.stdout)["report"]["params"]
+            assert (params["a"], params["b"]) == ([1.5, 1.5], [1.0])
+        else:
+            header, row = csv.reader(io.StringIO(res.stdout))
+            assert [(key, cell) for key, cell in zip(header, row)
+                    if key.startswith("report.params.")] == [
+                ("report.params.d", "1"), ("report.params.kind", "Holder"),
+                ("report.params.q", "3.0"), ("report.params.a.0", "1.5"),
+                ("report.params.a.1", "1.5"), ("report.params.b.0", "1.0")]
 
     def test_grid_distortion_scale_witness_is_the_contraction(self, runner):
         res = runner.invoke(main, ["run", "grid-distortion", "--m", "2", "--n", "2",
