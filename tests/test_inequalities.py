@@ -370,13 +370,13 @@ class TestKRangeFirst:
                                   subset_count=40),
     }
     REPORTS = {
-        "linear_xp": (lambda k, plan: linear_xp_report([1.0, -2.0, 0.5], k, 4.0, plan)),
-        "schatten_xp": (lambda k, plan: schatten_xp_report(
-            [np.eye(2), np.diag([1.0, 3.0]), np.ones((2, 2))], k, 4.0, plan)),
-        "metric_xp": (lambda k, plan: metric_xp_report(
-            random_grid_function(4, 3, 1, 4.0, seed=1), k, plan)),
-        "reverse_metric_xp": (lambda k, plan: reverse_metric_xp_report(
-            random_grid_function(8, 3, 1, 4.0, seed=1), k, plan)),
+        "linear_xp": lambda k, plan: linear_xp_report([1.0, -2.0, 0.5], k, 4.0, plan),
+        "schatten_xp": lambda k, plan: schatten_xp_report(
+            [np.eye(2), np.diag([1.0, 3.0]), np.ones((2, 2))], k, 4.0, plan),
+        "metric_xp": lambda k, plan: metric_xp_report(
+            random_grid_function(4, 3, 1, 4.0, seed=1), k, plan),
+        "reverse_metric_xp": lambda k, plan: reverse_metric_xp_report(
+            random_grid_function(8, 3, 1, 4.0, seed=1), k, plan),
     }
 
     @pytest.mark.parametrize("plan_name", sorted(PLANS))
