@@ -54,7 +54,9 @@ DRAWS = 3
 # r = 0, r near 0 and d = 1, a counterexample at fractional q, budget
 # refusals at n whose term counts pass 4,300 digits, budget refusals of an
 # exact counterexample power, a distortion objective and default unit
-# vectors past the default budget, and the verify oracles
+# vectors past the default budget, Monte-Carlo cotype and metric-xp plans
+# whose half-period shifts or edges have as many terms as the budget and one
+# more, and the verify oracles
 EXTRA = [
     ["run", "metric-xp", "--m", "1", "--n", "6", "--k", "3", "--budget", "5000"],
     ["run", "metric-xp", "--m", "1", "--n", "6", "--k", "3", "--d", "9", "--budget", "5000"],
@@ -102,6 +104,10 @@ EXTRA = [
     ["run", "bridge", "--n", "3000"],
     ["run", "trace", "--kind", "holder", "--q", "3", {"word_a": [1.5, 1.5], "word_b": [1.0]}],
     ["run", "cotype", "--variant", "bogus"],
+    *(["run", "cotype", "--variant", "rademacher", "--m", "1", "--n", "3", "--budget", b]
+      for b in ("512", "511")),
+    *(["run", "metric-xp", "--m", "1", "--n", "4", "--k", "1", "--budget", b]
+      for b in ("256", "255")),
     *(["run", report, "--n", n] for report, n in (("bridge", "-1"), ("bridge", "0"),
                                                    ("contraction", "0"))),
 ]
