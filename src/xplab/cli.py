@@ -36,7 +36,7 @@ from .inequalities import (
     BMW,
     Enflo,
     Pisier,
-    _COTYPE_VARIANTS,
+    _cotype_variant,
     convolution_probe,
     convolution_search,
     cotype_report,
@@ -324,7 +324,7 @@ def _psd_counterexample(cfg: ExperimentConfig) -> dict:
 
 
 def _cotype(cfg: ExperimentConfig) -> dict:
-    factor, law, _ = _COTYPE_VARIANTS.get(cfg.variant, _COTYPE_VARIANTS["rademacher"])
+    factor, law, _ = _cotype_variant(cfg.variant)
     return _signed(cfg, cotype_report, _grid_function(cfg, factor * cfg.m), cfg.s, cfg.variant,
                    k=0, letters=len(lattice._law(law, 1)[1]))
 

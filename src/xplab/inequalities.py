@@ -464,11 +464,19 @@ def smoothness_report(h: HypercubeFunction, kind: Enflo | BMW | Pisier) -> Inequ
 # ---------------------------------------------------------------------------
 
 
-# variant -> (modulus factor, diagonal law, modulus rule), read by the CLI too
+# variant -> (modulus factor, diagonal law, modulus rule)
 _COTYPE_VARIANTS = {
     "three-letter": (2, ThreeLetterDiagonal(), "even modulus"),
     "rademacher": (8, Diagonal(), "modulus divisible by 8"),
 }
+
+
+def _cotype_variant(variant: str) -> tuple[int, lattice.DisplacementSpec, str]:
+    """The ``_COTYPE_VARIANTS`` row of ``variant``, or a ValueError naming
+    it: read by ``cotype_report`` and by the CLI before any grid is drawn."""
+    if variant not in _COTYPE_VARIANTS:
+        raise ValueError(f"unknown cotype variant {variant!r}")
+    return _COTYPE_VARIANTS[variant]
 
 
 def cotype_report(
@@ -481,9 +489,7 @@ def cotype_report(
     """
     if s <= 0:
         raise ValueError(f"cotype exponent s={s} must be > 0")
-    if variant not in _COTYPE_VARIANTS:
-        raise ValueError(f"unknown cotype variant {variant!r}")
-    factor, diag_spec, rule = _COTYPE_VARIANTS[variant]
+    factor, diag_spec, rule = _cotype_variant(variant)
     if f.modulus % factor != 0:
         raise ValueError(f"{variant} variant requires {rule}")
     m = f.modulus // factor

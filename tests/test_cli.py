@@ -13,6 +13,7 @@ import sys
 import weakref
 from dataclasses import fields
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -525,6 +526,19 @@ class TestRun:
         res = runner.invoke(main, ["run", "trace", "--config", str(tmp_path / "cfg.json"),
                                    "--deterministic"])
         assert res.exit_code == 0, res.output
+
+    @pytest.mark.parametrize("args", [["--n", "6"], ["--n", "0"], ["--budget", "0"],
+                                      ["--s", "0"], ["--m", "0"]],
+                             ids=["n6", "n-zero", "budget-zero", "s-zero", "m-zero"])
+    def test_unknown_cotype_variant_named_before_any_grid(self, runner, monkeypatch, args):
+        # named first: before the 16^6 table is drawn, and before a bad --n,
+        # --budget, --s or --m
+        draws = mock.Mock(wraps=cli._grid_function)
+        monkeypatch.setattr(cli, "_grid_function", draws)
+        res = runner.invoke(main, ["run", "cotype", "--variant", "bogus", *args, "--deterministic"])
+        assert res.exit_code == 1
+        assert json.loads(res.stderr)["message"] == "unknown cotype variant 'bogus'"
+        assert draws.call_count == 0
 
     def test_three_letter_cotype_budget_counts_three_letters(self, runner):
         # 2^8 points and 3^8 patterns: 1,679,616 terms exceed the budget

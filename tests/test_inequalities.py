@@ -32,10 +32,12 @@ from xplab.inequalities import (
 )
 from xplab.inequalities import _metric_terms, _sign_rows, _xp_moments
 from xplab.lattice import (
+    Diagonal,
     GridFunction,
     SamplePlan,
     ShiftedSet,
     gap_moment,
+    gap_moment_estimate,
     make_sample_plan,
     random_grid_function,
     subset_stream,
@@ -491,6 +493,16 @@ class TestCotype:
         rhs /= 3**n * M**n
         assert rep.lhs == pytest.approx(lhs)
         assert rep.rhs_terms["diag"] == pytest.approx(rhs)
+
+    @pytest.mark.parametrize("budget", [64, 200])
+    def test_rademacher_shifts_exact_once_the_budget_covers_the_torus(self, budget):
+        # Z_8^2: each half-period shift has 64 terms, the diagonal 4 x 64
+        f = random_grid_function(8, 2, 2, 3.0, seed=17)
+        plan = make_sample_plan(8, 2, 0, budget, seed=5)
+        assert plan.mode == "monte-carlo"
+        rep = cotype_report(f, 1.5, "rademacher", plan)
+        assert rep.lhs == cotype_report(f, 1.5, "rademacher", plan_for(8, 2)).lhs
+        assert rep.rhs_terms["diag"] == gap_moment_estimate(f, Diagonal(), plan, power=1.5).value
 
     def test_rademacher_variant_modulus_check(self):
         with pytest.raises(ValueError):

@@ -165,6 +165,43 @@ class TestGapMoment:
                       d)
 
 
+class TestCoveredTerms:
+    """Under a Monte-Carlo plan ``gap_moment`` sums a law exactly once its
+    sign patterns times M^n points fit the budget; ``gap_moment_estimate``
+    follows its plan literally."""
+
+    SPECS = (Edge(2), FixedShift((2, 0, 0)), ShiftedSet((1, 3), 1), Diagonal(),
+             SymmetricDiagonal(), ThreeLetterDiagonal())
+
+    @pytest.mark.parametrize("spec", SPECS, ids=lambda s: type(s).__name__)
+    def test_exact_from_the_covering_budget(self, spec):
+        f = random_grid_function(4, 3, 2, 3.0, seed=12)
+        v, letters, _ = _law(spec, 3)
+        terms = len(letters) ** int(np.count_nonzero(v)) * 4**3
+        exact = gap_moment(f, spec, exhaustive_plan(4, 3))
+        covering = SamplePlan("monte-carlo", terms, seed=6)
+        assert gap_moment(f, spec, covering) == exact
+        short = SamplePlan("monte-carlo", terms - 1, seed=6)
+        sampled = gap_moment_estimate(f, spec, short).value
+        assert gap_moment(f, spec, short) == sampled != exact
+        est = gap_moment_estimate(f, spec, covering)
+        assert (est.mode, est.count) == ("monte-carlo", terms)
+
+    @pytest.mark.parametrize("n,spec", [(50, ThreeLetterDiagonal()), (50, Diagonal()),
+                                        (60, ShiftedSet((1, 60), 3)), (63, Edge(2))])
+    @pytest.mark.parametrize("budget", [2**62, 2**63 - 1, 10**30])
+    def test_decision_is_the_exact_integer_rule(self, monkeypatch, n, spec, budget):
+        # on Z_1^n every power of M is 1; 3^50 wraps in int64 arithmetic
+        f = GridFunction(1, n, 1, 2.0, np.zeros((1,) * n + (1,)))
+        modes = []
+        monkeypatch.setattr(lattice, "gap_moment_estimate", lambda f, spec, plan, power:
+                            modes.append(plan.mode) or lattice.GapEstimate(0.0, 0.0, 1, plan.mode))
+        gap_moment(f, spec, SamplePlan("monte-carlo", budget, seed=0))
+        v, letters, _ = _law(spec, n)
+        terms = len(letters) ** int(np.count_nonzero(v))
+        assert modes == ["exhaustive" if terms <= budget else "monte-carlo"]
+
+
 class TestFixedShiftPerPoint:
     """A one-letter law whose torus has at most ``budget`` points takes one
     norm per point; the samples and their statistics are unchanged."""
