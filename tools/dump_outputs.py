@@ -56,7 +56,9 @@ DRAWS = 3
 # exact counterexample power, a distortion objective and default unit
 # vectors past the default budget, Monte-Carlo cotype and metric-xp plans
 # whose half-period shifts or edges have as many terms as the budget and one
-# more, and the verify oracles
+# more, the character, indicator and cosine families, a config y and subset
+# and their refusals (a y of the wrong length, fractional entries), a
+# geometric int sweep, and the verify oracles
 EXTRA = [
     ["run", "metric-xp", "--m", "1", "--n", "6", "--k", "3", "--budget", "5000"],
     ["run", "metric-xp", "--m", "1", "--n", "6", "--k", "3", "--d", "9", "--budget", "5000"],
@@ -110,6 +112,16 @@ EXTRA = [
       for b in ("256", "255")),
     *(["run", report, "--n", n] for report, n in (("bridge", "-1"), ("bridge", "0"),
                                                    ("contraction", "0"))),
+    ["run", "metric-xp", "--family", "character", "--m", "2", "--n", "2"],
+    ["run", "metric-xp", "--family", "indicator", "--m", "1", "--n", "2"],
+    ["run", "cotype", "--family", "cosine", "--m", "1", "--n", "2"],
+    ["run", "reverse-metric-xp", "--family", "character", "--m", "1", "--n", "2", {"y": [1, 3]}],
+    ["run", "displacement", "--m", "1", "--n", "2", {"subset": [2]}],
+    ["scan", "rosenthal-distortion", "--sweep", "n", "--values", "geom:4:64:3", "--q", "3",
+     "--p", "6"],
+    *(["run", "metric-xp", "--family", "character", "--m", "2", "--n", "2", {"y": y}]
+      for y in ([1, 0, 0], [1.5, 0])),
+    ["run", "displacement", "--m", "1", "--n", "2", {"subset": [1.7]}],
 ]
 # help, version and usage errors of the entry point, run without
 # --deterministic
