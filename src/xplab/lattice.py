@@ -18,15 +18,12 @@ under every law: under a mirror law they give one difference up to sign, and
 otherwise the per-point norms of -delta are those of delta rolled by delta,
 bit for bit.  The zero displacement needs no pass.
 
-A Monte Carlo plan draws ``budget`` pairs (x, eps) from a seeded stream,
-every x before any sign (a one-letter law draws x only), and fills one
-``samples`` array block by block (``_blocks``).  A one-letter law whose
-torus has at most ``budget`` points evaluates the norm once per point of a
-rolled ``value_first`` and gathers each sample's value at the flat index of
-its x, drawn per block: it holds 8 bytes per sample.  Every other plan draws
-x whole as int32; per block it draws the signs, forms x + delta (and
-x - delta under a mirror law) in intp, gathers both values of each pair as
-columns of ``value_first`` flattened to ``(d, M**n)``, one flat index
+A Monte Carlo plan draws ``budget`` pairs (x, eps) from a seeded stream
+and fills one ``samples`` array block by block (``_blocks``).  It draws x
+whole as int32, every x before any sign (a one-letter law draws x only);
+per block it draws the signs, forms x + delta (and x - delta under a mirror
+law) in intp, gathers both values of each pair as columns of
+``value_first`` flattened to ``(d, M**n)``, one flat index
 (``np.ravel_multi_index``) per sample, and sums each norm over axis 0: it
 holds 4n + 8 bytes per sample.  Neither the block size nor the int32 dtype
 moves a bit of the estimate: numpy makes an int32 and an int64 below 2**32
@@ -552,27 +549,16 @@ def gap_moment_estimate(
     count = plan.budget
     shape, table = (M,) * n, f.value_first.reshape(f.value_dim, M**n)
     samples = np.empty(count)
-    if len(letters) == 1 and M**n <= count:
-        # delta = v is fixed, so a sample's value depends on x alone: one
-        # norm per torus point, gathered at the points drawn block by block
-        axes = tuple(range(1, n + 1))
-        diff = np.roll(f.value_first, tuple(-v), axis=axes).reshape(table.shape)
-        diff -= table
-        per_point = _norm_power(diff, f.value_p, power, axis=0)
-        for block in _blocks(count, n):
-            x = gen.integers(0, M, size=(block.stop - block.start, n))
-            samples[block] = per_point.take(np.ravel_multi_index(x.T, shape))
-    else:
-        # every x comes before the signs, the stream's last draw, which follow
-        # block by block; a one-letter law draws none
-        x = gen.integers(0, M, size=(count, n), dtype=np.int32)
-        for block in _blocks(count, n + f.value_dim):
-            xb = x[block].astype(np.intp)
-            delta = v * _pattern_rows(letters, n, gen, len(xb)) if len(letters) > 1 else v
-            diff = table.take(np.ravel_multi_index((xb + delta).T, shape, mode="wrap"), axis=1)
-            right = (xb - delta).T if mirror else xb.T
-            diff -= table.take(np.ravel_multi_index(right, shape, mode="wrap"), axis=1)
-            samples[block] = _norm_power(diff, f.value_p, power, axis=0)
+    # every x comes before the signs, the stream's last draw, which follow
+    # block by block; a one-letter law draws none
+    x = gen.integers(0, M, size=(count, n), dtype=np.int32)
+    for block in _blocks(count, n + f.value_dim):
+        xb = x[block].astype(np.intp)
+        delta = v * _pattern_rows(letters, n, gen, len(xb)) if len(letters) > 1 else v
+        diff = table.take(np.ravel_multi_index((xb + delta).T, shape, mode="wrap"), axis=1)
+        right = (xb - delta).T if mirror else xb.T
+        diff -= table.take(np.ravel_multi_index(right, shape, mode="wrap"), axis=1)
+        samples[block] = _norm_power(diff, f.value_p, power, axis=0)
     mean = float(np.mean(samples))
     stderr = float(np.std(samples, ddof=1) / math.sqrt(count)) if count > 1 else 0.0
     return GapEstimate(mean, stderr, count, "monte-carlo")
