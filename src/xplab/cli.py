@@ -19,6 +19,7 @@ import os
 import sys
 import textwrap
 import time
+import warnings
 from dataclasses import dataclass, fields
 from typing import NoReturn
 
@@ -167,6 +168,11 @@ def _load_config(options: dict, defaults: dict) -> ExperimentConfig:
 # ---------------------------------------------------------------------------
 
 
+def _integers(name: str, values) -> tuple[int, ...]:
+    """The entries of config list ``name``, each an integral number."""
+    return tuple(_checked(f"{name}[{i}]", "int", v) for i, v in enumerate(values))
+
+
 def _grid_function(cfg: ExperimentConfig, modulus: int) -> GridFunction:
     """Resolve the function source: JSON path, builtin family, or random."""
     if cfg.function_path:
@@ -178,8 +184,10 @@ def _grid_function(cfg: ExperimentConfig, modulus: int) -> GridFunction:
     if name == "random":
         return random_grid_function(modulus, cfg.n, cfg.d, cfg.p, cfg.seed)
     if name == "character":
-        y = tuple(int(v) for v in (cfg.y or [1] + [0] * (cfg.n - 1)))
-        f = character(LatticePoint(y, modulus))
+        y = cfg.y or [1] + [0] * (cfg.n - 1)
+        if len(y) != cfg.n:
+            raise ValueError(f"config field 'y' must have n={cfg.n} entries, got {len(y)}")
+        f = character(LatticePoint(_integers("y", y), modulus))
         return GridFunction(modulus, cfg.n, 2, cfg.p, f.values)
     if name == "indicator":
         vals = np.zeros((modulus,) * cfg.n + (1,))
@@ -194,8 +202,10 @@ def _grid_function(cfg: ExperimentConfig, modulus: int) -> GridFunction:
 
 def _matrices(cfg: ExperimentConfig, count: int, purpose: str) -> list[SymMatrix]:
     if cfg.matrix_paths:
-        return [SymMatrix.from_array(np.atleast_2d(np.loadtxt(path, delimiter=",")))
-                for path in cfg.matrix_paths]
+        with warnings.catch_warnings():  # an empty file: from_array names it
+            warnings.filterwarnings("ignore", "loadtxt: input contained no data")
+            return [SymMatrix.from_array(np.atleast_2d(np.loadtxt(path, delimiter=",")))
+                    for path in cfg.matrix_paths]
     return [random_psd(cfg.d, cfg.seed, purpose=f"{purpose}:{j}") for j in range(count)]
 
 
@@ -374,7 +384,7 @@ REPORTS = {
     "scaling-witness": _scaling_witness,
     "displacement": lambda cfg: displacement_report(
         _budgeted_function(cfg, 4 * cfg.m, letters=2),
-        tuple(int(v) for v in (cfg.subset or range(1, cfg.k + 1))), cfg.R, cfg.p,
+        _integers("subset", cfg.subset or range(1, cfg.k + 1)), cfg.R, cfg.p,
     ).to_json_dict(),
     "rosenthal-distortion": _rosenthal_distortion,
     "grid-distortion": lambda cfg: {

@@ -524,8 +524,8 @@ def gap_moment_estimate(
         distinct, zero = set(keys), (0,) * n
         partial = {}
         if zero in distinct:
-            # every difference is zero: M**n copies of the norm of zero (not 0.0
-            # at power <= 0, which cotype's s can be), no roll
+            # every difference is zero: M**n copies of the norm of zero (not
+            # 0.0 at power <= 0), no roll
             norm = _norm_power(np.zeros((1, 1)), f.value_p, power, axis=0)[0]
             partial[zero] = M**n * float(norm)
         table, axes = f.value_first, tuple(range(1, n + 1))

@@ -69,6 +69,8 @@ class SymMatrix:
         a = np.asarray(a, dtype=float)
         if a.size == 0:
             raise ValueError("a matrix must have order >= 1")
+        if a.ndim != 2 or a.shape[0] != a.shape[1]:
+            raise ValueError(f"a matrix must be square, got shape {a.shape}")
         sym = 0.5 * (a + a.T)
         vals, vecs = np.linalg.eigh(sym)
         vals, vecs = vals[::-1], vecs[:, ::-1]

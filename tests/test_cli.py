@@ -230,6 +230,13 @@ class TestUsageErrors:
         Path("two-orders.json").write_text(json.dumps({"matrix_paths": ["b.csv", "a.csv"]}))
         Path("empty-zs.json").write_text(json.dumps({"zs": [[], []]}))
         Path("nan-p.json").write_text('{"p": NaN}')  # Python's json reads NaN
+        Path("y-long.json").write_text(json.dumps({"y": [1, 0, 0]}))
+        Path("y-fraction.json").write_text(json.dumps({"y": [1.5, 0]}))
+        Path("subset-fraction.json").write_text(json.dumps({"subset": [1.7]}))
+        Path("wide.csv").write_text("1,2,3\n4,5,6\n")
+        Path("wide.json").write_text(json.dumps({"matrix_paths": ["wide.csv"]}))
+        Path("empty.csv").write_text("")
+        Path("empty.json").write_text(json.dumps({"matrix_paths": ["empty.csv"]}))
 
     @pytest.mark.parametrize("args,error", [
         (["run", "rosenthal-distortion", "--n", "8.7"], "ValueError"),
@@ -352,6 +359,21 @@ class TestUsageErrors:
         (["run", "psd-counterexample", "--s", "4", "--q", "250", "--deterministic"],
          "report fields are not finite: report.quadratic_form = -inf, "
          "report.min_eigenvalue = nan"),
+        # config lists: not numpy's shape message after an M^3 character
+        # table, nor a silent int() of a fractional entry
+        (["run", "metric-xp", "--family", "character", "--n", "2", "--config", "y-long.json"],
+         "config field 'y' must have n=2 entries, got 3"),
+        (["run", "metric-xp", "--family", "character", "--n", "2", "--config",
+          "y-fraction.json"], "config field 'y[0]' must be int, got 1.5"),
+        (["run", "displacement", "--m", "1", "--n", "2", "--config", "subset-fraction.json"],
+         "config field 'subset[0]' must be int, got 1.7"),
+        # matrix files: not numpy's broadcast message, nor loadtxt's warning
+        # on stderr before the error
+        (["run", "schatten-xp", "--n", "1", "--config", "wide.json"],
+         "a matrix must be square, got shape (2, 3)"),
+        pytest.param(["run", "psd-xp", "--n", "1", "--k", "1", "--config", "empty.json"],
+                     "a matrix must have order >= 1",
+                     marks=pytest.mark.filterwarnings("error::UserWarning")),
     ], ids=["trace-two-orders", "psd-xp-two-orders", "cosine-n-zero",
             "search-negative-n", "witness-negative-n", "bridge-empty-vectors",
             "contraction-empty-vectors", "bridge-negative-n", "bridge-zero-n",
@@ -360,7 +382,8 @@ class TestUsageErrors:
             "geom-two-fields", "bmw-q-zero", "enflo-r-negative", "pisier-p-zero",
             "grid-negative-m", "grid-negative-n", "search-zero-trials", "json-nan",
             "json-inf", "csv-inf", "scan-row-nan", "bridge-huge-p",
-            "counterexample-overflow"])
+            "counterexample-overflow", "y-length", "y-fraction", "subset-fraction",
+            "non-square-csv", "empty-csv"])
     @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_bad_input_is_named(self, runner, args, message):
         # not numpy's broadcast, stack or scalar-array message, nor the
@@ -369,16 +392,6 @@ class TestUsageErrors:
         res = runner.invoke(main, args)
         assert res.exit_code == 1
         assert json.loads(res.stderr) == {"error": "ValueError", "message": message}
-
-    def test_empty_matrix_file_is_named(self, runner):
-        Path("empty.csv").write_text("")
-        Path("empty.json").write_text(json.dumps({"matrix_paths": ["empty.csv"]}))
-        with pytest.warns(UserWarning, match="no data"):
-            res = runner.invoke(main, ["run", "psd-xp", "--config", "empty.json",
-                                       "--n", "1", "--k", "1"])
-        assert res.exit_code == 1
-        assert json.loads(res.stderr.splitlines()[-1])["message"] == (
-            "a matrix must have order >= 1")
 
 
 class TestRun:
@@ -539,6 +552,22 @@ class TestRun:
         assert res.exit_code == 1
         assert json.loads(res.stderr)["message"] == "unknown cotype variant 'bogus'"
         assert draws.call_count == 0
+
+    @pytest.mark.parametrize("y,tables", [([1] + [0] * 6, 0), ([1, 3], 1)],
+                             ids=["seven-entries", "n-entries"])
+    def test_y_longer_than_n_builds_no_table(self, runner, monkeypatch, tmp_path, y, tables):
+        # a y of 7 entries at n = 2 is refused before its 8^7 character
+        # table is built
+        (tmp_path / "y.json").write_text(json.dumps({"y": y}))
+        built = mock.Mock(wraps=cli.character)
+        monkeypatch.setattr(cli, "character", built)
+        res = runner.invoke(main, ["run", "metric-xp", "--family", "character", "--n", "2",
+                                   "--config", str(tmp_path / "y.json"), "--deterministic"])
+        assert built.call_count == tables
+        if not tables:
+            assert res.exit_code == 1
+            assert json.loads(res.stderr)["message"] == (
+                "config field 'y' must have n=2 entries, got 7")
 
     def test_three_letter_cotype_budget_counts_three_letters(self, runner):
         # 2^8 points and 3^8 patterns: 1,679,616 terms exceed the budget

@@ -149,9 +149,7 @@ class TestGapMoment:
     def test_monte_carlo_stream_is_pinned(self, modulus, n, spec, delta, power, d):
         # the draws of the spec's stream: x first, then +-1 over all n
         # coordinates, which a spec without random signs leaves unused; the
-        # reference gathers with a tuple of n index arrays, value axis last.
-        # 999 samples exceed the 216 points of Z_6^3: a one-letter law is
-        # gathered pair by pair all the same
+        # reference gathers with a tuple of n index arrays, value axis last
         f = random_grid_function(modulus, n, d, 3.0, seed=4)
         plan = SamplePlan("monte-carlo", 999, seed=8)
         gen = stream(8, "gap:" + _spec_tag(spec))
