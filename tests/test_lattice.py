@@ -205,6 +205,42 @@ class TestCoveredTerms:
         assert modes == ["exhaustive" if terms <= budget else "monte-carlo"]
 
 
+class TestOneLetterGather:
+    """A one-letter law under a Monte-Carlo plan takes the one gather at any
+    budget, above or below the torus size: it rolls no table, and its samples
+    and their statistics are those of the law's x drawn pair by pair."""
+
+    @staticmethod
+    def direct_gather(f: GridFunction, v: tuple[int, ...], power: float, budget: int,
+                      tag: str) -> tuple[float, float]:
+        # the draws of the spec's stream (x only) gathered pair by pair, value
+        # axis last
+        gen = stream(9, "gap:" + tag)
+        x = gen.integers(0, f.modulus, size=(budget, f.dimension))
+        diff = (f.values[tuple(((x + np.asarray(v)) % f.modulus).T)]
+                - f.values[tuple(x.T)])
+        samples = np.sum(np.abs(diff) ** f.value_p, axis=-1)
+        if power != f.value_p:
+            samples = (samples ** (1.0 / f.value_p)) ** power
+        return float(np.mean(samples)), float(np.std(samples, ddof=1) / np.sqrt(budget))
+
+    @pytest.mark.parametrize("spec,v,d", over_value_dims(
+        [(Edge(2), (0, 1, 0)), (FixedShift((2, 0, -1)), (2, 0, -1))], ["Edge", "FixedShift"]))
+    @pytest.mark.parametrize("power", [3.0, 2.0], ids=["power=value_p", "power=2"])
+    @pytest.mark.parametrize("budget", [4**3 - 1, 4**3, 4 * 4**3],
+                             ids=["below-points", "points", "4x-points"])
+    def test_equals_direct_gather(self, monkeypatch, spec, v, d, power, budget):
+        f = random_grid_function(4, 3, d, 3.0, seed=6)
+        counted = mock.Mock(wraps=np.roll)
+        monkeypatch.setattr(np, "roll", counted)
+        est = gap_moment_estimate(f, spec, SamplePlan("monte-carlo", budget, seed=9),
+                                  power=power)
+        assert counted.call_count == 0
+        assert est.count == budget
+        assert_pinned((est.value, est.stderr),
+                      self.direct_gather(f, v, power, budget, _spec_tag(spec)), d)
+
+
 class TestBlockedGather:
     """A Monte-Carlo plan fills its samples block by block: the gather draws
     x whole as int32 and the signs per block after it.  Every estimate is the
