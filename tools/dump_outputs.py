@@ -42,7 +42,8 @@ DRAWS = 3
 # and at sizes past one block of sign sums, Pisier at n = 10 (2^20 terms,
 # which the default budget refuses), the probe on Z_4, scaling witnesses,
 # both grid embeddings (at n = 8 over more than one block of pairwise rows),
-# bridges at n = 3 (the second takes its diagonal's Z_16^3 in 13 blocks), at
+# bridges at n = 3 (the second takes its diagonal's Z_16^3 in 13 blocks, the
+# third sums a k = 3 half-period over Z_16^3 x 9 floats, past one block), at
 # d = n = 4, at p = 1 (the smallest exponent, a kink at every zero of the
 # integrand) and at large p (m = 8, p = 400 reports; p = 1600 names its
 # infinite constants), a sampled metric-xp at d = 9 (sums of 8 or more value
@@ -57,8 +58,8 @@ DRAWS = 3
 # vectors past the default budget, Monte-Carlo cotype and metric-xp plans
 # whose half-period shifts or edges have as many terms as the budget and one
 # more, the character, indicator and cosine families, a config y and subset
-# and their refusals (a y of the wrong length, fractional entries), a
-# geometric int sweep, and the verify oracles
+# and their refusals (a y of the wrong length, fractional entries, a repeated
+# subset entry), a geometric int sweep, and the verify oracles
 EXTRA = [
     ["run", "metric-xp", "--m", "1", "--n", "6", "--k", "3", "--budget", "5000"],
     ["run", "metric-xp", "--m", "1", "--n", "6", "--k", "3", "--d", "9", "--budget", "5000"],
@@ -85,6 +86,10 @@ EXTRA = [
     ["run", "convolution-probe", "--m", "2", "--n", "4"],
     *(["run", "bridge", "--n", "3", "--m", m, "--k", "2", "--budget", "1e7"]
       for m in ("2", "8")),
+    ["run", "bridge", "--n", "3", "--m", "8", "--k", "3",
+     {"zs": [[0.3, -1.0, 0.5, 0.2, 1.0, 0.1, -0.7, 0.4, 0.9],
+             [0.6, 0.2, -0.8, 1.1, -0.3, 0.5, 0.0, -0.4, 0.7],
+             [-0.2, 0.9, 0.4, -0.6, 0.8, -1.2, 0.3, 0.1, -0.5]]}],
     ["run", "bridge", "--n", "4", "--m", "2", "--k", "2"],
     ["run", "bridge", "--p", "1"],
     ["run", "bridge", "--m", "8", "--p", "400"],
@@ -122,6 +127,7 @@ EXTRA = [
     *(["run", "metric-xp", "--family", "character", "--m", "2", "--n", "2", {"y": y}]
       for y in ([1, 0, 0], [1.5, 0])),
     ["run", "displacement", "--m", "1", "--n", "2", {"subset": [1.7]}],
+    ["run", "displacement", "--m", "1", "--n", "2", {"subset": [1, 1]}],
 ]
 # help, version and usage errors of the entry point, run without
 # --deterministic
