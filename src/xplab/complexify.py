@@ -12,12 +12,12 @@ the norm is rotation invariant.
 The bridge instantiates the family ``f_delta(x) = sum_j delta_j
 exp(i pi x_j / m) (z_j, 0)`` on ``Z_{2m}^n`` and checks, with explicit
 constants, each intermediate inequality linking the torus functional of the
-family to the sign-sum (linear) functional of the coefficients.  The family
-is evaluated as array code: the pairs of a block of lattice points are one
-matrix product of phase coefficients with ``(z_j)``, and their norms one
-``_pair_powers`` call.  Since ``-e^{i pi x/m} = e^{i pi (x+m)/m}``, a sign
-delta_j = -1 is the shift x_j -> x_j + m, so every term is evaluated at
-delta = +1 only and the sign sums become sums over shifted lattice points.
+family to the sign-sum (linear) functional of the coefficients.  A sign
+delta_j = -1 is the shift x_j -> x_j + m (``-e^{i pi x/m} = e^{i pi
+(x+m)/m}``), so every term is a pair norm at delta = +1: the half-period
+ones come from the sign-sum kernel ``_signed_sum_means`` with the 2m roots
+of unity as letters, the diagonal ones from one product of phases with
+``(e^{i pi/m} - 1)(z_j)`` and one ``_pair_powers`` call per block of points.
 """
 
 from __future__ import annotations
@@ -31,6 +31,7 @@ import numpy as np
 from .inequalities import (
     InequalityReport,
     _as_vectors,
+    _signed_sum_means,
     _xp_moments,
     signed_power_mean,
     subset_average,
@@ -184,15 +185,17 @@ def bridge_report(
     |1-e^{i pi/m}|^p C_p sum_j ||z_j||_p^p.  The constants are numpy powers
     of ratios (pi (pi/m)^p, 2 pi (2/pi)^p, (2/m)^p): a representable one is
     represented, and one past the largest float is inf, which the CLI names.
-    The pair norms of the family are evaluated in closed form, x in blocks.
-    A sign delta_j = -1 is the shift x_j -> x_j + m, so the diagonal is one
-    norm array g over (y, eps) with delta = +1: the worst (x, eps) row sum
-    over delta is the worst sum of g over the 2^n points x + m s, s in
-    {0,1}^n, and metric.diag is the mean of g.  The half-period terms depend
-    on (delta_S, x_S) only and come from one sum over x_S; the metric
-    half-period moment is the same sum, since the shift multiplies every
-    term by -2.  The plan must be exhaustive, and its budget bounds the
-    number of pair norms.
+    The pair norms of the family are evaluated in closed form.  With omega
+    = e^{i pi/m}, omega^{y+eps} - omega^y = (omega - 1) omega^u, u = y for
+    eps = +1 and u = y + m - 1 for eps = -1, and y -> u is a bijection of
+    Z_{2m}^n; with the shift for delta_j = -1, the diagonal is one norm table
+    g(u) = ||sum_j (omega - 1) omega^{u_j}(z_j,0)||^p: the worst (x, eps) row
+    sum over delta is the worst sum of g over the 2^n points u + m s, s in
+    {0,1}^n, and metric.diag is the mean of g.  The half-period sum over
+    (delta, x) is 2^n (2m)^n H(S), H(S) the mean over x_S of ||sum_{j in S}
+    omega^{x_j}(z_j,0)||^p; the metric one is (2/m)^p H(S), since the shift
+    multiplies every term by -2.  The plan must be exhaustive, and its budget
+    bounds the (2m)^n + C(n, k) (2m)^k pair norms.
     """
     if p < 1:
         raise ValueError("p must be >= 1")
@@ -201,55 +204,49 @@ def bridge_report(
     if not 1 <= k <= n:
         raise ValueError(f"k={k} out of range for n={n}")
     M = 2 * m
-    if plan.mode != "exhaustive" or M**n * 2**n + math.comb(n, k) * M**k > plan.budget:
+    if plan.mode != "exhaustive" or M**n + math.comb(n, k) * M**k > plan.budget:
         raise ValueError("bridge needs an exhaustive plan whose budget covers its enumeration")
 
-    def phase(x: np.ndarray) -> np.ndarray:
-        return np.exp(1j * math.pi * x / m)
-
-    signs = _pattern_rows((-1, 1), n)
+    roots = np.exp(1j * math.pi * np.arange(M) / m)  # omega^u, omega = e^{i pi/m}
     pi_m = np.float64(math.pi / m) ** p
 
     # linear side: sign moments of the raw coefficients in l_p^d
     lp_power = functools.partial(_norm_power, value_p=p, power=p)
     linear_subset, linear_lp, linear_full = _xp_moments(zmat, k, lp_power, plan)
 
-    # intermediate 1: half-period lower bound, averaged over subsets
-    def half_period_lhs(S: tuple[int, ...]) -> float:
-        cols = [j - 1 for j in S]
-        # groups of M points differing in the last coordinate: a lone point's
-        # product would take numpy's matrix-vector kernel, which rounds apart
-        x = _pattern_rows(np.arange(M), len(cols)).reshape(-1, M, len(cols))
-        total = [_pair_powers(phase(x[block]) @ zmat[cols], p)
-                 for block in _blocks(len(x), 2 * M * (len(cols) + d))]
-        # with delta_S = +1: 2^|S| signs and (2M)^{n-|S|} free coordinates
-        # give the same term
-        return 2**n * M ** (n - len(cols)) * _fsum_rows(np.concatenate(total, axis=None)[None])[0]
-
-    hp_lhs = subset_average(half_period_lhs, n, k, plan)
+    # intermediate 1: half-period lower bound, averaged over subsets; H(S) is
+    # the mean over x in Z_M^|S| of ||sum_{j in S} omega^{x_j}(z_j,0)||^p, and
+    # a sign delta_j = -1 shifts x_j, so the sum over (delta, x) is 2^n M^n H(S)
+    half_period = subset_average(
+        lambda subsets: _signed_sum_means(zmat, subsets, _pattern_rows(roots, k),
+                                          lambda w: _pair_powers(w, p)),
+        n, k, plan, batched=True,
+    )
+    hp_lhs = 2**n * M**n * half_period
     hp_rhs = float(2.0 * math.pi * np.float64(2.0 / math.pi) ** p * M**n) * (2**n * linear_subset)
 
     # intermediate 2: single-coordinate (edge) upper bound; the edge term of
     # coordinate j is the same at every x_j and flips sign with delta_j (the
     # step is a numpy float, so its power overflows to inf)
-    edge = float(abs(phase(1) - 1.0) ** p * _moment_constant(p)) * linear_lp
+    step = roots[1] - 1.0
+    edge = float(abs(step) ** p * _moment_constant(p)) * linear_lp
     edge_rhs = float(math.pi * pi_m) * linear_lp
 
     # intermediate 3: diagonal (contraction) upper bound, worst (x, eps)
     diag_rhs = float(2.0 * math.pi * pi_m) * (2**n * linear_full)
-    y = _pattern_rows(np.arange(M), n)
-    g = np.concatenate([
-        _pair_powers((phase(y[block, None, :] + signs) - phase(y[block, None, :])) @ zmat, p)
-        for block in _blocks(len(y), 2 * (n + d) * len(signs))
-    ])
-    rows = g.reshape((M,) * n + (len(signs),))
+    # groups of M points differing in the last coordinate: a lone point's
+    # product would take numpy's matrix-vector kernel, which rounds apart
+    u = _pattern_rows(np.arange(M), n).reshape(-1, M, n)
+    g = np.concatenate([_pair_powers(roots[u[block]] @ (step * zmat), p)
+                        for block in _blocks(len(u), 2 * M * (n + d))], axis=None)
+    rows = g.reshape((M,) * n)
     for axis in range(n):
         rows = rows + np.roll(rows, m, axis=axis)
     diag_lhs = float(rows.max())
 
     # metric side of the family: the half-period shift f_delta(x + m eps_S) -
     # f_delta(x) is -2 times the half-period family term on S
-    metric_lhs = float(np.float64(2.0 / m) ** p) * hp_lhs / (2**n * M**n)
+    metric_lhs = float(np.float64(2.0 / m) ** p) * half_period
     metric_diag = _fsum_rows(g.reshape(1, -1))[0] / g.size
 
     metric_rhs = (k / n) * edge + (k / n) ** (p / 2.0) * metric_diag

@@ -218,8 +218,8 @@ class TestBridge:
             bridge_report(np.eye(2).tolist(), m=2, k=1, p=4.0, plan=plan)
 
     def test_budget_counts_every_quadrature(self, monkeypatch):
-        # the guard once counted M^n 2^n only, below the pair norms the
-        # half-period and edge terms add; count what the report evaluates
+        # the guard counts what the report evaluates: M^n diagonal pair
+        # norms and M^k half-period ones per size-k subset
         zs = [[0.3, -1.0], [0.5, 0.2], [1.0, 0.1]]
         plan = make_sample_plan(4, 3, 2, budget=10**7, seed=0)
         pairs = []
@@ -232,17 +232,16 @@ class TestBridge:
         monkeypatch.setattr(complexify, "_pair_powers", counting)
         bridge_report(zs, m=2, k=2, p=4.0, plan=plan)
         used = sum(pairs)
-        assert used > 4**3 * 2**3
-        bridge_report(zs, m=2, k=2, p=4.0,
-                      plan=make_sample_plan(4, 3, 2, budget=used, seed=0))
+        assert used == 4**3 + 3 * 4**2
+        # make_sample_plan would charge 8^3 sign-and-point terms and sample
+        bridge_report(zs, m=2, k=2, p=4.0, plan=SamplePlan("exhaustive", used, 0))
         with pytest.raises(ValueError, match="budget"):
-            bridge_report(zs, m=2, k=2, p=4.0,
-                          plan=make_sample_plan(4, 3, 2, budget=used - 1, seed=0))
+            bridge_report(zs, m=2, k=2, p=4.0, plan=SamplePlan("exhaustive", used - 1, 0))
 
     def test_two_sign_sum_kernel_calls(self, monkeypatch):
         # the half-period right side is 2^n times the linear subset moment,
-        # so the kernel runs for the linear subsets and the full average only;
-        # a name complexify imported would escape the patch of inequalities
+        # so the kernel runs for the linear subsets, the full average and the
+        # half-period left side; the patch of complexify covers its import
         calls = []
         kernel = inequalities._signed_sum_means
 
@@ -254,7 +253,7 @@ class TestBridge:
         monkeypatch.setattr(complexify, "_signed_sum_means", counting, raising=False)
         zs = [[0.3, -1.0], [0.5, 0.2], [1.0, 0.1]]
         bridge_report(zs, m=2, k=2, p=4.0, plan=make_sample_plan(4, 3, 2, budget=10**7, seed=0))
-        assert len(calls) == 2
+        assert len(calls) == 3
 
     @pytest.mark.parametrize("block", [1, 1000])
     def test_block_size_does_not_change_the_report(self, monkeypatch, block):
@@ -369,13 +368,9 @@ def reference_bridge(zs, m, k, p):
     }
 
 
-@pytest.mark.parametrize("m", [2, 3])
-@pytest.mark.parametrize("d", [1, 3])
-@pytest.mark.parametrize("k", [1, 2])
-def test_bridge_matches_per_pair_reference(m, d, k):
-    zs = np.random.default_rng(10 * m + d + k).uniform(-1, 1, (2, d)).tolist()
+def assert_matches_reference(zs, m, k):
     p = 4.7
-    got = bridge_report(zs, m, k, p, plan_for(2 * m, 2, k)).to_json_dict()
+    got = bridge_report(zs, m, k, p, plan_for(2 * m, len(zs), k)).to_json_dict()
     want = reference_bridge(zs, m, k, p)
 
     def compare(g, w, path):
@@ -389,3 +384,19 @@ def test_bridge_matches_per_pair_reference(m, d, k):
                 assert g[key] == pytest.approx(val, rel=1e-12), f"{path}.{key}"
 
     compare(got, want, "report")
+
+
+@pytest.mark.parametrize("m", [2, 3])
+@pytest.mark.parametrize("d", [1, 3])
+@pytest.mark.parametrize("k", [1, 2])
+def test_bridge_matches_per_pair_reference(m, d, k):
+    assert_matches_reference(
+        np.random.default_rng(10 * m + d + k).uniform(-1, 1, (2, d)).tolist(), m, k)
+
+
+@pytest.mark.parametrize("d", [1, 3])
+@pytest.mark.parametrize("k", [1, 2, 3])
+def test_bridge_matches_per_pair_reference_at_n3(d, k):
+    # the diagonal's 2^3 sign sums per point, and a half-period over all of n
+    assert_matches_reference(
+        np.random.default_rng(30 + d + k).uniform(-1, 1, (3, d)).tolist(), 2, k)
