@@ -200,12 +200,18 @@ def _grid_function(cfg: ExperimentConfig, modulus: int) -> GridFunction:
     raise ValueError(f"unknown function family {name!r}")
 
 
+def _matrix_file(path: str) -> SymMatrix:
+    with warnings.catch_warnings():  # an empty file: from_array names it
+        warnings.filterwarnings("ignore", "loadtxt: input contained no data")
+        entries = np.atleast_2d(np.loadtxt(path, delimiter=","))
+    if not np.isfinite(entries).all():  # named before any eigensolve
+        raise ValueError(f"matrix file {path!r} has entries that are not finite")
+    return SymMatrix.from_array(entries)
+
+
 def _matrices(cfg: ExperimentConfig, count: int, purpose: str) -> list[SymMatrix]:
     if cfg.matrix_paths:
-        with warnings.catch_warnings():  # an empty file: from_array names it
-            warnings.filterwarnings("ignore", "loadtxt: input contained no data")
-            return [SymMatrix.from_array(np.atleast_2d(np.loadtxt(path, delimiter=",")))
-                    for path in cfg.matrix_paths]
+        return [_matrix_file(path) for path in cfg.matrix_paths]
     return [random_psd(cfg.d, cfg.seed, purpose=f"{purpose}:{j}") for j in range(count)]
 
 

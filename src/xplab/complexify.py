@@ -44,7 +44,6 @@ __all__ = [
     "circular_moment_report",
     "contraction_check",
     "bridge_report",
-    "complex_scale",
 ]
 
 DEFAULT_NODES = 512
@@ -78,14 +77,6 @@ def complexification_norm(u: Sequence[float], v: Sequence[float], p: float) -> f
     if not len(u):
         raise ValueError("u and v must not be empty: got vectors of length 0")
     return float(_pair_powers(u + 1j * v, p)) ** (1.0 / p)
-
-
-def complex_scale(
-    w: complex, u: np.ndarray, v: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
-    """(a+bi)(u, v) = (a u - b v, a v + b u)."""
-    a, b = w.real, w.imag
-    return a * u - b * v, a * v + b * u
 
 
 def _refined_trapezoid(integrand) -> float:

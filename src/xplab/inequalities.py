@@ -124,8 +124,9 @@ def _signed_sum_means(
     power_fn: Callable[[np.ndarray], np.ndarray],
 ) -> list[float]:
     """The library's one sign-sum kernel: for each subset S (all of one
-    size), the mean over the sign rows eps of ``patterns`` of
-    ``power_fn(sum_{j in S} eps_j items[j-1])``.
+    size), the mean over the rows eps of ``patterns`` of
+    ``power_fn(sum_{j in S} eps_j items[j-1])``.  The rows are signs, or
+    other letters: the bridge's are roots of unity, and its sums complex.
 
     If one subset's sums fit in ``lattice._BLOCK`` floats (or in
     ``patterns.size``), the subsets' items are stacked (u, |S|, ...) and
@@ -644,6 +645,8 @@ def displacement_report(
     n, M = f.dimension, f.modulus
     npoints = M**n
     S = tuple(int(j) for j in S)
+    if len(set(S)) < len(S):  # the set shift would drop it, but S is echoed
+        raise ValueError(f"subset {S} repeats an entry")
     avg = box_average(f, DS(S, R))
     diff = f.values - avg.values
     lhs = _fsum_rows(_norm_power(diff, f.value_p, p).reshape(1, -1))[0]

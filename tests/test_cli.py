@@ -237,6 +237,8 @@ class TestUsageErrors:
         Path("wide.json").write_text(json.dumps({"matrix_paths": ["wide.csv"]}))
         Path("empty.csv").write_text("")
         Path("empty.json").write_text(json.dumps({"matrix_paths": ["empty.csv"]}))
+        Path("nan.csv").write_text("1,nan\nnan,1\n")
+        Path("nan.json").write_text(json.dumps({"matrix_paths": ["a.csv", "nan.csv"]}))
 
     @pytest.mark.parametrize("args,error", [
         (["run", "rosenthal-distortion", "--n", "8.7"], "ValueError"),
@@ -374,6 +376,9 @@ class TestUsageErrors:
         pytest.param(["run", "psd-xp", "--n", "1", "--k", "1", "--config", "empty.json"],
                      "a matrix must have order >= 1",
                      marks=pytest.mark.filterwarnings("error::UserWarning")),
+        # not every eigensolve, then an exit that names report fields
+        (["run", "schatten-xp", "--n", "2", "--config", "nan.json"],
+         "matrix file 'nan.csv' has entries that are not finite"),
     ], ids=["trace-two-orders", "psd-xp-two-orders", "cosine-n-zero",
             "search-negative-n", "witness-negative-n", "bridge-empty-vectors",
             "contraction-empty-vectors", "bridge-negative-n", "bridge-zero-n",
@@ -383,7 +388,7 @@ class TestUsageErrors:
             "grid-negative-m", "grid-negative-n", "search-zero-trials", "json-nan",
             "json-inf", "csv-inf", "scan-row-nan", "bridge-huge-p",
             "counterexample-overflow", "y-length", "y-fraction", "subset-fraction",
-            "non-square-csv", "empty-csv"])
+            "non-square-csv", "empty-csv", "non-finite-csv"])
     @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_bad_input_is_named(self, runner, args, message):
         # not numpy's broadcast, stack or scalar-array message, nor the

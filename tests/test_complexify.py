@@ -14,7 +14,6 @@ from xplab.complexify import (
     bridge_report,
     circular_moment,
     circular_moment_report,
-    complex_scale,
     complexification_norm,
     contraction_check,
 )
@@ -64,8 +63,9 @@ class TestPairNorm:
         u, v = np.array([1.0, -0.3]), np.array([0.4, 2.0])
         base = complexification_norm(u, v, 3.0)
         for phi in (0.3, 1.1, 2.9):
-            w = complex(math.cos(phi), math.sin(phi))
-            uu, vv = complex_scale(w, u, v)
+            # e^{i phi}(u, v) = (cos(phi) u - sin(phi) v, cos(phi) v + sin(phi) u)
+            uu = math.cos(phi) * u - math.sin(phi) * v
+            vv = math.cos(phi) * v + math.sin(phi) * u
             assert complexification_norm(uu, vv, 3.0) == pytest.approx(
                 base, abs=1e-8
             )

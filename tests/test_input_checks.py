@@ -28,6 +28,7 @@ from xplab.inequalities import (
     convolution_probe,
     convolution_search,
     cotype_report,
+    displacement_report,
     linear_xp_report,
     metric_xp_report,
     reverse_linear_xp_report,
@@ -133,6 +134,9 @@ CASES = {
     "witness-m": (lambda: scaling_witness_report(0, 2, 1, 2.0), ValueError, "m >= 1, got m=0"),
     "witness-k": (lambda: scaling_witness_report(2, 2, 3, 2.0),
                   ValueError, r"k=3 out of range for n=2"),
+    # not S = [1, 1] echoed beside the moments of {1}
+    "displacement-repeated-subset": (lambda: displacement_report(grid(4, 2), (1, 1), 1, 2.0),
+                                     ValueError, r"subset \(1, 1\) repeats an entry"),
     # schatten.py
     "schatten-norm-p": (lambda: schatten_norm(PSD, 0.5), ValueError, "p must be >= 1"),
     "trace-psd": (lambda: trace_inequality_report(INDEFINITE, PSD, MainQge1(2.0)),
