@@ -126,7 +126,7 @@ def _signed_sum_means(
     """The library's one sign-sum kernel: for each subset S (all of one
     size), the mean over the rows eps of ``patterns`` of
     ``power_fn(sum_{j in S} eps_j items[j-1])``.  The rows are signs, or
-    other letters: the bridge's are roots of unity, and its sums complex.
+    other letters: the bridge's are roots of unity (complex sums, two floats).
 
     If one subset's sums fit in ``lattice._BLOCK`` floats (or in
     ``patterns.size``), the subsets' items are stacked (u, |S|, ...) and
